@@ -20,9 +20,8 @@
 //! Flags (stress mode): `--cores N`, `--spaces M` (default 100_000),
 //! `--accesses-per-space K`, `--asid-capacity C` (default 4096, the full
 //! 12-bit space), `--refs R` (machine replay length per core),
-//! `--chunk-events E` (work-stealing chunk size), `--decoders D` (decode
-//! threads of the streamed corpus replay, default 1). Numbers may use
-//! `_` separators.
+//! `--chunk-events E` (work-stealing chunk size). Numbers may use `_`
+//! separators. A malformed flag prints the usage and exits with 2.
 
 #![forbid(unsafe_code)]
 
@@ -31,10 +30,10 @@ use mixtlb_cache::SharedCacheConfig;
 use mixtlb_perf::{corpus_path, default_corpus_dir, load_events, prepare_scenario};
 use mixtlb_sim::designs;
 use mixtlb_smp::{
-    replay_parallel, run_asid_stress, stream_replay_ws, MultiProgrammedScenario, ShootdownModel,
-    SmpReport, SmpScenarioConfig, StreamConfig, StressConfig, WsConfig,
+    replay_parallel, run_asid_stress, MultiProgrammedScenario, ShootdownModel, SmpReport,
+    SmpScenarioConfig, StressConfig, WsConfig,
 };
-use mixtlb_types::PageSize;
+use mixtlb_types::{Asid, PageSize};
 
 fn scenario_cfg(scale: Scale, refs: u64) -> SmpScenarioConfig {
     SmpScenarioConfig {
@@ -133,9 +132,8 @@ fn speedup(scenario: &MultiProgrammedScenario, refs: u64) -> (SmpReport, SmpRepo
 }
 
 /// Work-stealing replay of the pinned gups corpus across `cores`
-/// workers — once from a fully buffered decode, once streamed through
-/// the decode→translate pipeline with `decoders` decode threads.
-fn ws_corpus_replay(cores: usize, chunk_events: usize, decoders: usize) {
+/// workers.
+fn ws_corpus_replay(cores: usize, chunk_events: usize) {
     let path = corpus_path(&default_corpus_dir(), "gups");
     let events = match load_events(&path) {
         Ok(ev) => ev,
@@ -162,19 +160,6 @@ fn ws_corpus_replay(cores: usize, chunk_events: usize, decoders: usize) {
         report.total_steals(),
         busy,
     );
-    let stream_cfg = StreamConfig::threaded(decoders, 8);
-    match stream_replay_ws(&path, &pt, designs::mix, cores, &stream_cfg) {
-        Ok(s) => {
-            let meps = s.events as f64 / s.elapsed.as_secs_f64().max(1e-9) / 1e6;
-            println!(
-                "[ws] streamed: {} blocks via {} decoder(s): {meps:.2} M events/s, {} stolen",
-                s.blocks,
-                decoders,
-                s.total_steals(),
-            );
-        }
-        Err(e) => println!("[ws] streamed replay failed ({e}); skipping"),
-    }
 }
 
 /// The many-core stress: ASID rollover at scale plus eager-vs-epoch
@@ -185,7 +170,7 @@ fn stress(args: &StressArgs) {
         args.cores, args.spaces, args.asid_capacity
     );
 
-    ws_corpus_replay(args.cores, args.chunk_events, args.decoders);
+    ws_corpus_replay(args.cores, args.chunk_events);
 
     let mut cfg = StressConfig::new(args.cores, args.spaces);
     cfg.accesses_per_space = args.accesses_per_space;
@@ -251,15 +236,26 @@ struct StressArgs {
     asid_capacity: u16,
     refs: u64,
     chunk_events: usize,
-    decoders: usize,
 }
 
-/// Parses `1_000_000`-style numbers.
-fn parse_num(flag: &str, value: Option<String>) -> u64 {
-    value
-        .map(|v| v.replace('_', ""))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("{flag} needs a numeric argument"))
+fn usage() -> ! {
+    eprintln!(
+        "usage: smp [--cores N [--spaces M] [--accesses-per-space K] [--asid-capacity C]\n\
+         \x20          [--refs R] [--chunk-events E]]\n\
+         without --cores, runs the default 4-core design sweep; numbers may use _ separators"
+    );
+    std::process::exit(2);
+}
+
+/// Parses `1_000_000`-style numbers; anything else is a usage error.
+fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    match value.map(|v| v.replace('_', "")).map(|v| v.parse()) {
+        Some(Ok(n)) => n,
+        _ => {
+            eprintln!("smp: {flag} needs a numeric argument in range");
+            usage();
+        }
+    }
 }
 
 fn parse_args() -> Option<StressArgs> {
@@ -271,19 +267,30 @@ fn parse_args() -> Option<StressArgs> {
         asid_capacity: 4096,
         refs: 2_000,
         chunk_events: 1_024,
-        decoders: 1,
     };
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--cores" => out.cores = parse_num(&flag, args.next()) as usize,
+            "--cores" => out.cores = parse_num(&flag, args.next()),
             "--spaces" => out.spaces = parse_num(&flag, args.next()),
             "--accesses-per-space" => out.accesses_per_space = parse_num(&flag, args.next()),
-            "--asid-capacity" => out.asid_capacity = parse_num(&flag, args.next()) as u16,
+            "--asid-capacity" => out.asid_capacity = parse_num(&flag, args.next()),
             "--refs" => out.refs = parse_num(&flag, args.next()),
-            "--chunk-events" => out.chunk_events = parse_num(&flag, args.next()) as usize,
-            "--decoders" => out.decoders = (parse_num(&flag, args.next()) as usize).max(1),
-            other => panic!("unknown flag {other:?} (see the module docs for usage)"),
+            "--chunk-events" => out.chunk_events = parse_num(&flag, args.next()),
+            other => {
+                eprintln!("smp: unknown flag {other:?}");
+                usage();
+            }
         }
+    }
+    if out.spaces == 0
+        || out.chunk_events == 0
+        || !(2..=Asid::CAPACITY).contains(&out.asid_capacity)
+    {
+        eprintln!(
+            "smp: --spaces and --chunk-events must be positive, --asid-capacity 2..={}",
+            Asid::CAPACITY
+        );
+        usage();
     }
     (out.cores > 0).then_some(out)
 }
@@ -311,7 +318,7 @@ fn main() {
 
     // Work-stealing corpus replay on the host's cores.
     let host_cores = std::thread::available_parallelism().map_or(4, |n| n.get());
-    ws_corpus_replay(host_cores.min(8), 1_024, 1);
+    ws_corpus_replay(host_cores.min(8), 1_024);
 
     // Replay-throughput speedup of the simulator itself.
     let (par, ser) = speedup(&gups4, refs);

@@ -1,20 +1,16 @@
 //! Trace tooling CLI: record synthetic workload traces to the binary
-//! on-disk format, inspect them, convert between format versions, and
-//! verify replay determinism.
+//! on-disk (v2) format, inspect them, and verify replay determinism.
 //!
 //! ```text
 //! tracectl record <workload> <events> <path> [footprint_mb] [seed]
 //! tracectl info <path>
-//! tracectl convert <v1-path> <v2-path>
 //! tracectl verify <workload> <events> <path> [footprint_mb] [seed]
 //! ```
 //!
-//! `info` auto-detects the container version. v2 files are audited
-//! through the streaming block reader in constant memory — one block
-//! buffer reused across the whole file regardless of corpus length —
-//! verifying every block's FNV-1a and reporting per-block event/byte
-//! statistics alongside the compression ratio against the fixed-record
-//! v1 encoding of the same stream.
+//! `info` audits a trace through the streaming block reader in constant
+//! memory — one block buffer reused across the whole file regardless of
+//! corpus length — verifying every block's FNV-1a and reporting
+//! per-block event/byte statistics.
 
 #![forbid(unsafe_code)]
 
@@ -22,8 +18,7 @@ use std::collections::HashSet;
 use std::process::exit;
 
 use mixtlb_trace::{
-    decode_block, probe_version, v1_equivalent_bytes, BlockReader, RawBlock, TraceEvent, TraceFile,
-    TraceFileV2, TraceGenerator, WorkloadSpec,
+    decode_block, BlockReader, RawBlock, TraceEvent, TraceFileV2, TraceGenerator, WorkloadSpec,
 };
 use mixtlb_types::Vpn;
 
@@ -31,7 +26,6 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  tracectl record <workload> <events> <path> [footprint_mb] [seed]\n  \
          tracectl info <path>\n  \
-         tracectl convert <v1-path> <v2-path>\n  \
          tracectl verify <workload> <events> <path> [footprint_mb] [seed]\n\n\
          workloads: {}",
         WorkloadSpec::catalog()
@@ -61,7 +55,7 @@ fn generator(args: &[String]) -> (TraceGenerator, u64) {
     (TraceGenerator::new(&spec, seed, Vpn::new(1 << 18)), events)
 }
 
-/// Stream statistics shared by the v1 and v2 `info` paths.
+/// Stream statistics reported by `info`.
 #[derive(Default)]
 struct StreamStats {
     events: u64,
@@ -91,18 +85,6 @@ impl StreamStats {
         self.max_va = self.max_va.max(ev.va.raw());
     }
 
-    fn collect(events: impl Iterator<Item = std::io::Result<TraceEvent>>) -> StreamStats {
-        let mut s = StreamStats::new();
-        for ev in events {
-            let ev = ev.unwrap_or_else(|e| {
-                eprintln!("corrupt record: {e}");
-                exit(1);
-            });
-            s.add(&ev);
-        }
-        s
-    }
-
     fn print(&self) {
         if self.events == 0 {
             return;
@@ -119,122 +101,68 @@ impl StreamStats {
 }
 
 fn info(path: &str) {
-    let version = probe_version(path).unwrap_or_else(|e| {
+    // Stream the file block by block through one reused buffer: the
+    // audit runs in constant memory no matter how long the corpus is,
+    // while still verifying every block's checksum and accumulating
+    // per-block shape statistics.
+    let mut blocks = BlockReader::open(path).unwrap_or_else(|e| {
         eprintln!("open failed: {e}");
         exit(1);
     });
-    println!("format:         v{version}");
-    match version {
-        1 => {
-            let file = TraceFile::open(path).unwrap_or_else(|e| {
-                eprintln!("open failed: {e}");
+    let promised = blocks.event_count();
+    let mut raw = RawBlock::default();
+    let mut decoded: Vec<TraceEvent> = Vec::new();
+    let mut stats = StreamStats::new();
+    let mut nblocks = 0u64;
+    let mut payload_bytes = 0u64;
+    let mut min_block = u64::MAX;
+    let mut max_block = 0u64;
+    loop {
+        match blocks.read_block(&mut raw) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(e) => {
+                eprintln!("corrupt block {}: {e}", blocks.blocks_read());
                 exit(1);
-            });
-            let hint = file.len_hint();
-            let stats = StreamStats::collect(file);
-            println!("events:         {} (header hint {hint:?})", stats.events);
-            stats.print();
+            }
         }
-        2 => {
-            // Stream the file block by block through one reused buffer:
-            // the audit runs in constant memory no matter how long the
-            // corpus is, while still verifying every block's checksum
-            // and accumulating per-block shape statistics.
-            let mut blocks = BlockReader::open(path).unwrap_or_else(|e| {
-                eprintln!("open failed: {e}");
-                exit(1);
-            });
-            let promised = blocks.event_count();
-            let mut raw = RawBlock::default();
-            let mut decoded: Vec<TraceEvent> = Vec::new();
-            let mut stats = StreamStats::new();
-            let mut nblocks = 0u64;
-            let mut payload_bytes = 0u64;
-            let mut min_block = u64::MAX;
-            let mut max_block = 0u64;
-            loop {
-                match blocks.read_block(&mut raw) {
-                    Ok(true) => {}
-                    Ok(false) => break,
-                    Err(e) => {
-                        eprintln!("corrupt block {}: {e}", blocks.blocks_read());
-                        exit(1);
-                    }
-                }
-                decode_block(&raw, &mut decoded).unwrap_or_else(|e| {
-                    eprintln!("corrupt block {}: {e}", raw.seq());
-                    exit(1);
-                });
-                nblocks += 1;
-                payload_bytes += raw.payload_bytes() as u64;
-                min_block = min_block.min(raw.count());
-                max_block = max_block.max(raw.count());
-                for ev in &decoded {
-                    stats.add(ev);
-                }
-            }
-            if blocks.events_remaining() != 0 {
-                eprintln!(
-                    "truncated: header promises {promised} events, {} never arrived",
-                    blocks.events_remaining()
-                );
-                exit(1);
-            }
-            let on_disk = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            let v1_bytes = v1_equivalent_bytes(stats.events);
-            println!("events:         {} (header promises {promised})", stats.events);
-            println!(
-                "size:           {on_disk} B ({:.2}x smaller than the {v1_bytes} B v1 encoding)",
-                v1_bytes as f64 / on_disk.max(1) as f64
-            );
-            if nblocks > 0 {
-                println!(
-                    "blocks:         {nblocks} ({min_block}..={max_block} events, {:.1} B/event payload)",
-                    payload_bytes as f64 / stats.events.max(1) as f64
-                );
-            }
-            println!("checksums:      OK (every block audited, constant memory)");
-            stats.print();
-        }
-        other => {
-            eprintln!("unsupported trace format version {other}");
+        decode_block(&raw, &mut decoded).unwrap_or_else(|e| {
+            eprintln!("corrupt block {}: {e}", raw.seq());
             exit(1);
+        });
+        nblocks += 1;
+        payload_bytes += raw.payload_bytes() as u64;
+        min_block = min_block.min(raw.count());
+        max_block = max_block.max(raw.count());
+        for ev in &decoded {
+            stats.add(ev);
         }
     }
-}
-
-fn convert(src: &str, dst: &str) {
-    match probe_version(src) {
-        Ok(1) => {}
-        Ok(v) => {
-            eprintln!("convert expects a v1 source, {src} is v{v}");
-            exit(1);
-        }
-        Err(e) => {
-            eprintln!("open failed: {e}");
-            exit(1);
-        }
+    if blocks.events_remaining() != 0 {
+        eprintln!(
+            "truncated: header promises {promised} events, {} never arrived",
+            blocks.events_remaining()
+        );
+        exit(1);
     }
-    let source = TraceFile::open(src).unwrap_or_else(|e| {
-        eprintln!("open failed: {e}");
-        exit(1);
-    });
-    let events = source.map(|ev| {
-        ev.unwrap_or_else(|e| {
-            eprintln!("corrupt record in {src}: {e}");
-            exit(1);
-        })
-    });
-    let written = TraceFileV2::record(dst, events).unwrap_or_else(|e| {
-        eprintln!("convert failed: {e}");
-        exit(1);
-    });
-    let src_bytes = std::fs::metadata(src).map(|m| m.len()).unwrap_or(0);
-    let dst_bytes = std::fs::metadata(dst).map(|m| m.len()).unwrap_or(0);
+    let on_disk = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+    println!("format:         v2");
     println!(
-        "converted {written} events: {src} ({src_bytes} B) -> {dst} ({dst_bytes} B, {:.2}x smaller)",
-        src_bytes as f64 / dst_bytes.max(1) as f64
+        "events:         {} (header promises {promised})",
+        stats.events
     );
+    println!(
+        "size:           {on_disk} B ({:.2} B/event)",
+        on_disk as f64 / stats.events.max(1) as f64
+    );
+    if nblocks > 0 {
+        println!(
+            "blocks:         {nblocks} ({min_block}..={max_block} events, {:.1} B/event payload)",
+            payload_bytes as f64 / stats.events.max(1) as f64
+        );
+    }
+    println!("checksums:      OK (every block audited, constant memory)");
+    stats.print();
 }
 
 fn main() {
@@ -243,7 +171,7 @@ fn main() {
         Some("record") if args.len() >= 4 => {
             let (generator, events) = generator(&args[1..]);
             let path = &args[3];
-            let written = TraceFile::record(path, generator.take(events as usize))
+            let written = TraceFileV2::record(path, generator.take(events as usize))
                 .unwrap_or_else(|e| {
                     eprintln!("record failed: {e}");
                     exit(1);
@@ -251,11 +179,10 @@ fn main() {
             println!("wrote {written} events to {path}");
         }
         Some("info") if args.len() == 2 => info(&args[1]),
-        Some("convert") if args.len() == 3 => convert(&args[1], &args[2]),
         Some("verify") if args.len() >= 4 => {
             let (generator, events) = generator(&args[1..]);
             let path = &args[3];
-            let file = TraceFile::open(path).unwrap_or_else(|e| {
+            let file = TraceFileV2::open(path).unwrap_or_else(|e| {
                 eprintln!("open failed: {e}");
                 exit(1);
             });

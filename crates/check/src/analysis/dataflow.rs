@@ -205,28 +205,20 @@ impl LockNames {
 
 /// Root functions by simple name: the batched translation entry points
 /// plus the streaming pipeline's per-block stage loops (reader, decoder,
-/// in-order consumer, work-stealing distributor, and the synchronous
-/// single-thread shape) — each runs once per trace block for the whole
-/// corpus, so steady-state allocation there is a leak multiplied by
-/// corpus length.
-const HOT_ROOT_NAMES: [&str; 7] = [
+/// in-order consumer, and the synchronous single-thread shape) — each
+/// runs once per trace block for the whole corpus, so steady-state
+/// allocation there is a leak multiplied by corpus length.
+pub(crate) const HOT_ROOT_NAMES: [&str; 6] = [
     "translate_batch",
     "lookup_batch",
     "feed_blocks",
     "decode_blocks",
     "consume_in_order",
-    "distribute_chunks",
     "stream_sync",
 ];
 /// Root functions by qualified name: the smp replay inner loops — the
-/// per-core cadence loop and the work-stealing steal/execute loops of
-/// both the finite-trace replay and the streaming pipeline.
-const HOT_ROOT_QUALS: [&str; 4] = [
-    "SmpCore::run",
-    "SmpCore::step",
-    "WsWorker::run",
-    "StreamWorker::run",
-];
+/// per-core cadence loop and the work-stealing steal/execute loop.
+pub(crate) const HOT_ROOT_QUALS: [&str; 3] = ["SmpCore::run", "SmpCore::step", "WsWorker::run"];
 
 /// Callee names the downward walk does not enter. Name-based resolution
 /// links `Vec::new(…)`/`X::from(…)`/`….clone()` call tokens to every
@@ -251,17 +243,7 @@ pub(crate) fn hot_path(
 ) -> (Vec<(usize, RuleFinding)>, usize) {
     let succ = successors(graph);
     let n = graph.nodes.len();
-    // Which nodes participate at all: non-test library fns outside the
-    // analyzer's own crate.
-    let eligible: Vec<bool> = graph
-        .nodes
-        .iter()
-        .map(|node| {
-            let file = &files[node.file];
-            let f = &file.fns[node.fn_idx];
-            file.kind == FileKind::Lib && !f.is_test && crate_of(&file.path) != "check"
-        })
-        .collect();
+    let eligible = hot_eligible(files, graph);
     // BFS down from the roots, recording one predecessor per node so the
     // finding message can show a concrete call path.
     let mut pred: Vec<Option<usize>> = vec![None; n];
@@ -329,6 +311,42 @@ pub(crate) fn hot_path(
         }
     }
     (out, reachable)
+}
+
+/// Which call-graph nodes the hot-path walk considers at all: non-test
+/// library fns outside the analyzer's own crate.
+fn hot_eligible(files: &[ParsedFile], graph: &CallGraph) -> Vec<bool> {
+    graph
+        .nodes
+        .iter()
+        .map(|node| {
+            let file = &files[node.file];
+            let f = &file.fns[node.fn_idx];
+            file.kind == FileKind::Lib && !f.is_test && crate_of(&file.path) != "check"
+        })
+        .collect()
+}
+
+/// The listed roots that match no eligible fn. A rename that leaves a
+/// root dangling would silently drop its whole subtree from the
+/// hot-path walk, so `--analyze` refuses to run with one.
+pub(crate) fn unresolved_hot_roots(
+    files: &[ParsedFile],
+    graph: &CallGraph,
+    names: &[&'static str],
+    quals: &[&'static str],
+) -> Vec<&'static str> {
+    let eligible = hot_eligible(files, graph);
+    let live: Vec<&super::outline::FnDecl> = graph
+        .nodes
+        .iter()
+        .zip(&eligible)
+        .filter(|(_, e)| **e)
+        .map(|(node, _)| &files[node.file].fns[node.fn_idx])
+        .collect();
+    let by_name = names.iter().filter(|r| !live.iter().any(|f| f.name == **r));
+    let by_qual = quals.iter().filter(|r| !live.iter().any(|f| f.qual == **r));
+    by_name.chain(by_qual).copied().collect()
 }
 
 /// Renders the BFS predecessor chain `root -> … -> node` (capped; the
@@ -477,5 +495,26 @@ mod tests {
         assert_eq!(names.render(sa.union(sb)), "{alpha, beta}");
         assert_eq!(names.render(LockSet::EMPTY), "{}");
         assert_eq!(LockSet::FULL.inter(sa), sa);
+    }
+
+    #[test]
+    fn dangling_hot_roots_are_reported() {
+        use crate::lint::FileKind;
+        use std::path::Path;
+        let files = vec![ParsedFile::parse(
+            Path::new("crates/sim/src/engine.rs"),
+            FileKind::Lib,
+            "pub struct Engine;\n\
+             impl Engine {\n    pub fn run(&mut self) {}\n}\n\
+             pub fn translate_batch() {}\n",
+        )];
+        let graph = CallGraph::build(&files);
+        let missing = unresolved_hot_roots(
+            &files,
+            &graph,
+            &["translate_batch", "renamed_away"],
+            &["Engine::run", "Gone::run"],
+        );
+        assert_eq!(missing, vec!["renamed_away", "Gone::run"]);
     }
 }

@@ -167,6 +167,10 @@ pub struct AnalysisReport {
     pub baselined: usize,
     /// Baseline-suppressed finding counts per rule (for `--stats`).
     pub baselined_by_rule: Vec<(&'static str, usize)>,
+    /// Hot-path roots that match no workspace fn. Meaningful for a whole
+    /// workspace run (a fixture file set legitimately lacks the roots);
+    /// `--analyze` treats any entry as an internal error.
+    pub unresolved_hot_roots: Vec<&'static str>,
 }
 
 impl AnalysisReport {
@@ -292,6 +296,12 @@ pub fn analyze_sources(sources: &[SourceFile]) -> AnalysisReport {
         raw.push((fi, f.rule, f.line as usize, f.message));
     }
     let (hot_findings, hot_fns) = dataflow::hot_path(&parsed, &graph);
+    let unresolved_hot_roots = dataflow::unresolved_hot_roots(
+        &parsed,
+        &graph,
+        &dataflow::HOT_ROOT_NAMES,
+        &dataflow::HOT_ROOT_QUALS,
+    );
     for (fi, f) in hot_findings {
         raw.push((fi, f.rule, f.line as usize, f.message));
     }
@@ -471,6 +481,7 @@ pub fn analyze_sources(sources: &[SourceFile]) -> AnalysisReport {
         lock_edges,
         baselined: 0,
         baselined_by_rule: Vec::new(),
+        unresolved_hot_roots,
     }
 }
 

@@ -166,8 +166,7 @@ mod tests {
                 ..AnalysisStats::default()
             },
             lock_edges: vec![],
-            baselined: 0,
-            baselined_by_rule: vec![],
+            ..AnalysisReport::default()
         }
     }
 

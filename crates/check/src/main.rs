@@ -11,7 +11,8 @@
 //!
 //! Exit codes are uniform across `--lint`, `--analyze`, and `--model`:
 //! **0** — clean; **1** — findings (or a model failure) remain; **2** —
-//! internal error (bad arguments, unreadable root or baseline). CI gates
+//! internal error (bad arguments, unreadable root or baseline, a hot-path
+//! root that matches no workspace fn). CI gates
 //! on "non-zero" without distinguishing, while scripts that want to
 //! separate "the code is dirty" from "the tool is broken" can.
 //!
@@ -113,6 +114,14 @@ fn run_analyze(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if !report.unresolved_hot_roots.is_empty() {
+        eprintln!(
+            "analyze: hot-path root(s) {} match no workspace fn — update the \
+             root list in crates/check/src/analysis/dataflow.rs",
+            report.unresolved_hot_roots.join(", ")
+        );
+        return ExitCode::from(2);
+    }
 
     if update_baseline {
         if let Some(c) = analysis::find_collision(&report.findings) {

@@ -1,16 +1,15 @@
 //! perfgate — replay the pinned corpus through every design and gate
 //! throughput regressions against the previously committed report.
 //!
-//! Each design × workload cell records, beyond the original `scalar` /
-//! `batched` / `ws-batched` triple: the work-stealing scaling curve
-//! `ws-batched@{2,4,8}`, the end-to-end decode+translate pair
-//! `seq-batched` (buffer the whole corpus, then one `translate_batch`)
-//! vs `stream-batched` (block-streamed pipeline, constant memory), and
-//! the streaming work-stealing curve `stream-ws@{2,4,8}`.
+//! Each design × workload cell records four paths: `scalar` (one
+//! `access` per event), `batched` (one `translate_batch` over the
+//! buffered corpus), `stream-batched` (the block-streamed pipeline,
+//! decode and translate together in constant memory), and one
+//! multi-core point, `ws-batched@<cores>`, at the host's core count.
 //!
 //! ```text
 //! perfgate gen-corpus [--dir DIR]
-//! perfgate measure [--out FILE] [--corpus DIR] [--pr N]
+//! perfgate measure --out FILE [--corpus DIR] [--pr N]
 //!                  [--reps N] [--warmup N] [--quick]
 //! perfgate gate --prev FILE --curr FILE [--tolerance FRAC]
 //! perfgate self-test
@@ -23,24 +22,17 @@ use std::process::ExitCode;
 
 use mixtlb_perf::{
     config_fingerprint, corpus_catalog, corpus_path, default_corpus_dir, file_fingerprint, gate,
-    gate_aggregate, load_events, path_at_cores, prepare_scenario, replay_batched,
-    replay_decode_then_batched, replay_scalar, replay_stream_batched, replay_stream_ws, replay_ws,
-    time_reps, write_corpus_file, BenchRecord, BenchReport, CorpusFileInfo, CorpusWorkload,
-    PATH_BATCHED, PATH_SCALAR, PATH_SEQ_BATCHED, PATH_STREAM_BATCHED, PATH_STREAM_WS,
+    gate_aggregate, load_events, path_at_cores, prepare_scenario, replay_batched, replay_scalar,
+    replay_stream_batched, replay_ws, time_reps, write_corpus_file, BenchRecord, BenchReport,
+    CorpusFileInfo, CorpusWorkload, PATH_BATCHED, PATH_SCALAR, PATH_STREAM_BATCHED,
     PATH_WS_BATCHED,
 };
 use mixtlb_sim::designs::all_cpu_designs;
 use mixtlb_smp::StreamConfig;
 
-/// Worker threads of the legacy `ws-batched` point. Pinned (not
-/// host-derived) so the recorded triple means the same thing on every
-/// runner; chunk size matches the bench binary's corpus replay.
-const WS_CORES: usize = 4;
-/// Events per stealable chunk of the ws-batched measurement.
+/// Events per stealable chunk of the ws-batched measurement; matches the
+/// bench binary's corpus replay.
 const WS_CHUNK_EVENTS: usize = 1024;
-/// Core counts of the committed scaling curves (`ws-batched@N`,
-/// `stream-ws@N`).
-const SCALING_CORES: [usize; 3] = [2, 4, 8];
 /// Streaming shape of the `stream-batched` point: the synchronous
 /// single-thread pipeline. On the pinned 1-CPU runner decode threads
 /// only add hand-off and scheduling cost; the streaming win there is the
@@ -49,21 +41,12 @@ const SCALING_CORES: [usize; 3] = [2, 4, 8];
 fn stream_cfg() -> StreamConfig {
     StreamConfig::synchronous()
 }
-/// Streaming shape of the `stream-ws@N` points: `decoders` decode
-/// threads over an 8-buffer pool. The default (1) is the committed
-/// baseline shape — the corpus decodes faster than it translates, so
-/// one decoder saturates the workers — but `measure --stream-decoders N`
-/// overrides it for decode-bound experiments. The `stream-batched`
-/// point always keeps the synchronous shape for comparability.
-fn stream_ws_cfg(decoders: usize) -> StreamConfig {
-    StreamConfig::threaded(decoders.max(1), 8)
-}
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: perfgate <gen-corpus [--dir DIR]\n\
-         \x20               | measure [--out FILE] [--corpus DIR] [--pr N] [--reps N] [--warmup N]\n\
-         \x20                         [--stream-decoders N] [--quick]\n\
+         \x20               | measure --out FILE [--corpus DIR] [--pr N] [--reps N] [--warmup N]\n\
+         \x20                         [--quick]\n\
          \x20               | gate --prev FILE --curr FILE [--tolerance FRAC] [--aggregate]\n\
          \x20               | self-test>"
     );
@@ -125,8 +108,6 @@ struct MeasurePlan {
     workloads: Vec<CorpusWorkload>,
     warmup: usize,
     reps: usize,
-    /// Decode threads of the `stream-ws@N` points (see [`stream_ws_cfg`]).
-    stream_decoders: usize,
 }
 
 fn measure_plan(args: &[String]) -> MeasurePlan {
@@ -144,7 +125,6 @@ fn measure_plan(args: &[String]) -> MeasurePlan {
         workloads,
         warmup: parse("--warmup", if quick { 1 } else { 2 }),
         reps: parse("--reps", if quick { 3 } else { 5 }),
-        stream_decoders: parse("--stream-decoders", 1).max(1),
     }
 }
 
@@ -152,11 +132,19 @@ fn measure(args: &[String]) -> ExitCode {
     let dir = flag_value(args, "--corpus")
         .map(PathBuf::from)
         .unwrap_or_else(default_corpus_dir);
-    let out = flag_value(args, "--out").unwrap_or_else(|| "BENCH_9.json".to_owned());
+    // No default output: a bare `measure` must never overwrite a
+    // committed baseline.
+    let Some(out) = flag_value(args, "--out") else {
+        eprintln!("perfgate: measure needs --out FILE");
+        return usage();
+    };
     let pr: u32 = flag_value(args, "--pr")
         .and_then(|v| v.parse().ok())
-        .unwrap_or(9);
+        .unwrap_or(0);
     let plan = measure_plan(args);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let ws_path = path_at_cores(PATH_WS_BATCHED, cores);
+    println!("host cores: {cores} (multi-core point {ws_path})");
 
     let mut report = BenchReport {
         pr,
@@ -185,167 +173,67 @@ fn measure(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        let accesses = events.len() as u64;
         report.corpus.push(CorpusFileInfo {
             workload: w.name.to_owned(),
             fingerprint: fp,
-            events: events.len() as u64,
+            events: accesses,
         });
         let Some(scenario) = prepare_scenario(w.name) else {
             eprintln!("perfgate: {} is not in the workload catalog", w.name);
             return ExitCode::FAILURE;
         };
         println!("{} ({} events):", w.name, events.len());
+        let ws_pt = scenario.clone_page_table();
         for (design, factory) in all_cpu_designs() {
-            let run_path = |path_name: &str| -> Option<BenchRecord> {
-                let timing = time_reps(plan.warmup, plan.reps, || {
-                    let mut pt = scenario.clone_page_table();
-                    if path_name == PATH_SCALAR {
-                        replay_scalar(factory(), &mut pt, &events)
-                    } else {
-                        replay_batched(factory(), &mut pt, &events)
-                    }
-                })?;
-                Some(BenchRecord::new(
-                    design,
-                    w.name,
-                    path_name,
-                    events.len() as u64,
-                    timing,
-                ))
-            };
-            let Some(scalar) = run_path(PATH_SCALAR) else {
-                eprintln!("perfgate: zero reps requested");
-                return ExitCode::FAILURE;
-            };
-            let Some(batched) = run_path(PATH_BATCHED) else {
-                eprintln!("perfgate: zero reps requested");
-                return ExitCode::FAILURE;
-            };
-            // The multi-core scaling curve: the same trace chunked over
-            // work-stealing workers at each pinned core count, each worker
-            // on its own engine's batched path. The 4-core point is also
-            // recorded under the legacy bare name so it stays comparable
-            // to reports that predate the curve.
-            let ws_pt = scenario.clone_page_table();
-            let mut ws_medians = Vec::new();
-            for cores in SCALING_CORES {
-                let Some(t) = time_reps(plan.warmup, plan.reps, || {
-                    replay_ws(factory, &ws_pt, &events, cores, WS_CHUNK_EVENTS)
-                }) else {
-                    eprintln!("perfgate: zero reps requested");
-                    return ExitCode::FAILURE;
-                };
-                ws_medians.push(t.median_ns);
-                let accesses = events.len() as u64;
-                report.records.push(BenchRecord::new(
-                    design,
-                    w.name,
-                    &path_at_cores(PATH_WS_BATCHED, cores),
-                    accesses,
-                    t,
-                ));
-                if cores == WS_CORES {
-                    report.records.push(BenchRecord::new(
-                        design,
-                        w.name,
-                        PATH_WS_BATCHED,
-                        accesses,
-                        t,
-                    ));
-                }
-            }
-            // End-to-end decode+translate: the sequential buffer-the-whole-
-            // corpus baseline vs the streaming pipeline, then the streaming
-            // work-stealing scaling curve.
-            let bail = |e: &std::io::Error| -> ExitCode {
-                eprintln!("perfgate: streaming replay of {}: {e}", path.display());
-                ExitCode::FAILURE
-            };
             let mut stream_err: Option<std::io::Error> = None;
-            let seq_timing = time_reps(plan.warmup, plan.reps, || {
-                let mut pt = scenario.clone_page_table();
-                replay_decode_then_batched(factory(), &mut pt, &path).unwrap_or_else(|e| {
-                    stream_err = Some(e);
-                    f64::NAN
+            let paths = [
+                PATH_SCALAR,
+                PATH_BATCHED,
+                PATH_STREAM_BATCHED,
+                ws_path.as_str(),
+            ];
+            let timings = paths.map(|p| {
+                time_reps(plan.warmup, plan.reps, || match p {
+                    PATH_SCALAR => {
+                        replay_scalar(factory(), &mut scenario.clone_page_table(), &events)
+                    }
+                    PATH_BATCHED => {
+                        replay_batched(factory(), &mut scenario.clone_page_table(), &events)
+                    }
+                    PATH_STREAM_BATCHED => {
+                        let mut pt = scenario.clone_page_table();
+                        replay_stream_batched(factory(), &mut pt, &path, &stream_cfg())
+                            .unwrap_or_else(|e| {
+                                stream_err = Some(e);
+                                f64::NAN
+                            })
+                    }
+                    _ => replay_ws(factory, &ws_pt, &events, cores, WS_CHUNK_EVENTS),
                 })
             });
             if let Some(e) = &stream_err {
-                return bail(e);
+                eprintln!("perfgate: streaming replay of {}: {e}", path.display());
+                return ExitCode::FAILURE;
             }
-            let stream_timing = time_reps(plan.warmup, plan.reps, || {
-                let mut pt = scenario.clone_page_table();
-                replay_stream_batched(factory(), &mut pt, &path, &stream_cfg()).unwrap_or_else(
-                    |e| {
-                        stream_err = Some(e);
-                        f64::NAN
-                    },
-                )
-            });
-            if let Some(e) = &stream_err {
-                return bail(e);
-            }
-            let (Some(seq_t), Some(stream_t)) = (seq_timing, stream_timing) else {
+            let [Some(scalar), Some(batched), Some(stream), Some(ws)] = timings else {
                 eprintln!("perfgate: zero reps requested");
                 return ExitCode::FAILURE;
             };
-            let accesses = events.len() as u64;
-            report.records.push(BenchRecord::new(
-                design,
-                w.name,
-                PATH_SEQ_BATCHED,
-                accesses,
-                seq_t,
-            ));
-            report.records.push(BenchRecord::new(
-                design,
-                w.name,
-                PATH_STREAM_BATCHED,
-                accesses,
-                stream_t,
-            ));
-            let mut sws_medians = Vec::new();
-            for cores in SCALING_CORES {
-                let t = time_reps(plan.warmup, plan.reps, || {
-                    replay_stream_ws(factory, &ws_pt, &path, cores, &stream_ws_cfg(plan.stream_decoders))
-                        .unwrap_or_else(|e| {
-                            stream_err = Some(e);
-                            f64::NAN
-                        })
-                });
-                if let Some(e) = &stream_err {
-                    return bail(e);
-                }
-                let Some(t) = t else {
-                    eprintln!("perfgate: zero reps requested");
-                    return ExitCode::FAILURE;
-                };
-                sws_medians.push(t.median_ns);
-                report.records.push(BenchRecord::new(
-                    design,
-                    w.name,
-                    &path_at_cores(PATH_STREAM_WS, cores),
-                    accesses,
-                    t,
-                ));
-            }
             let speedup = scalar.median_ns / batched.median_ns.max(1e-9);
-            let overlap = seq_t.median_ns / stream_t.median_ns.max(1e-9);
             println!(
                 "  {design:<12} scalar {:>8.2}  batched {:>8.2} ({speedup:.1}x)  \
-                 ws@2/4/8 {:>6.2}/{:>6.2}/{:>6.2}",
-                scalar.median_ns, batched.median_ns, ws_medians[0], ws_medians[1], ws_medians[2]
-            );
-            println!(
-                "  {:<12} seq {:>8.2}  stream {:>8.2} ({overlap:.2}x)  \
-                 stream-ws@2/4/8 {:>6.2}/{:>6.2}/{:>6.2}",
-                "", seq_t.median_ns, stream_t.median_ns, sws_medians[0], sws_medians[1],
-                sws_medians[2]
+                 stream {:>8.2}  {ws_path} {:>8.2}",
+                scalar.median_ns, batched.median_ns, stream.median_ns, ws.median_ns
             );
             if best_speedup.as_ref().is_none_or(|(s, _, _)| speedup > *s) {
                 best_speedup = Some((speedup, design.to_owned(), w.name.to_owned()));
             }
-            report.records.push(scalar);
-            report.records.push(batched);
+            for (p, t) in paths.into_iter().zip([scalar, batched, stream, ws]) {
+                report
+                    .records
+                    .push(BenchRecord::new(design, w.name, p, accesses, t));
+            }
         }
     }
 

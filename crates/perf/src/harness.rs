@@ -12,8 +12,8 @@ use std::time::Instant;
 
 use mixtlb_pagetable::PageTable;
 use mixtlb_sim::{TlbHierarchy, TranslationEngine, WalkBackend};
-use mixtlb_smp::{stream_chunks, stream_replay_ws, StreamConfig};
-use mixtlb_trace::{TraceEvent, TraceFileV2, V2_BLOCK_EVENTS};
+use mixtlb_smp::{stream_chunks, StreamConfig};
+use mixtlb_trace::{TraceEvent, V2_BLOCK_EVENTS};
 use mixtlb_types::PhysAddr;
 
 /// Aggregated timing of repeated runs, in nanoseconds per translation.
@@ -93,32 +93,12 @@ pub fn replay_ws(
     per_access_ns(report.elapsed.as_nanos(), events.len())
 }
 
-/// One timed *sequential* decode-then-translate run: the whole corpus is
-/// decoded from disk into one `Vec`, then translated with a single
-/// [`TranslationEngine::translate_batch`] call. This is the end-to-end
-/// baseline the streaming paths must beat — it pays an O(corpus)
-/// resident buffer between the phases. Returns ns per translation
-/// (decode + translate together).
-pub fn replay_decode_then_batched(
-    hierarchy: TlbHierarchy,
-    pt: &mut PageTable,
-    trace: &Path,
-) -> io::Result<f64> {
-    let mut engine = TranslationEngine::new(hierarchy, WalkBackend::Native(pt));
-    let start = Instant::now();
-    let events: Vec<TraceEvent> = TraceFileV2::open(trace)?.collect::<io::Result<Vec<_>>>()?;
-    let mut out: Vec<Option<PhysAddr>> = Vec::with_capacity(events.len());
-    engine.translate_batch(&events, &mut out);
-    Ok(per_access_ns(start.elapsed().as_nanos(), out.len()))
-}
-
 /// One timed streaming decode→translate run: blocks stream through
 /// [`mixtlb_smp::stream_chunks`] straight into per-block
 /// [`TranslationEngine::translate_batch`] calls, one cache-resident
 /// chunk at a time — decode and translation overlap (or, in the
 /// synchronous shape, interleave without any O(corpus) buffer). Returns
-/// end-to-end ns per translation, comparable to
-/// [`replay_decode_then_batched`].
+/// end-to-end ns per translation.
 pub fn replay_stream_batched(
     hierarchy: TlbHierarchy,
     pt: &mut PageTable,
@@ -133,24 +113,6 @@ pub fn replay_stream_batched(
         engine.translate_batch(events, &mut out);
     })?;
     Ok(per_access_ns(start.elapsed().as_nanos(), report.events as usize))
-}
-
-/// One timed streaming work-stealing run: decode overlaps translation
-/// across `cores` worker engines fed through per-core deques
-/// ([`mixtlb_smp::stream_replay_ws`]). Returns aggregate end-to-end ns
-/// per translation.
-pub fn replay_stream_ws(
-    factory: fn() -> TlbHierarchy,
-    pt: &PageTable,
-    trace: &Path,
-    cores: usize,
-    cfg: &StreamConfig,
-) -> io::Result<f64> {
-    let report = stream_replay_ws(trace, pt, factory, cores, cfg)?;
-    Ok(per_access_ns(
-        report.elapsed.as_nanos(),
-        report.events as usize,
-    ))
 }
 
 fn per_access_ns(elapsed_ns: u128, accesses: usize) -> f64 {

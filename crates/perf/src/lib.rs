@@ -32,11 +32,9 @@ pub use corpus::{
     CorpusWorkload,
 };
 pub use harness::{
-    replay_batched, replay_decode_then_batched, replay_scalar, replay_stream_batched,
-    replay_stream_ws, replay_ws, time_reps, Timing,
+    replay_batched, replay_scalar, replay_stream_batched, replay_ws, time_reps, Timing,
 };
 pub use report::{
     gate, gate_aggregate, path_at_cores, BenchRecord, BenchReport, CorpusFileInfo, GateOutcome,
-    BASELINE_DESIGN, PATH_BATCHED, PATH_SCALAR, PATH_SEQ_BATCHED, PATH_STREAM_BATCHED,
-    PATH_STREAM_WS, PATH_WS_BATCHED,
+    BASELINE_DESIGN, PATH_BATCHED, PATH_SCALAR, PATH_STREAM_BATCHED, PATH_WS_BATCHED,
 };

@@ -28,64 +28,43 @@ pub const PATH_BATCHED: &str = "batched";
 /// The work-stealing multi-core replay: the trace chunked over worker
 /// threads, each driving its own engine's batched path
 /// ([`crate::replay_ws`]). Records aggregate wall-clock ns per
-/// translation across the whole machine. The bare name is the legacy
-/// 4-core point (comparable back to `BENCH_8.json`); the scaling curve
-/// appends `@<cores>` (see [`path_at_cores`]).
+/// translation across the whole machine, always with `@<cores>`
+/// appended (see [`path_at_cores`]); `perfgate measure` records one
+/// point, at the host's core count.
 pub const PATH_WS_BATCHED: &str = "ws-batched";
 /// The streaming decode→translate path: blocks stream straight from the
 /// on-disk corpus into per-block `translate_batch` calls
 /// ([`crate::replay_stream_batched`]) — end-to-end decode+translate
-/// wall-clock, comparable to [`PATH_SEQ_BATCHED`].
+/// wall-clock.
 pub const PATH_STREAM_BATCHED: &str = "stream-batched";
-/// The sequential decode-then-translate baseline the streaming path is
-/// measured against: decode the whole corpus into one `Vec`, then one
-/// `translate_batch` call ([`crate::replay_decode_then_batched`]).
-pub const PATH_SEQ_BATCHED: &str = "seq-batched";
-/// The streaming work-stealing path: decode overlaps translation across
-/// work-stealing worker engines ([`crate::replay_stream_ws`]). Always
-/// recorded with `@<cores>` appended (see [`path_at_cores`]).
-pub const PATH_STREAM_WS: &str = "stream-ws";
 
-/// The `<base>@<cores>` spelling of a core-count scaling point —
-/// `ws-batched@8`, `stream-ws@2`, … Paths are opaque strings in the
-/// report schema, so scaling rows need no schema change.
+/// The `<base>@<cores>` spelling of a core-count point — `ws-batched@2`,
+/// `ws-batched@8`, … Paths are opaque strings in the report schema, so
+/// core-count rows need no schema change.
 pub fn path_at_cores(base: &str, cores: usize) -> String {
     format!("{base}@{cores}")
 }
 
-/// Every path the aggregate gate covers, with a noise factor scaling the
-/// caller's tolerance for that path. Paths absent from one of the two
-/// reports contribute no comparable triples and are skipped, so adding a
-/// new path here keeps the first report that carries it gating green
-/// against older baselines.
+/// Every path the aggregate gate covers, by base name (the part before
+/// any `@<cores>`), with a noise factor scaling the caller's tolerance
+/// for that path. Each concrete path is gated on its own geomean; paths
+/// absent from one of the two reports contribute no comparable triples
+/// and are skipped, so a report recorded on a host with a different core
+/// count still gates green on the shared paths.
 ///
-/// The single-thread paths gate at the caller's tolerance unchanged
-/// (stream-batched and seq-batched both run the synchronous shape — one
-/// thread, no scheduler exposure — their extra decode phase is
-/// deterministic work, not noise). The ws-batched points run several OS
-/// threads that time-slice over however many CPUs the runner exposes (a
-/// 1-CPU container oversubscribes 4:1), so their aggregate wall-clock
-/// carries scheduler noise the single-thread loops don't — back-to-back
-/// quick measures on a shared 1-CPU runner swing the path geomean by up
-/// to ~1.7x with no code change (measured). The 1.5x factor absorbs that
+/// The single-thread paths gate at the caller's tolerance unchanged. The
+/// ws-batched points run several OS threads that time-slice over however
+/// many CPUs the runner exposes, so their aggregate wall-clock carries
+/// scheduler noise the single-thread loops don't — back-to-back quick
+/// measures on a shared 1-CPU runner swing the path geomean by up to
+/// ~1.7x with no code change (measured). The 1.5x factor absorbs that
 /// while still tripping on a whole-path collapse (>2.5x at the wide
-/// shared-runner default of 40%); the factor scales with the caller's
-/// tolerance, so a quiet dedicated runner at 10% gates ws-batched at a
-/// tight 15%. The stream-ws points add a reader, a decoder, and a
-/// distributor thread on top of the workers (8 threads over 1 CPU at the
-/// widest point), so they get a 2.0x factor.
-const GATED_PATHS: [(&str, f64); 11] = [
+/// shared-runner default of 40%).
+const GATED_PATHS: [(&str, f64); 4] = [
     (PATH_SCALAR, 1.0),
     (PATH_BATCHED, 1.0),
-    (PATH_WS_BATCHED, 1.5),
-    ("ws-batched@2", 1.5),
-    ("ws-batched@4", 1.5),
-    ("ws-batched@8", 1.5),
     (PATH_STREAM_BATCHED, 1.0),
-    (PATH_SEQ_BATCHED, 1.0),
-    ("stream-ws@2", 2.0),
-    ("stream-ws@4", 2.0),
-    ("stream-ws@8", 2.0),
+    (PATH_WS_BATCHED, 1.5),
 ];
 
 /// The design whose scalar path anchors normalization.
@@ -352,8 +331,8 @@ pub fn gate(prev: &BenchReport, curr: &BenchReport, tolerance: f64) -> GateOutco
 }
 
 /// Compares `curr` against `prev` on the *geometric mean* of normalized
-/// throughput per path (`scalar`, `batched`), over the triples present in
-/// both reports. This is the CI-grade variant of [`gate`]: per-triple
+/// throughput per gated path (see `GATED_PATHS`), over the triples
+/// present in both reports. This is the CI-grade variant of [`gate`]: per-triple
 /// normalized throughput on a shared runner swings with per-process
 /// allocation layout (measured up to ~3.5x for nanosecond-scale batched
 /// loops), but a real regression — a broken probe loop, a lost batching
@@ -365,7 +344,17 @@ pub fn gate_aggregate(prev: &BenchReport, curr: &BenchReport, tolerance: f64) ->
         compared: 0,
         failures: Vec::new(),
     };
-    for (path, noise) in GATED_PATHS {
+    let mut paths: Vec<&str> = Vec::new();
+    for r in &curr.records {
+        if !paths.contains(&r.path.as_str()) {
+            paths.push(&r.path);
+        }
+    }
+    for path in paths {
+        let base = path.split('@').next().unwrap_or(path);
+        let Some(&(_, noise)) = GATED_PATHS.iter().find(|(p, _)| *p == base) else {
+            continue;
+        };
         let path_tolerance = (tolerance * noise).min(0.95);
         let mut log_sum = 0.0f64;
         let mut n = 0usize;
@@ -517,17 +506,19 @@ mod tests {
         assert!(agg.passed(), "{:?}", agg.failures);
     }
 
-    /// A report introducing a brand-new path (the multi-core ws-batched
-    /// point) must gate green against a baseline that predates the path:
-    /// no comparable triples exist, so neither gate may fail on them —
-    /// but both must still compare the shared paths.
+    /// A report introducing a brand-new path (a multi-core ws-batched
+    /// point, e.g. from a host with a different core count) must gate
+    /// green against a baseline that lacks it: no comparable triples
+    /// exist, so neither gate may fail on them — but both must still
+    /// compare the shared paths.
     #[test]
     fn new_path_gates_green_against_an_older_baseline() {
         let prev = wide_report();
         let mut curr = prev.clone();
+        let ws = path_at_cores(PATH_WS_BATCHED, 2);
         for wl in ["gups", "streamcluster"] {
-            curr.records.push(record("mix", wl, PATH_WS_BATCHED, 4.0));
-            curr.records.push(record("split", wl, PATH_WS_BATCHED, 5.0));
+            curr.records.push(record("mix", wl, &ws, 4.0));
+            curr.records.push(record("split", wl, &ws, 5.0));
         }
         let per_triple = gate(&prev, &curr, 0.10);
         assert!(per_triple.passed(), "{:?}", per_triple.failures);
@@ -540,7 +531,7 @@ mod tests {
         // default (effective 60%).
         let mut regressed = curr.clone();
         for r in &mut regressed.records {
-            if r.path == PATH_WS_BATCHED {
+            if r.path == ws {
                 r.median_ns *= 2.0;
             }
         }
@@ -548,7 +539,7 @@ mod tests {
         let tripped = gate_aggregate(&curr, &regressed, 0.25);
         assert!(!tripped.passed());
         assert!(
-            tripped.failures[0].starts_with("ws-batched:"),
+            tripped.failures[0].starts_with("ws-batched@2:"),
             "{:?}",
             tripped.failures
         );

@@ -3,18 +3,13 @@
 //! The classic Chase–Lev deque stores arbitrary values in a growable
 //! circular buffer, which forces `unsafe` reclamation. This workspace
 //! forbids `unsafe`, and the replay engines never need it: their work
-//! items are small integers (trace-chunk ids, address-space ids, buffer
-//! pool ids), so slots are plain `AtomicU64`s in a fixed array and no
-//! reclamation ever happens. Slot *positions* may still be reused — the
-//! streaming pipeline's distributor pushes recycled pool ids through a
-//! deque sized for the pool, not the run — but a reused slot can never
-//! be observed torn or stale: [`ChunkDeque::push`] refuses to wrap into
-//! a slot the thief-side `top` has not yet passed, so while `top == t`
-//! slot `t & mask` still holds item `t`, and a thief whose read raced a
-//! later overwrite necessarily loses its claim (the compare-exchange on
-//! `top` fails) and discards the value. That tames the one hazard that
-//! makes the textbook algorithm subtle. What remains is the Chase–Lev
-//! protocol itself:
+//! items are small integers (trace-chunk ids, address-space ids), so
+//! slots are plain `AtomicU64`s in a fixed array and no reclamation ever
+//! happens. Both replay drivers size each deque for the whole run, and
+//! [`ChunkDeque::push`] reports a full deque rather than wrapping into a
+//! slot the thief-side `top` has not yet passed. That tames the one
+//! hazard that makes the textbook algorithm subtle. What remains is the
+//! Chase–Lev protocol itself:
 //!
 //! * the **owner** pushes and pops at the *bottom* (LIFO, cache-warm),
 //! * **thieves** steal at the *top* (FIFO, the oldest work), claiming an
@@ -50,10 +45,8 @@ pub struct ChunkDeque {
 }
 
 impl ChunkDeque {
-    /// A deque able to hold `capacity` items at once. The fixed replay
-    /// drivers size it for the whole run (no slot position ever reused);
-    /// the streaming pipeline sizes it for its buffer pool and pushes
-    /// each pool id many times — safe either way, see the module docs.
+    /// A deque able to hold `capacity` items at once. The replay drivers
+    /// size it for the whole run, so no slot position is ever reused.
     pub fn with_capacity(capacity: usize) -> ChunkDeque {
         let len = capacity.max(1).next_power_of_two();
         let slots: Vec<AtomicU64> = (0..len).map(|_| AtomicU64::new(0)).collect();

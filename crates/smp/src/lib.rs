@@ -58,8 +58,7 @@ mod ws;
 pub use crate::core::{CoreStats, SmpCore};
 pub use deque::ChunkDeque;
 pub use pipeline::{
-    stream_chunks, stream_replay_ws, ChunkBuf, PoolStats, StreamConfig, StreamReport,
-    StreamWsReport, V2_BLOCK_MAX_PAYLOAD,
+    stream_chunks, ChunkBuf, PoolStats, StreamConfig, StreamReport, V2_BLOCK_MAX_PAYLOAD,
 };
 pub use machine::{CoreReport, SmpMachine, SmpReport};
 pub use scenario::{MultiProgrammedScenario, SmpScenarioConfig};

@@ -20,18 +20,13 @@
 //! resident memory at O(depth × block) independent of corpus length — is
 //! a checked invariant, not a hope.
 //!
-//! Two consumers are provided:
-//!
-//! * [`stream_chunks`] — in-order delivery to a caller-supplied closure;
-//!   one [`mixtlb_sim::TranslationEngine::translate_batch`] per block
-//!   gives the perfgate `stream-batched` path. With `decoders == 0` the
-//!   stages run synchronously on the caller's thread (still constant
-//!   memory; the right shape on a single hardware thread, where the win
-//!   is cache-resident chunks, not overlap).
-//! * [`stream_replay_ws`] — a distributor parks decoded buffers in a slot
-//!   table and publishes pool ids through per-core [`ChunkDeque`]s to
-//!   work-stealing translation workers (one engine per core, as in
-//!   [`crate::replay_parallel`]): the perfgate `stream-ws` path.
+//! [`stream_chunks`] delivers blocks in file order to a caller-supplied
+//! closure; one [`mixtlb_sim::TranslationEngine::translate_batch`] per
+//! block gives the perfgate `stream-batched` path. With `decoders == 0`
+//! the stages run synchronously on the caller's thread (still constant
+//! memory; the right shape on a single hardware thread, where the win is
+//! cache-resident chunks, not overlap). Multi-core translation is
+//! [`crate::replay_parallel`]'s job, over a pre-decoded event slice.
 //!
 //! # Fault propagation
 //!
@@ -48,14 +43,8 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use mixtlb_check::handoff::BoundedQueue;
-use mixtlb_check::sync::{AtomicU64, Mutex, Ordering};
-use mixtlb_pagetable::PageTable;
-use mixtlb_sim::{TlbHierarchy, TranslationEngine, WalkBackend};
+use mixtlb_check::sync::{AtomicU64, Ordering};
 use mixtlb_trace::{decode_block, BlockReader, RawBlock, TraceEvent, V2_BLOCK_EVENTS};
-use mixtlb_types::{Asid, PhysAddr};
-
-use crate::deque::ChunkDeque;
-use crate::ws::WsCoreReport;
 
 /// Worst-case encoded bytes per v2 block (count × max event encoding +
 /// framing slack), mirroring the reader's plausibility bound. Used only
@@ -63,20 +52,16 @@ use crate::ws::WsCoreReport;
 pub const V2_BLOCK_MAX_PAYLOAD: usize = V2_BLOCK_EVENTS * 22 + 64;
 
 /// One pool buffer: a raw framed block and its decoded events, both
-/// reused across the whole run. The pool id is stable for the buffer's
-/// lifetime and doubles as its slot-table index in the work-stealing
-/// consumer.
+/// reused across the whole run.
 #[derive(Debug)]
 pub struct ChunkBuf {
-    pool_id: usize,
     raw: RawBlock,
     events: Vec<TraceEvent>,
 }
 
 impl ChunkBuf {
-    fn with_pool_id(pool_id: usize) -> ChunkBuf {
+    fn new() -> ChunkBuf {
         ChunkBuf {
-            pool_id,
             raw: RawBlock::new(),
             // Pre-size for the largest block the format frames: decode
             // never reallocates, which the hot-path analyzer enforces on
@@ -157,30 +142,6 @@ pub struct StreamReport {
     pub pool: PoolStats,
 }
 
-/// Outcome of a [`stream_replay_ws`] run.
-#[derive(Debug, Clone)]
-pub struct StreamWsReport {
-    /// Per-core reports; `chunks` holds block sequence numbers in
-    /// execution order.
-    pub cores: Vec<WsCoreReport>,
-    /// Events translated across all cores.
-    pub events: u64,
-    /// Blocks translated across all cores.
-    pub blocks: u64,
-    /// Wall-clock time for the whole stream.
-    pub elapsed: Duration,
-    /// Buffer-pool accounting.
-    pub pool: PoolStats,
-}
-
-impl StreamWsReport {
-    /// Total cross-deque grabs (a worker taking from another worker's
-    /// home deque).
-    pub fn total_steals(&self) -> u64 {
-        self.cores.iter().map(|c| c.chunks_stolen).sum()
-    }
-}
-
 /// Reader→decoder hand-off.
 #[derive(Debug)]
 enum DecodeMsg {
@@ -205,10 +166,6 @@ enum ReadyMsg {
     },
     /// One decoder exited; the consumer is done after seeing them all.
     DecoderDone,
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> impl std::ops::DerefMut<Target = T> + 'a {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Reader stage: pulls free buffers, frames blocks into them, and feeds
@@ -377,7 +334,7 @@ fn pool_stats(free: &BoundedQueue<ChunkBuf>) -> PoolStats {
 /// Streams the v2 trace at `path` through the decode pipeline, invoking
 /// `consume(seq, events)` on every block **in file order**. The perfgate
 /// `stream-batched` path wraps this with one
-/// [`TranslationEngine::translate_batch`] call per block.
+/// [`mixtlb_sim::TranslationEngine::translate_batch`] call per block.
 ///
 /// With `cfg.decoders == 0` every stage runs synchronously on the
 /// caller's thread; otherwise a reader thread and `cfg.decoders` decode
@@ -401,8 +358,8 @@ where
     let decoders = cfg.decoders;
     let depth = cfg.depth.max(decoders + 1);
     let free = BoundedQueue::with_capacity(depth);
-    for id in 0..depth {
-        free.push(ChunkBuf::with_pool_id(id));
+    for _ in 0..depth {
+        free.push(ChunkBuf::new());
     }
     // Sized so control messages never block: the decode queue holds at
     // most `depth` blocks (each needs a pool buffer) plus one shutdown
@@ -443,7 +400,7 @@ fn stream_sync<F: FnMut(u64, &[TraceEvent])>(
     start: Instant,
     consume: &mut F,
 ) -> io::Result<StreamReport> {
-    let mut buf = ChunkBuf::with_pool_id(0);
+    let mut buf = ChunkBuf::new();
     let mut events = 0u64;
     let mut nblocks = 0u64;
     while blocks.read_block(&mut buf.raw)? {
@@ -461,245 +418,5 @@ fn stream_sync<F: FnMut(u64, &[TraceEvent])>(
             event_capacity: buf.events.capacity(),
             payload_capacity: buf.raw.payload_capacity(),
         },
-    })
-}
-
-/// Distributor stage of the work-stealing consumer: parks each decoded
-/// buffer in its pool slot, then publishes the pool id through a per-core
-/// [`ChunkDeque`] (round-robin). The distributor is the sole owner of
-/// every deque — workers only steal — so the one-owner Chase–Lev
-/// discipline holds with pool ids recycling through the slots.
-///
-/// Returns `(blocks, events, first_error)`.
-fn distribute_chunks(
-    ready: &BoundedQueue<ReadyMsg>,
-    free: &BoundedQueue<ChunkBuf>,
-    slots: &[Mutex<Option<ChunkBuf>>],
-    deques: &[ChunkDeque],
-    cancel: &AtomicU64,
-    done: &AtomicU64,
-    decoders: usize,
-) -> (u64, u64, Option<io::Error>) {
-    let mut rr = 0usize;
-    let mut finished = 0usize;
-    let mut blocks = 0u64;
-    let mut events = 0u64;
-    let mut fail: Option<(u64, io::Error)> = None;
-    loop {
-        match ready.pop() {
-            ReadyMsg::Chunk(buf) => {
-                let discard = match &fail {
-                    Some((fs, _)) => buf.seq() >= *fs,
-                    None => false,
-                };
-                if discard {
-                    free.push(buf);
-                } else {
-                    blocks += 1;
-                    events += buf.events.len() as u64;
-                    let id = buf.pool_id;
-                    *lock(&slots[id]) = Some(buf);
-                    let published = deques[rr % deques.len()].push(id as u64);
-                    // Each deque holds the whole pool, so a publish can
-                    // never find it full.
-                    debug_assert!(published, "deque sized for the pool");
-                    rr += 1;
-                }
-            }
-            ReadyMsg::Failed { seq, error } => {
-                let keep = match &fail {
-                    Some((fs, _)) => seq < *fs,
-                    None => true,
-                };
-                if keep {
-                    fail = Some((seq, error));
-                }
-                cancel.store(1, Ordering::Release);
-            }
-            ReadyMsg::DecoderDone => {
-                finished += 1;
-                if finished == decoders {
-                    break;
-                }
-            }
-        }
-    }
-    // Publishes are all visible before `done`: a worker that observes
-    // `done` and still finds every deque empty can terminate.
-    done.store(1, Ordering::Release);
-    (blocks, events, fail.map(|(_, e)| e))
-}
-
-/// A translation worker of the streaming work-stealing consumer. Unlike
-/// [`crate::ws`]'s workers it owns no deque: the distributor owns them
-/// all, and every grab — even from the worker's home deque — is a
-/// thief-side `steal`.
-struct StreamWorker<'a, 'e> {
-    id: usize,
-    engine: TranslationEngine<'e>,
-    slots: &'a [Mutex<Option<ChunkBuf>>],
-    deques: &'a [ChunkDeque],
-    free: &'a BoundedQueue<ChunkBuf>,
-    done: &'a AtomicU64,
-    out: Vec<Option<PhysAddr>>,
-    seqs: Vec<u64>,
-    stolen: u64,
-}
-
-impl StreamWorker<'_, '_> {
-    /// Home deque first, then the others in ring order.
-    fn grab(&self) -> Option<(u64, usize)> {
-        let n = self.deques.len();
-        for k in 0..n {
-            let victim = (self.id + k) % n;
-            if let Some(id) = self.deques[victim].steal() {
-                return Some((id, victim));
-            }
-        }
-        None
-    }
-
-    fn execute(&mut self, id: u64, from: usize) {
-        let Some(buf) = lock(&self.slots[id as usize]).take() else {
-            // Unreachable: slots are parked before their id is published.
-            debug_assert!(false, "published pool id with an empty slot");
-            return;
-        };
-        if from != self.id {
-            self.stolen += 1;
-        }
-        self.seqs.push(buf.seq());
-        self.out.clear();
-        self.engine.translate_batch(&buf.events, &mut self.out);
-        self.free.push(buf);
-    }
-
-    /// Grabs and translates until the distributor signals `done` *and* a
-    /// subsequent sweep finds every deque empty — `done` is stored after
-    /// the final publish, so the re-check closes the race with ids
-    /// published just before the flag.
-    fn run(&mut self) {
-        loop {
-            if let Some((id, from)) = self.grab() {
-                self.execute(id, from);
-            } else if self.done.load(Ordering::Acquire) != 0 {
-                match self.grab() {
-                    Some((id, from)) => self.execute(id, from),
-                    None => break,
-                }
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
-/// Builds one streaming worker around its private engine (own ASID, own
-/// page-table clone, own TLB hierarchy — nothing shared, as in
-/// [`crate::replay_parallel`]) and runs it to completion.
-fn run_stream_core(
-    id: usize,
-    mut pt: PageTable,
-    factory: fn() -> TlbHierarchy,
-    slots: &[Mutex<Option<ChunkBuf>>],
-    deques: &[ChunkDeque],
-    free: &BoundedQueue<ChunkBuf>,
-    done: &AtomicU64,
-) -> WsCoreReport {
-    let asid = Asid::for_index(id);
-    let mut engine = TranslationEngine::new(factory(), WalkBackend::Native(&mut pt));
-    engine.set_asid(asid);
-    let mut worker = StreamWorker {
-        id,
-        engine,
-        slots,
-        deques,
-        free,
-        done,
-        out: Vec::with_capacity(V2_BLOCK_EVENTS),
-        seqs: Vec::new(),
-        stolen: 0,
-    };
-    worker.run();
-    let l1 = worker.engine.hierarchy().l1.stats();
-    let l2 = worker.engine.hierarchy().l2.as_ref().map(|t| t.stats());
-    WsCoreReport {
-        core: id,
-        asid,
-        chunks: worker.seqs,
-        chunks_stolen: worker.stolen,
-        engine: worker.engine.stats(),
-        l1,
-        l2,
-    }
-}
-
-/// Streams the v2 trace at `path` straight into `cores` work-stealing
-/// translation workers: reader → decoders → distributor → per-core
-/// [`ChunkDeque`]s, with decode of later blocks overlapping translation
-/// of earlier ones end to end. The perfgate `stream-ws` path.
-///
-/// Blocks are translated in steal order (not file order) by whichever
-/// core claims them, exactly like [`crate::replay_parallel`] — per-core
-/// statistics are schedule-dependent, aggregate event counts are not.
-///
-/// # Errors
-///
-/// As [`stream_chunks`]: damage surfaces as the run's `Err`, intact
-/// blocks below the damaged sequence still translate, every thread
-/// drains and joins.
-pub fn stream_replay_ws(
-    path: &Path,
-    pt: &PageTable,
-    factory: fn() -> TlbHierarchy,
-    cores: usize,
-    cfg: &StreamConfig,
-) -> io::Result<StreamWsReport> {
-    assert!(cores > 0, "need at least one core");
-    let decoders = cfg.decoders.max(1);
-    let depth = cfg.depth.max(decoders + 1);
-    let start = Instant::now();
-    let mut blocks = BlockReader::open(path)?;
-    let free = BoundedQueue::with_capacity(depth);
-    for id in 0..depth {
-        free.push(ChunkBuf::with_pool_id(id));
-    }
-    let decode_q = BoundedQueue::with_capacity(depth + decoders);
-    let ready_q = BoundedQueue::with_capacity(depth + 2 * decoders + 1);
-    let cancel = AtomicU64::new(0);
-    let done = AtomicU64::new(0);
-    let slots: Vec<Mutex<Option<ChunkBuf>>> = (0..depth).map(|_| Mutex::new(None)).collect();
-    let deques: Vec<ChunkDeque> = (0..cores).map(|_| ChunkDeque::with_capacity(depth)).collect();
-    let mut core_reports: Vec<WsCoreReport> = Vec::with_capacity(cores);
-    let mut outcome = (0u64, 0u64, None);
-    std::thread::scope(|s| {
-        s.spawn(|| feed_blocks(&mut blocks, &free, &decode_q, &ready_q, &cancel, decoders));
-        for _ in 0..decoders {
-            s.spawn(|| decode_blocks(&decode_q, &ready_q, &free));
-        }
-        let handles: Vec<_> = (0..cores)
-            .map(|id| {
-                let (slots, deques, free, done) = (&slots, &deques, &free, &done);
-                let pt = pt.clone();
-                s.spawn(move || run_stream_core(id, pt, factory, slots, deques, free, done))
-            })
-            .collect();
-        outcome = distribute_chunks(&ready_q, &free, &slots, &deques, &cancel, &done, decoders);
-        for h in handles {
-            // lint: allow(panic) — a worker panic is a simulator bug; propagate it
-            core_reports.push(h.join().expect("streaming worker panicked"));
-        }
-    });
-    let (nblocks, events, err) = outcome;
-    if let Some(e) = err {
-        return Err(e);
-    }
-    core_reports.sort_by_key(|c| c.core);
-    Ok(StreamWsReport {
-        cores: core_reports,
-        events,
-        blocks: nblocks,
-        elapsed: start.elapsed(),
-        pool: pool_stats(&free),
     })
 }

@@ -1,19 +1,13 @@
-//! Fault propagation and accounting for the streaming decode→translate
+//! Fault propagation for the streaming decode→translate
 //! pipeline: a corpus damaged mid-stream (truncated or bit-flipped) must
 //! surface a clean [`std::io::ErrorKind::InvalidData`] from the consumer
 //! side of the threaded pipeline — no hang, no partially decoded chunk
 //! ever reaching translation — with exactly the intact prefix consumed.
-//! The streaming work-stealing replay must account for every block and
-//! event exactly once across cores, and fail the same clean way on a
-//! damaged corpus.
 
 use std::io;
 use std::path::PathBuf;
 
-use mixtlb_sim::designs;
-use mixtlb_smp::{
-    stream_chunks, stream_replay_ws, MultiProgrammedScenario, SmpScenarioConfig, StreamConfig,
-};
+use mixtlb_smp::{stream_chunks, MultiProgrammedScenario, SmpScenarioConfig, StreamConfig};
 use mixtlb_trace::{decode_block, BlockReader, RawBlock, TraceEvent, TraceFileV2};
 
 fn temp(name: &str) -> PathBuf {
@@ -23,13 +17,13 @@ fn temp(name: &str) -> PathBuf {
     ))
 }
 
-/// A recorded scratch corpus plus the page table it translates against.
-fn fixture(events_n: usize, name: &str) -> (PathBuf, Vec<TraceEvent>, mixtlb_pagetable::PageTable) {
+/// A recorded scratch corpus and the events it holds.
+fn fixture(events_n: usize, name: &str) -> (PathBuf, Vec<TraceEvent>) {
     let scenario = MultiProgrammedScenario::gups_times(1, &SmpScenarioConfig::quick());
     let events: Vec<TraceEvent> = scenario.generator(0).take(events_n).collect();
     let path = temp(name);
     TraceFileV2::record(&path, events.iter().copied()).expect("record scratch corpus");
-    (path, events, scenario.clone_page_table(0))
+    (path, events)
 }
 
 /// Counts the events in the intact block prefix of `path` — the blocks a
@@ -71,7 +65,7 @@ fn stream_counting(
 
 #[test]
 fn truncation_mid_corpus_surfaces_invalid_data_after_intact_prefix() {
-    let (path, events, _pt) = fixture(10_000, "trunc");
+    let (path, events) = fixture(10_000, "trunc");
     let bytes = std::fs::read(&path).expect("read back scratch corpus");
     // Cut inside a later block's payload: past the first half, mid-file.
     let cut = bytes.len() * 3 / 5;
@@ -104,7 +98,7 @@ fn truncation_mid_corpus_surfaces_invalid_data_after_intact_prefix() {
 
 #[test]
 fn bit_flip_mid_corpus_surfaces_invalid_data_after_intact_prefix() {
-    let (path, events, _pt) = fixture(10_000, "flip");
+    let (path, events) = fixture(10_000, "flip");
     let mut bytes = std::fs::read(&path).expect("read back scratch corpus");
     let flip = bytes.len() / 2;
     bytes[flip] ^= 0x40;
@@ -131,46 +125,5 @@ fn bit_flip_mid_corpus_surfaces_invalid_data_after_intact_prefix() {
             "{shape}: exactly the intact prefix is consumed"
         );
     }
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn stream_ws_accounts_for_every_block_and_event_exactly_once() {
-    let (path, events, pt) = fixture(10_000, "ws-total");
-    let cfg = StreamConfig::threaded(2, 6);
-    let report =
-        stream_replay_ws(&path, &pt, designs::mix, 3, &cfg).expect("streaming an intact corpus");
-    let _ = std::fs::remove_file(&path);
-
-    assert_eq!(report.events, events.len() as u64, "every event translated");
-    let mut seqs: Vec<u64> = report
-        .cores
-        .iter()
-        .flat_map(|c| c.chunks.iter().copied())
-        .collect();
-    seqs.sort_unstable();
-    let expected: Vec<u64> = (0..report.blocks).collect();
-    assert_eq!(seqs, expected, "blocks lost or duplicated across cores");
-    let replayed: u64 = report.cores.iter().map(|c| c.engine.accesses).sum();
-    assert_eq!(replayed, report.events, "per-core engines saw every event once");
-    // Distinct ASIDs per core: the pipeline mirrors the ws replay's
-    // one-address-space-per-core model.
-    let mut asids: Vec<_> = report.cores.iter().map(|c| c.asid).collect();
-    asids.sort_unstable();
-    asids.dedup();
-    assert_eq!(asids.len(), report.cores.len(), "core ASIDs must be distinct");
-    assert_eq!(report.pool.buffers, 6, "all pool buffers recycled");
-}
-
-#[test]
-fn stream_ws_fails_cleanly_on_a_damaged_corpus() {
-    let (path, _events, pt) = fixture(10_000, "ws-err");
-    let bytes = std::fs::read(&path).expect("read back scratch corpus");
-    std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("write truncated corpus");
-
-    let cfg = StreamConfig::threaded(2, 6);
-    let err = stream_replay_ws(&path, &pt, designs::mix, 3, &cfg)
-        .expect_err("truncated corpus must fail");
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "clean InvalidData, got {err}");
     let _ = std::fs::remove_file(&path);
 }

@@ -36,16 +36,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod file;
 mod file_v2;
 mod generator;
 mod percore;
 mod workloads;
 
-pub use file::TraceFile;
 pub use file_v2::{
-    decode_block, probe_version, v1_equivalent_bytes, BlockReader, RawBlock, TraceFileV2,
-    BLOCK_EVENTS as V2_BLOCK_EVENTS,
+    decode_block, BlockReader, RawBlock, TraceFileV2, BLOCK_EVENTS as V2_BLOCK_EVENTS,
 };
 pub use generator::{TraceEvent, TraceGenerator};
 pub use percore::{split_partitioned, split_shared, CoreStream};

@@ -272,9 +272,9 @@ proptest! {
     }
 }
 
-/// Non-property check: a v2 file's magic matches v1's container magic, so
-/// `probe_version` can steer tooling, and a plain byte read confirms the
-/// version field the hint in `TraceFile::open` keys on.
+/// Non-property check: a plain byte read confirms the header layout —
+/// the container magic, the version field `BlockReader::open` keys its
+/// rejection of other versions on, and the patched event count.
 #[test]
 fn header_layout_is_stable() {
     let path = temp("header");

@@ -12,7 +12,7 @@
 use mixtlb::os::{Kernel, PagingPolicy, ThsConfig};
 use mixtlb::mem::{MemoryConfig, PhysicalMemory};
 use mixtlb::sim::{designs, TranslationEngine, WalkBackend};
-use mixtlb::trace::{TraceFile, TraceGenerator, WorkloadSpec};
+use mixtlb::trace::{TraceFileV2, TraceGenerator, WorkloadSpec};
 use mixtlb::types::{Permissions, Vpn, PAGE_SIZE_4K};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,8 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     kernel.fault_all(space);
 
     // Record once...
-    let path = std::env::temp_dir().join("mixtlb-replay-example.trc");
-    let events = TraceFile::record(&path, TraceGenerator::new(&spec, 7, region).take(150_000))?;
+    let path = std::env::temp_dir().join("mixtlb-replay-example.mtc2");
+    let events = TraceFileV2::record(&path, TraceGenerator::new(&spec, 7, region).take(150_000))?;
     println!("recorded {events} events of '{}' to {}\n", spec.name, path.display());
 
     // ...replay many times, one engine per design, byte-identical input.
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut pt = kernel.space(space).page_table().clone();
         let design = hierarchy.name().to_owned();
         let mut engine = TranslationEngine::new(hierarchy, WalkBackend::Native(&mut pt));
-        for event in TraceFile::open(&path)? {
+        for event in TraceFileV2::open(&path)? {
             engine.access(&event?);
         }
         let (stats, l1, _, _) = engine.finish();

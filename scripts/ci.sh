@@ -10,6 +10,13 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> cargo test benchmark package (its own workspace under benchmark/)"
+# The benchmark package imports the crates' public replay and trace APIs
+# (stream_chunks, replay_parallel, TraceFileV2, BlockReader, ...), but
+# sits outside the root workspace, so the stage above never builds it.
+# This catches a crate API change that breaks the benchmark.
+timeout 900 cargo test -q --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -75,11 +82,13 @@ else
   # one; --aggregate gates the per-path geomean rather than individual
   # triples because per-process allocation layout moves nanosecond-scale
   # batched loops by up to ~3.5x per triple on shared runners (measured),
-  # while a real regression moves the whole path. The multi-thread
-  # ws-batched path additionally gates at 1.5x this tolerance: its worker
-  # threads time-slice on however many CPUs the runner exposes, adding
-  # scheduler noise the single-thread paths don't carry. Tighten on a
-  # dedicated quiet machine: MIXTLB_PERFGATE_TOLERANCE=0.10 ./scripts/ci.sh
+  # while a real regression moves the whole path. The one multi-core
+  # point, ws-batched@<host cores>, additionally gates at 1.5x this
+  # tolerance: its worker threads time-slice on however many CPUs the
+  # runner exposes, adding scheduler noise the single-thread paths don't
+  # carry. It is compared only when the baseline recorded the same core
+  # count. Tighten on a dedicated quiet machine:
+  # MIXTLB_PERFGATE_TOLERANCE=0.10 ./scripts/ci.sh
   baseline=$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)
   if [[ -z "$baseline" ]]; then
     echo "no committed BENCH_*.json baseline; skipping gate" >&2

@@ -169,16 +169,16 @@ fn index_bits_experiment_shape() {
 
 #[test]
 fn recorded_traces_replay_identically_through_the_engine() {
-    use mixtlb::trace::{TraceFile, TraceGenerator};
+    use mixtlb::trace::{TraceFileV2, TraceGenerator};
     use mixtlb::types::Vpn;
     // Record a trace, then drive two fresh engines — one from the live
     // generator, one from the file — and require identical reports.
     let spec = WorkloadSpec::by_name("memcached")
         .unwrap()
         .with_footprint(32 << 20);
-    let path = std::env::temp_dir().join(format!("mixtlb-e2e-{}.trc", std::process::id()));
+    let path = std::env::temp_dir().join(format!("mixtlb-e2e-{}.mtc2", std::process::id()));
     let gen = || TraceGenerator::new(&spec, 99, Vpn::new(1 << 18));
-    TraceFile::record(&path, gen().take(10_000)).unwrap();
+    TraceFileV2::record(&path, gen().take(10_000)).unwrap();
 
     let cfg = ScenarioConfig::quick();
     // Build one scenario; replay twice against identical hierarchies.
@@ -188,8 +188,8 @@ fn recorded_traces_replay_identically_through_the_engine() {
     // Use the engine directly through the public scenario API by feeding
     // the same number of refs: the scenario's internal generator uses the
     // scenario seed, so instead compare two file replays for determinism.
-    let a: Vec<_> = TraceFile::open(&path).unwrap().map(|e| e.unwrap()).collect();
-    let b: Vec<_> = TraceFile::open(&path).unwrap().map(|e| e.unwrap()).collect();
+    let a: Vec<_> = TraceFileV2::open(&path).unwrap().map(|e| e.unwrap()).collect();
+    let b: Vec<_> = TraceFileV2::open(&path).unwrap().map(|e| e.unwrap()).collect();
     assert_eq!(a, b);
     assert_eq!(a.len(), 10_000);
     // And the recorded stream equals the regenerated one.
