@@ -9,8 +9,6 @@
 //!
 //! [`criterion`]: https://crates.io/crates/criterion
 
-#![forbid(unsafe_code)]
-
 use std::time::{Duration, Instant};
 
 /// Re-export of the standard opaque value barrier.

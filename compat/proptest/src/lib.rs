@@ -17,8 +17,6 @@
 //!
 //! [`proptest`]: https://crates.io/crates/proptest
 
-#![forbid(unsafe_code)]
-
 pub mod test_runner {
     /// Configuration accepted by `#![proptest_config(..)]`.
     #[derive(Debug, Clone)]

@@ -12,8 +12,6 @@
 //!
 //! [`rand`]: https://crates.io/crates/rand
 
-#![forbid(unsafe_code)]
-
 use core::ops::{Range, RangeInclusive};
 
 /// Low-level entropy source: everything is derived from `next_u64`.

@@ -124,12 +124,18 @@ impl CoalescedSizeTlb {
     }
 
     fn pos_of(&self, vpn: Vpn) -> u32 {
+        #[expect(
+            clippy::expect_used,
+            reason = "bundle_base aligns downward, so vpn >= base by construction"
+        )]
         let pos = vpn
             .page_offset_from(self.bundle_base(vpn), self.config.size)
-            // lint: allow(panic) — bundle_base aligns downward, so vpn >= base by construction
             .expect("vpn precedes its own bundle base");
+        #[expect(
+            clippy::expect_used,
+            reason = "bundle positions are bounded by the configured bundle size (<= 8 for COLT)"
+        )]
         u32::try_from(pos)
-            // lint: allow(panic) — bundle positions are bounded by the configured bundle size (<= 8 for COLT)
             .expect("bundle position exceeds the configured bundle size")
     }
 
@@ -158,7 +164,10 @@ impl TlbDevice for CoalescedSizeTlb {
             if covers {
                 self.tick += 1;
                 self.stamps[slot] = self.tick;
-                // lint: allow(panic) — slot was just found occupied by the probe above
+                #[expect(
+                    clippy::expect_used,
+                    reason = "slot was just found occupied by the probe above"
+                )]
                 let entry = self.slots[slot].as_mut().expect("slot is valid");
                 let singleton = entry.bits.count_ones() == 1;
                 let mut dirty_microop = false;
@@ -250,7 +259,10 @@ impl TlbDevice for CoalescedSizeTlb {
             let slot = set * self.config.ways + way;
             self.tick += 1;
             self.stamps[slot] = self.tick;
-            // lint: allow(panic) — slot was just found occupied by the probe above
+            #[expect(
+                clippy::expect_used,
+                reason = "slot was just found occupied by the probe above"
+            )]
             let entry = self.slots[slot].as_mut().expect("slot is valid");
             if entry.anchor_pfn == anchor && entry.perms == requested.perms {
                 let before = entry.bits.count_ones();
@@ -276,9 +288,12 @@ impl TlbDevice for CoalescedSizeTlb {
         let way = (0..ways)
             .find(|&w| self.slots[set * ways + w].is_none())
             .unwrap_or_else(|| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "ways >= 1 by construction, the min always exists"
+                )]
                 (0..ways)
                     .min_by_key(|&w| self.stamps[set * ways + w])
-                    // lint: allow(panic) — ways >= 1 by construction, the min always exists
                     .expect("at least one way")
             });
         let slot = set * ways + way;
@@ -308,7 +323,10 @@ impl TlbDevice for CoalescedSizeTlb {
         if let Some(way) = self.find(set, base) {
             let slot = set * self.config.ways + way;
             let empty = {
-                // lint: allow(panic) — slot occupancy established by the surrounding branch
+                #[expect(
+                    clippy::expect_used,
+                    reason = "slot occupancy established by the surrounding branch"
+                )]
                 let entry = self.slots[slot].as_mut().expect("slot is valid");
                 entry.bits &= !(1 << pos);
                 entry.bits == 0

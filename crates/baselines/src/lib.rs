@@ -37,7 +37,6 @@
 //! assert!(tlb.lookup(Vpn::new(0x433), AccessKind::Load).is_hit());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod colt;

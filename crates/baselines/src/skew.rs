@@ -138,7 +138,10 @@ impl SkewTlb {
             if hit {
                 self.tick += 1;
                 self.stamps[way][idx] = self.tick;
-                // lint: allow(panic) — index returned by the hit probe, entry is occupied
+                #[expect(
+                    clippy::expect_used,
+                    reason = "index returned by the hit probe, entry is occupied"
+                )]
                 let entry = self.slots[way][idx].as_mut().expect("hit slot is valid");
                 let mut dirty_microop = false;
                 if kind.is_store() && !entry.dirty {
@@ -209,6 +212,10 @@ impl TlbDevice for SkewTlb {
         }
         // Choose the emptiest/oldest candidate slot across this size's
         // ways (timestamp replacement).
+        #[expect(
+            clippy::expect_used,
+            reason = "every size class owns >= 1 way, the candidate list is never empty"
+        )]
         let (way, idx) = self
             .ways_of(requested.size)
             .map(|way| {
@@ -221,7 +228,6 @@ impl TlbDevice for SkewTlb {
             })
             .min()
             .map(|(_, way, idx)| (way, idx))
-            // lint: allow(panic) — every size class owns >= 1 way, the candidate list is never empty
             .expect("at least one way per size");
         if self.slots[way][idx].is_some() {
             self.stats.evictions += 1;

@@ -2,7 +2,10 @@
 //! demand faults (THS vs 4 KB), buddy allocation, memhog fragmentation,
 //! and trace generation. These size the simulator, not modeled hardware.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "benchmark setup runs on fixed inputs; a failure aborts the harness"
+)]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

@@ -3,7 +3,10 @@
 //! *simulator's* speed (useful when sizing experiments), not modeled
 //! hardware latency — hardware costs are what `TlbStats` counts.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "benchmark setup runs on fixed inputs; a failure aborts the harness"
+)]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

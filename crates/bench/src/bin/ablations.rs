@@ -8,7 +8,10 @@
 //! * superpage bundle size;
 //! * the paging-structure cache (on vs off).
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    reason = "a figure binary's `main` is its own error boundary: a broken experiment setup aborts the run with its message"
+)]
 
 use mixtlb_bench::{banner, signed_pct, Scale, Table};
 use mixtlb_core::{CoalesceKind, DirtyPolicy, FillMerge, MirrorPolicy, MixTlb, MixTlbConfig};

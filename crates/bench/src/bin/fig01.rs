@@ -4,7 +4,10 @@
 //! graph500, and memcached under 4 KB-only, 2 MB-only, 1 GB-only, and
 //! mixed page-size policies.
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    reason = "a figure binary's `main` is its own error boundary: a broken experiment setup aborts the run with its message"
+)]
 
 use mixtlb_bench::{banner, pct, Scale, Table};
 use mixtlb_sim::{designs, NativeScenario, PolicyChoice};

@@ -2,8 +2,6 @@
 //! `memhog` fragmentation varies, for native CPU workload classes and
 //! GPUs.
 
-#![forbid(unsafe_code)]
-
 use mixtlb_bench::{banner, pct, Scale, Table};
 use mixtlb_gpu::GpuScenario;
 use mixtlb_sim::{NativeScenario, PolicyChoice};

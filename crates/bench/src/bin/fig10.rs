@@ -2,8 +2,6 @@
 //! under virtualization, as VM consolidation and in-VM memhog vary.
 //! `N VM : M mh` = N consolidated VMs, each running memhog at M%.
 
-#![forbid(unsafe_code)]
-
 use mixtlb_bench::{banner, pct, Scale, Table};
 use mixtlb_sim::VirtScenario;
 use mixtlb_trace::{WorkloadClass, WorkloadSpec};

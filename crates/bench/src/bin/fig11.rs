@@ -3,8 +3,6 @@
 //! fragmentation varies. Workloads are ordered by ascending contiguity,
 //! as in the paper.
 
-#![forbid(unsafe_code)]
-
 use mixtlb_bench::{banner, Scale, Table};
 use mixtlb_sim::{NativeScenario, PolicyChoice, ScenarioConfig};
 use mixtlb_types::PageSize;

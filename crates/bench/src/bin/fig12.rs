@@ -2,8 +2,6 @@
 //! memhog varies. Each point `(run length, fraction)` gives the share of
 //! superpage translations living in runs of at most that length.
 
-#![forbid(unsafe_code)]
-
 use mixtlb_bench::{banner, Scale, Table};
 use mixtlb_sim::{NativeScenario, PolicyChoice};
 use mixtlb_types::PageSize;

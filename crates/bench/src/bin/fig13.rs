@@ -1,8 +1,6 @@
 //! Figure 13: 2 MB superpage contiguity CDFs for virtualized CPU
 //! (effective, nested) and GPU workloads, as memhog varies.
 
-#![forbid(unsafe_code)]
-
 use mixtlb_bench::{banner, Scale, Table};
 use mixtlb_gpu::GpuScenario;
 use mixtlb_sim::{PolicyChoice, VirtScenario};

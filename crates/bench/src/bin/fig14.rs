@@ -2,8 +2,6 @@
 //! over the commercial split hierarchy, for libhugetlbfs 4 KB / 2 MB /
 //! 1 GB setups, THS, virtualized (1 and 4 VMs), and GPUs.
 
-#![forbid(unsafe_code)]
-
 use mixtlb_bench::{banner, signed_pct, Scale, Table};
 
 use mixtlb_gpu::GpuScenario;

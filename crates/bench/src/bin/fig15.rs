@@ -2,8 +2,6 @@
 //! memory, workloads in ascending order of benefit; (right) performance
 //! overhead of split and MIX versus an ideal never-miss TLB.
 
-#![forbid(unsafe_code)]
-
 use mixtlb_bench::{banner, pct, signed_pct, Scale, Table};
 use mixtlb_gpu::GpuScenario;
 use mixtlb_sim::{designs, improvement_percent, NativeScenario, PolicyChoice};

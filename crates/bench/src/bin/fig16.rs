@@ -4,8 +4,6 @@
 //! prediction (left plot) and MIX TLBs (right plot). Points in the upper
 //! right are better.
 
-#![forbid(unsafe_code)]
-
 use mixtlb_bench::{banner, signed_pct, Scale, Table};
 use mixtlb_sim::{designs, improvement_percent, NativeScenario, PerfReport, PolicyChoice};
 

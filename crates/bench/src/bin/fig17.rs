@@ -2,8 +2,6 @@
 //! lookups, page-table walks (misses), fills, and other operations, for
 //! GPU workloads, normalized to the split baseline's total.
 
-#![forbid(unsafe_code)]
-
 use mixtlb_bench::{banner, pct, Scale, Table};
 use mixtlb_gpu::GpuScenario;
 use mixtlb_sim::{designs, PolicyChoice};

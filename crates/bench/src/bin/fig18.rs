@@ -2,8 +2,6 @@
 //! improvement over the split baseline for COLT, COLT++, MIX, and
 //! MIX+COLT, native and virtualized, as memhog varies.
 
-#![forbid(unsafe_code)]
-
 use mixtlb_bench::{banner, signed_pct, Scale, Table};
 use mixtlb_sim::{
     designs, improvement_percent, NativeScenario, PolicyChoice, VirtScenario,

@@ -3,8 +3,6 @@
 //! because groups of 512 spatially-adjacent small pages collide in one
 //! set.
 
-#![forbid(unsafe_code)]
-
 use mixtlb_bench::{banner, Scale, Table};
 use mixtlb_sim::{designs, NativeScenario, PolicyChoice};
 use mixtlb_trace::{AccessPattern, WorkloadClass, WorkloadSpec};

@@ -5,8 +5,6 @@
 //! quantifies the collateral damage of each representation, plus the
 //! mirrored invalidation cost (an invalidation must visit every set).
 
-#![forbid(unsafe_code)]
-
 use mixtlb_bench::{banner, pct, Scale, Table};
 use mixtlb_core::{CoalesceKind, Lookup, MixTlb, MixTlbConfig, TlbDevice};
 use mixtlb_sim::designs;

@@ -5,7 +5,11 @@
 //! MIXTLB_SCALE=std cargo run --release -p mixtlb-bench --bin reproduce
 //! ```
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "the driver's `main` is its own error boundary: a figure binary that cannot run or fails aborts the reproduction"
+)]
 
 use std::process::Command;
 

@@ -3,8 +3,6 @@
 //! real contiguity (80+) falls short, yet performance stays within ~13%
 //! of an ideal never-miss TLB.
 
-#![forbid(unsafe_code)]
-
 use mixtlb_bench::{banner, pct, Scale, Table};
 use mixtlb_sim::{designs, NativeScenario, PolicyChoice};
 

@@ -23,8 +23,6 @@
 //! `--chunk-events E` (work-stealing chunk size). Numbers may use `_`
 //! separators. A malformed flag prints the usage and exits with 2.
 
-#![forbid(unsafe_code)]
-
 use mixtlb_bench::{banner, Scale, Table};
 use mixtlb_cache::SharedCacheConfig;
 use mixtlb_perf::{corpus_path, default_corpus_dir, load_events, prepare_scenario};

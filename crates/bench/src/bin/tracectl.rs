@@ -12,8 +12,6 @@
 //! corpus length — verifying every block's FNV-1a and reporting
 //! per-block event/byte statistics.
 
-#![forbid(unsafe_code)]
-
 use std::collections::HashSet;
 use std::process::exit;
 

@@ -12,7 +12,6 @@
 //! simulation); the *shapes* — who wins, by roughly what factor, where the
 //! crossovers fall — are the reproduction target. See EXPERIMENTS.md.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use mixtlb_sim::{PolicyChoice, ScenarioConfig, VirtConfig};

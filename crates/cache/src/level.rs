@@ -83,9 +83,9 @@ impl CacheLevel {
             return true;
         }
         // Miss: fill the LRU way.
+        #[expect(clippy::expect_used, reason = "ways >= 1 by construction, the min always exists")]
         let victim = (0..ways)
             .min_by_key(|&w| self.stamps[base + w])
-            // lint: allow(panic) — ways >= 1 by construction, the min always exists
             .expect("cache has at least one way");
         self.tags[base + victim] = tag;
         self.stamps[base + victim] = self.tick;

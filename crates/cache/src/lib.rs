@@ -21,7 +21,6 @@
 //! assert!(warm.cycles < cold.cycles);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod hierarchy;

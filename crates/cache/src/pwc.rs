@@ -62,13 +62,13 @@ impl PageWalkCache {
         if self.entries.len() < self.capacity {
             self.entries.push((key, self.tick));
         } else {
+            #[expect(clippy::expect_used, reason = "capacity is validated > 0 at construction")]
             let victim = self
                 .entries
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, (_, stamp))| *stamp)
                 .map(|(i, _)| i)
-                // lint: allow(panic) — capacity is validated > 0 at construction
                 .expect("capacity > 0");
             self.entries[victim] = (key, self.tick);
         }

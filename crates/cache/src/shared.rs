@@ -177,13 +177,13 @@ impl SharedCache {
         let mut cycles = self.hit_cycles;
         if !hit {
             cycles += self.dram_cycles;
-            // lint: allow(relaxed-ordering) — pure statistics counter: each
+            // Relaxed: pure statistics counter: each
             // increment is independent, nothing reads it to make a decision,
             // and the final total is observed only after thread join (which
             // synchronizes). Only atomicity is required.
             self.dram_accesses.fetch_add(1, Ordering::Relaxed);
         }
-        // lint: allow(relaxed-ordering) — same statistics-counter argument
+        // Relaxed: same statistics-counter argument
         // as dram_accesses above: monotonic tally, read only post-join.
         self.total_cycles.fetch_add(cycles, Ordering::Relaxed);
         SharedAccess { dram: !hit, cycles }
@@ -201,7 +201,7 @@ impl SharedCache {
         SharedCacheStats {
             hits,
             misses,
-            // lint: allow(relaxed-ordering) — statistics read; callers that
+            // Relaxed: statistics read; callers that
             // need an exact total call this after joining the workers, and
             // the join edge already orders every increment before the load.
             total_cycles: self.total_cycles.load(Ordering::Relaxed),

@@ -6,6 +6,11 @@
 //! proves the same property exhaustively at small scale; this test
 //! batters it at native-thread scale).
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside `#[test]` fns report a broken fixture by panicking, which fails the calling test"
+)]
+
 use std::sync::Arc;
 
 use mixtlb_cache::{SharedCache, SharedCacheConfig, SharedCacheStats};

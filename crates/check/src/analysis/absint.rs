@@ -46,7 +46,7 @@ use super::dataflow::{condense, successors};
 use super::lexer::{skip_generics, skip_group, Tok, TokKind};
 use super::outline::{DeclKind, ParsedFile, Vis};
 use super::rules::RuleFinding;
-use crate::lint::FileKind;
+use super::FileKind;
 
 /// Compound assignment operators the statement walker models.
 const ASSIGN_OPS: [&str; 10] = ["+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="];
@@ -615,6 +615,11 @@ impl<'a> Walker<'a> {
                     self.walk_block(i, child_tail)
                 }
                 "let" => self.walk_let(i, to),
+                // A statement attribute (`#[expect(..)] let x = …;`): skip
+                // it so the statement it annotates is walked as usual.
+                "#" if self.toks().get(i + 1).is_some_and(|t| t.is("[")) => {
+                    skip_group(self.toks(), i + 1)
+                }
                 "return" => {
                     let j = if self.toks().get(i + 1).is_some_and(|t| t.is(";") || t.is("}")) {
                         i + 1
@@ -1941,7 +1946,7 @@ mod tests {
     use std::path::Path;
 
     use super::*;
-    use crate::lint::FileKind;
+    use crate::analysis::FileKind;
 
     fn run(srcs: &[&str]) -> Vec<RuleFinding> {
         let files: Vec<ParsedFile> = srcs
@@ -2124,5 +2129,30 @@ mod tests {
                        pub fn intern(id: usize) -> Asid { Asid::new(id as u16 + 1) }\n"]);
         let tags: Vec<&RuleFinding> = f.iter().filter(|x| x.rule == "tag-range").collect();
         assert!(tags.iter().any(|t| t.line == 4), "{f:?}");
+    }
+
+    /// Return summary of `name` in a one-file workspace.
+    fn summary_of(src: &str, name: &str) -> Val {
+        let files = [ParsedFile::parse(Path::new("crates/x/src/lib.rs"), FileKind::Lib, src)];
+        let graph = CallGraph::build(&files);
+        let widths = collect_widths(&files);
+        let (by_name, _) =
+            summarize(&files, &graph, &HashMap::new(), &widths, &HashMap::new());
+        by_name.get(name).copied().unwrap_or(Val::Top)
+    }
+
+    #[test]
+    fn statement_attributes_do_not_hide_the_binding() {
+        let bare = summary_of("pub fn low(x: u64) -> u64 { let y = x & 0xFF; y }\n", "low");
+        assert_eq!(bare, Val::Rng { lo: 0, hi: 255, bits: 255 });
+        let attributed = summary_of(
+            "pub fn low(x: u64) -> u64 {\n\
+               #[expect(clippy::expect_used, reason = \"why\")]\n\
+               let y = x & 0xFF;\n\
+               y\n\
+             }\n",
+            "low",
+        );
+        assert_eq!(attributed, bare);
     }
 }

@@ -16,12 +16,6 @@
 //!   `compare_exchange` between): a concurrent update between the two
 //!   halves is silently lost; `fetch_add`/`compare_exchange` is the
 //!   atomic form.
-//!
-//! Flagged `Relaxed` sites are cross-checked against the inline
-//! `lint: allow(relaxed-ordering)` justification markers the lint pass
-//! accepts: a marker on a site this dataflow implicates means the
-//! written justification ("independent statistic") is contradicted by
-//! an observed publication pairing, and the message says so.
 
 use super::callgraph::CallGraph;
 use super::lexer::{skip_group, TokKind};
@@ -30,8 +24,7 @@ use super::lockset::SharedModel;
 use super::outline::ParsedFile;
 use super::rules::RuleFinding;
 use super::symbols::crate_of;
-use super::SourceFile;
-use crate::lint::FileKind;
+use super::FileKind;
 
 /// Atomic access methods the scan recognizes.
 const ATOMIC_METHODS: [&str; 10] = [
@@ -105,11 +98,9 @@ fn field_of(receiver: &str) -> &str {
     base.rsplit('.').next().unwrap_or(base)
 }
 
-/// Runs the atomic-ordering analysis. `sources` provides raw line text
-/// for the justification-marker cross-check.
+/// Runs the atomic-ordering analysis.
 pub(crate) fn atomic_ordering(
     files: &[ParsedFile],
-    sources: &[SourceFile],
     graph: &CallGraph,
     model: &SharedModel,
 ) -> Vec<(usize, RuleFinding)> {
@@ -255,20 +246,15 @@ pub(crate) fn atomic_ordering(
                     RuleFinding {
                         rule: "atomic-ordering",
                         line: store.line,
-                        message: publication_message(
-                            sources,
-                            graph,
-                            store,
-                            &format!(
-                                "`{field}.store(…, Ordering::{ord})` in `{store_fn}` \
-                                 publishes plain field `{carried}` of `{strukt_name}` \
-                                 (read after `{field}.load` in `{load_fn}`) without \
-                                 Release ordering — the consumer can see the flag \
-                                 before the data; use Ordering::Release (or SeqCst)",
-                                field = store.field,
-                                carried = carried.field,
-                                strukt_name = model.structs[strukt].name,
-                            ),
+                        message: format!(
+                            "`{field}.store(…, Ordering::{ord})` in `{store_fn}` \
+                             publishes plain field `{carried}` of `{strukt_name}` \
+                             (read after `{field}.load` in `{load_fn}`) without \
+                             Release ordering — the consumer can see the flag \
+                             before the data; use Ordering::Release (or SeqCst)",
+                            field = store.field,
+                            carried = carried.field,
+                            strukt_name = model.structs[strukt].name,
                         ),
                     },
                 ));
@@ -282,21 +268,16 @@ pub(crate) fn atomic_ordering(
                     RuleFinding {
                         rule: "atomic-ordering",
                         line: load.line,
-                        message: publication_message(
-                            sources,
-                            graph,
-                            load,
-                            &format!(
-                                "`{field}.load(Ordering::{ord})` in `{load_fn}` guards \
-                                 a read of plain field `{carried}` of `{strukt_name}` \
-                                 (published by `{field}.store` in `{store_fn}`) without \
-                                 Acquire ordering — the data read can be reordered \
-                                 before the flag check; use Ordering::Acquire (or \
-                                 SeqCst)",
-                                field = load.field,
-                                carried = carried.field,
-                                strukt_name = model.structs[strukt].name,
-                            ),
+                        message: format!(
+                            "`{field}.load(Ordering::{ord})` in `{load_fn}` guards \
+                             a read of plain field `{carried}` of `{strukt_name}` \
+                             (published by `{field}.store` in `{store_fn}`) without \
+                             Acquire ordering — the data read can be reordered \
+                             before the flag check; use Ordering::Acquire (or \
+                             SeqCst)",
+                            field = load.field,
+                            carried = carried.field,
+                            strukt_name = model.structs[strukt].name,
                         ),
                     },
                 ));
@@ -355,52 +336,16 @@ fn fn_qual<'a>(files: &'a [ParsedFile], graph: &CallGraph, node: usize) -> &'a s
     &files[n.file].fns[n.fn_idx].qual
 }
 
-/// Appends the justification-marker cross-check to a publication
-/// message when the flagged site carries (or sits under) a
-/// `lint: allow(relaxed-ordering)` marker.
-fn publication_message(
-    sources: &[SourceFile],
-    graph: &CallGraph,
-    site: &AtomicSite,
-    base: &str,
-) -> String {
-    let file_idx = graph.nodes[site.node].file;
-    let text = &sources[file_idx].text;
-    let line = site.line as usize;
-    let marked = text
-        .lines()
-        .skip(line.saturating_sub(4))
-        .take(4)
-        .any(|l| l.contains("allow(relaxed-ordering)"));
-    if marked {
-        format!(
-            "{base} — note: this site carries a `lint: allow(relaxed-ordering)` \
-             justification marker, but the marker's independence claim is \
-             contradicted by the publication pairing above; revisit the \
-             justification"
-        )
-    } else {
-        base.to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::classify;
-    use std::path::{Path, PathBuf};
+    use std::path::Path;
 
     fn run(src: &str) -> Vec<String> {
-        let path = PathBuf::from("crates/x/src/demo.rs");
-        let source = SourceFile {
-            kind: classify(Path::new(&path)),
-            path: path.clone(),
-            text: src.to_owned(),
-        };
-        let files = [ParsedFile::parse(&path, FileKind::Lib, src)];
+        let files = [ParsedFile::parse(Path::new("crates/x/src/demo.rs"), FileKind::Lib, src)];
         let graph = CallGraph::build(&files);
         let model = SharedModel::build(&files);
-        atomic_ordering(&files, &[source], &graph, &model)
+        atomic_ordering(&files, &graph, &model)
             .into_iter()
             .map(|(_, f)| f.message)
             .collect()
@@ -453,23 +398,6 @@ mod tests {
              }\n",
         );
         assert!(msgs.is_empty(), "{msgs:?}");
-    }
-
-    #[test]
-    fn contradicted_marker_is_called_out() {
-        let msgs = run(
-            "pub struct M { ready: AtomicU64, payload: u64 }\n\
-             impl M {\n\
-               fn publish(&self) {\n\
-                 self.payload = 7;\n\
-                 // lint: allow(relaxed-ordering) — just a counter\n\
-                 self.ready.store(1, Ordering::Relaxed);\n\
-               }\n\
-               fn consume(&self) -> u64 { if self.ready.load(Ordering::Acquire) == 1 { return self.payload; } 0 }\n\
-             }\n",
-        );
-        assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].contains("contradicted by the publication pairing"));
     }
 
     #[test]

@@ -205,7 +205,7 @@ mod tests {
         assert_eq!(a, b, "trimming makes indentation irrelevant");
         let c = fingerprint("addr-arith", "crates/x/src/a.rs", "x << 9;", 1);
         assert_ne!(a, c, "repeated identical lines stay distinct");
-        let d = fingerprint("bare-unwrap", "crates/x/src/a.rs", "x << 9;", 0);
+        let d = fingerprint("truncating-cast", "crates/x/src/a.rs", "x << 9;", 0);
         assert_ne!(a, d, "rule id participates");
     }
 
@@ -255,7 +255,7 @@ mod tests {
     fn crafted_collision_is_detected_and_named() {
         let live = vec![
             finding("addr-arith", 10, "00000000deadbeef"),
-            finding("bare-unwrap", 20, "00000000c0ffee00"),
+            finding("truncating-cast", 20, "00000000c0ffee00"),
             finding("tag-range", 30, "00000000deadbeef"),
         ];
         let c = find_collision(&live).expect("collision must be found");

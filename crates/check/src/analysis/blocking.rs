@@ -46,7 +46,7 @@ use super::lockset::entry_locksets;
 use super::outline::ParsedFile;
 use super::rules::RuleFinding;
 use super::symbols::crate_of;
-use crate::lint::FileKind;
+use super::FileKind;
 
 /// Lock-acquiring method names (mirrors the lock-order rule).
 const ACQUIRE: [&str; 3] = ["lock", "read", "write"];

@@ -121,7 +121,7 @@ pub(crate) fn count_references(files: &[ParsedFile]) -> HashMap<String, usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::FileKind;
+    use crate::analysis::FileKind;
     use std::path::PathBuf;
 
     fn parse(path: &str, src: &str) -> ParsedFile {

@@ -29,7 +29,7 @@ use super::lexer::{Tok, TokKind};
 use super::outline::ParsedFile;
 use super::rules::RuleFinding;
 use super::symbols::crate_of;
-use crate::lint::FileKind;
+use super::FileKind;
 
 // ---------------------------------------------------------------------
 // SCC condensation
@@ -499,7 +499,7 @@ mod tests {
 
     #[test]
     fn dangling_hot_roots_are_reported() {
-        use crate::lint::FileKind;
+        use crate::analysis::FileKind;
         use std::path::Path;
         let files = vec![ParsedFile::parse(
             Path::new("crates/sim/src/engine.rs"),

@@ -1,9 +1,9 @@
 //! Token stream over comment/string-masked Rust source.
 //!
-//! The structural analyzers need more than the lint pass's substring
-//! scans: operator positions, identifier boundaries, and balanced
-//! delimiter skipping. This lexer turns [`crate::lint::mask_code`] output
-//! into a flat token vector — identifiers, literals, and punctuation with
+//! The structural analyzers need operator positions, identifier
+//! boundaries, and balanced delimiter skipping. [`mask_code`] first
+//! blanks comments and literals; this lexer turns its output into a
+//! flat token vector — identifiers, literals, and punctuation with
 //! 1-based line numbers — deliberately *not* a full Rust lexer (strings,
 //! chars and comments are already blanked by the masking pass, lifetimes
 //! reduce to `'` + ident).
@@ -69,6 +69,119 @@ const MULTI: [&str; 24] = [
     "<<=", ">>=", "..=", "...", "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "<<",
     ">>", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "..",
 ];
+
+/// Replaces comments, string literals and char literals with spaces
+/// (preserving byte offsets and newlines) so rules never fire on prose.
+pub(crate) fn mask_code(source: &str) -> String {
+    let bytes = source.as_bytes();
+    let mut out = source.as_bytes().to_vec();
+    let mut i = 0;
+    let blank = |out: &mut [u8], from: usize, to: usize| {
+        for b in &mut out[from..to] {
+            if *b != b'\n' {
+                *b = b' ';
+            }
+        }
+    };
+    while i < bytes.len() {
+        match bytes[i] {
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                let end = source[i..]
+                    .find('\n')
+                    .map(|o| i + o)
+                    .unwrap_or(bytes.len());
+                blank(&mut out, i, end);
+                i = end;
+            }
+            b'/' if bytes.get(i + 1) == Some(&b'*') => {
+                // Nested block comments, as in Rust.
+                let mut depth = 1usize;
+                let mut j = i + 2;
+                while j < bytes.len() && depth > 0 {
+                    if bytes[j] == b'/' && bytes.get(j + 1) == Some(&b'*') {
+                        depth += 1;
+                        j += 2;
+                    } else if bytes[j] == b'*' && bytes.get(j + 1) == Some(&b'/') {
+                        depth -= 1;
+                        j += 2;
+                    } else {
+                        j += 1;
+                    }
+                }
+                blank(&mut out, i, j.min(bytes.len()));
+                i = j;
+            }
+            b'r' if matches!(bytes.get(i + 1), Some(&b'"') | Some(&b'#')) => {
+                // Raw string r"…" / r#"…"# (any hash count).
+                let mut hashes = 0;
+                let mut j = i + 1;
+                while bytes.get(j) == Some(&b'#') {
+                    hashes += 1;
+                    j += 1;
+                }
+                if bytes.get(j) != Some(&b'"') {
+                    i += 1;
+                    continue;
+                }
+                j += 1;
+                let closer: Vec<u8> = std::iter::once(b'"')
+                    .chain(std::iter::repeat_n(b'#', hashes))
+                    .collect();
+                while j < bytes.len() {
+                    if bytes[j..].starts_with(&closer) {
+                        j += closer.len();
+                        break;
+                    }
+                    j += 1;
+                }
+                blank(&mut out, i, j.min(bytes.len()));
+                i = j;
+            }
+            b'"' => {
+                let mut j = i + 1;
+                while j < bytes.len() {
+                    match bytes[j] {
+                        b'\\' => j += 2,
+                        b'"' => {
+                            j += 1;
+                            break;
+                        }
+                        _ => j += 1,
+                    }
+                }
+                blank(&mut out, i, j.min(bytes.len()));
+                i = j;
+            }
+            b'\'' => {
+                // Char literal vs lifetime: a literal closes with `'`
+                // within a few bytes; a lifetime never does.
+                let close = if bytes.get(i + 1) == Some(&b'\\') {
+                    // Escaped char: find the next quote.
+                    source[i + 2..].find('\'').map(|o| i + 2 + o)
+                } else if bytes.get(i + 2) == Some(&b'\'') {
+                    Some(i + 2)
+                } else {
+                    None // lifetime
+                };
+                match close {
+                    Some(end) => {
+                        blank(&mut out, i, end + 1);
+                        i = end + 1;
+                    }
+                    None => i += 1,
+                }
+            }
+            _ => i += 1,
+        }
+    }
+    // The masking only writes ASCII spaces over non-newline bytes, so the
+    // result stays valid UTF-8 except where a multi-byte char was partially
+    // blanked — blank runs are whole literals/comments, so boundaries are
+    // char boundaries. Rebuild losslessly.
+    String::from_utf8(out).unwrap_or_else(|e| {
+        String::from_utf8_lossy(e.as_bytes()).into_owned()
+    })
+}
 
 /// Tokenizes masked source (see module docs). Whitespace separates tokens
 /// and is otherwise dropped; blanked literal/comment regions therefore
@@ -193,10 +306,32 @@ pub(crate) fn skip_generics(toks: &[Tok], open: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::mask_code;
 
     fn texts(src: &str) -> Vec<String> {
         tokenize(&mask_code(src)).into_iter().map(|t| t.text).collect()
+    }
+
+    #[test]
+    fn masking_blanks_comments_and_strings() {
+        let src = "let x = \"panic!\"; // panic!\n/* panic! */ let y = 'p';\n";
+        let masked = mask_code(src);
+        assert!(!masked.contains("panic"));
+        assert!(masked.contains("let x ="));
+        assert!(masked.contains("let y ="));
+        assert_eq!(masked.lines().count(), src.lines().count());
+    }
+
+    #[test]
+    fn masking_keeps_lifetimes() {
+        let masked = mask_code("fn f<'a>(x: &'a str) -> &'a str { x }");
+        assert!(masked.contains("'a"));
+    }
+
+    #[test]
+    fn masking_handles_raw_strings() {
+        let masked = mask_code(r##"let s = r#"unwrap() inside"#; let t = 1;"##);
+        assert!(!masked.contains("unwrap"));
+        assert!(masked.contains("let t = 1;"));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::collections::{HashMap, HashSet};
 
 use super::outline::ParsedFile;
 use super::symbols::crate_of;
-use crate::lint::FileKind;
+use super::FileKind;
 use crate::sched::find_cycle;
 
 /// One static acquisition site.

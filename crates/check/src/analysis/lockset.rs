@@ -42,7 +42,7 @@ use super::lockorder::{receiver_path, ACQUIRE};
 use super::outline::{DeclKind, ParsedFile, SelfKind};
 use super::rules::RuleFinding;
 use super::symbols::crate_of;
-use crate::lint::FileKind;
+use super::FileKind;
 
 /// One struct the analysis considers cross-thread shared.
 #[derive(Debug)]

@@ -1,7 +1,8 @@
 //! Structural static analysis (`mixtlb-check --analyze`).
 //!
-//! Where [`crate::lint`] is a token-substring pass, this module is a
-//! small hand-rolled *front end*: the masked token stream
+//! Project rules that `rustc`/`clippy` cannot express (the unsafe and
+//! panic policy is theirs, via `[workspace.lints]`) run on a small
+//! hand-rolled *front end*: the masked token stream
 //! ([`lexer`]) feeds an item/expression outline parser ([`outline`]),
 //! whose output builds a workspace symbol table ([`symbols`]) and a
 //! crate-level call graph ([`callgraph`]). The call graph additionally
@@ -9,7 +10,7 @@
 //! condensation + lockset lattice) for the concurrency rules, and a
 //! value-range abstract-interpretation layer ([`absint`]: interval +
 //! known-bits domain with widened joins and interprocedural return/
-//! parameter summaries) for the bit-geometry rules. Thirteen semantic
+//! parameter summaries) for the bit-geometry rules. Twelve semantic
 //! rules run on top:
 //!
 //! | rule | checks | scope |
@@ -19,7 +20,6 @@
 //! | `dead-code` | every exported symbol is referenced somewhere in the workspace | lib |
 //! | `lock-order` | the static lock-acquisition graph is acyclic | lib, except `crates/check` |
 //! | `pagesize-match` | no `_` wildcard arms in `PageSize` matches | lib |
-//! | `bare-unwrap` | no `.unwrap()` in non-test library code | lib |
 //! | `lockset-race` | shared plain fields written under a consistent non-empty lockset ([`lockset`]) | lib, except `crates/check` |
 //! | `atomic-ordering` | no release-free publication / split RMW over atomics ([`atomics`]) | lib, except `crates/check` |
 //! | `hot-path` | no allocation/clone/formatting reachable from the hot loops ([`dataflow::hot_path`]) | lib, except `crates/check` |
@@ -28,8 +28,8 @@
 //! | `index-bound` | indices into fixed-capacity arrays provably in bounds ([`absint`]) | lib |
 //! | `blocking-in-lock` | no semaphore/event/bounded-queue wait while a `Mutex` is held ([`blocking`]) | lib, except `crates/check` |
 //!
-//! Unlike the lint pass there are **no inline suppression markers**:
-//! accepted findings live in one committed baseline file
+//! There are **no inline suppression markers**: accepted findings live
+//! in one committed baseline file
 //! (`check-baseline.json`, see [`baseline`]) keyed by line-insensitive
 //! fingerprints, refreshed with `--update-baseline`, and audited through
 //! its git history. CI runs `--analyze` and fails on any finding not in
@@ -51,23 +51,22 @@ pub(crate) mod symbols;
 
 use std::collections::HashMap;
 use std::fmt;
+use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::lint::{classify, collect_rs_files, FileKind};
 use outline::{DeclKind, ParsedFile, Vis};
 
 pub use baseline::{find_collision, fingerprint, Baseline, FingerprintCollision};
 pub use sarif::{to_json, to_sarif};
 
 /// All analysis rule identifiers (order is the report order).
-pub const ANALYSIS_RULES: [&str; 13] = [
+pub const ANALYSIS_RULES: [&str; 12] = [
     "addr-arith",
     "truncating-cast",
     "dead-code",
     "lock-order",
     "pagesize-match",
-    "bare-unwrap",
     "lockset-race",
     "atomic-ordering",
     "hot-path",
@@ -76,6 +75,55 @@ pub const ANALYSIS_RULES: [&str; 13] = [
     "index-bound",
     "blocking-in-lock",
 ];
+
+/// How a file participates in the build. Only library code is analyzed;
+/// the other kinds are parsed (for references and the call graph) but
+/// never flagged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FileKind {
+    /// Library code: every rule applies.
+    Lib,
+    /// Binary, bench or example code.
+    Bin,
+    /// Integration-test code.
+    Test,
+    /// Vendored offline stubs under `compat/`.
+    Compat,
+}
+
+/// Classifies a workspace-relative path.
+pub(crate) fn classify(path: &Path) -> FileKind {
+    let has = |name: &str| path.iter().any(|c| c == name);
+    if has("compat") {
+        FileKind::Compat
+    } else if has("tests") {
+        FileKind::Test
+    } else if has("bin") || has("benches") || has("examples") || path.ends_with("main.rs") {
+        FileKind::Bin
+    } else {
+        FileKind::Lib
+    }
+}
+
+/// Appends every `.rs` file under `dir` to `out`, skipping `target/` and
+/// dot-directories.
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        let path = entry.path();
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if entry.file_type()?.is_dir() {
+            if name == "target" || name.starts_with('.') {
+                continue;
+            }
+            collect_rs_files(&path, out)?;
+        } else if name.ends_with(".rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
 
 /// One input file for [`analyze_sources`].
 #[derive(Debug, Clone)]
@@ -292,7 +340,7 @@ pub fn analyze_sources(sources: &[SourceFile]) -> AnalysisReport {
     for (fi, f) in lockset_result.findings {
         raw.push((fi, f.rule, f.line as usize, f.message));
     }
-    for (fi, f) in atomics::atomic_ordering(&parsed, sources, &graph, &shared) {
+    for (fi, f) in atomics::atomic_ordering(&parsed, &graph, &shared) {
         raw.push((fi, f.rule, f.line as usize, f.message));
     }
     let (hot_findings, hot_fns) = dataflow::hot_path(&parsed, &graph);
@@ -494,7 +542,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<AnalysisReport> {
     let mut sources = Vec::with_capacity(files.len());
     for path in files {
         let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-        let text = std::fs::read_to_string(&path)?;
+        let text = fs::read_to_string(&path)?;
         sources.push(SourceFile {
             kind: classify(&rel),
             path: rel,
@@ -563,6 +611,15 @@ mod tests {
             .expect("occurrence-indexed fingerprints cannot collide here");
         assert!(report.is_clean());
         assert_eq!(report.baselined, 1);
+    }
+
+    #[test]
+    fn classification_by_path() {
+        assert_eq!(classify(Path::new("compat/rand/src/lib.rs")), FileKind::Compat);
+        assert_eq!(classify(Path::new("tests/differential.rs")), FileKind::Test);
+        assert_eq!(classify(Path::new("crates/sim/src/bin/sweep.rs")), FileKind::Bin);
+        assert_eq!(classify(Path::new("crates/sim/benches/tlb_ops.rs")), FileKind::Bin);
+        assert_eq!(classify(Path::new("crates/core/src/mix.rs")), FileKind::Lib);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 
 use std::path::{Path, PathBuf};
 
-use super::lexer::{skip_generics, skip_group, tokenize, Tok, TokKind};
-use crate::lint::{mask_code, FileKind};
+use super::lexer::{mask_code, skip_generics, skip_group, tokenize, Tok, TokKind};
+use super::FileKind;
 
 /// Item visibility (only the analyzer-relevant distinction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,6 +1,6 @@
 //! Per-function semantic rules.
 //!
-//! All four file-local rules share one body-scanning toolkit built on the
+//! All three file-local rules share one body-scanning toolkit built on the
 //! outline parser's token ranges:
 //!
 //! * **`addr-arith`** — address-arithmetic taint. `.raw()` called on an
@@ -21,11 +21,6 @@
 //!   variants must not have a `_` wildcard arm: adding a fourth page
 //!   size must break the build at every site that dispatches on size,
 //!   not silently fall into a default.
-//! * **`bare-unwrap`** — `.unwrap()` in non-test library code. Unlike
-//!   the lint pass's `panic` rule this one accepts no inline marker: the
-//!   committed baseline is its only suppression path, so every accepted
-//!   unwrap is centrally visible (use `.expect("why")` or a real error
-//!   path instead).
 //!
 //! Rules are syntactic and advisory by design — no type inference, no
 //! data-flow joins — and they bias toward false negatives: a finding
@@ -35,7 +30,7 @@ use std::collections::HashSet;
 
 use super::lexer::{skip_group, Tok, TokKind};
 use super::outline::{FnDecl, ParsedFile};
-use crate::lint::FileKind;
+use super::FileKind;
 
 /// A rule hit inside one file (path added by the driver).
 #[derive(Debug, Clone)]
@@ -77,7 +72,6 @@ pub(crate) fn file_rules(file: &ParsedFile) -> Vec<RuleFinding> {
             taint_rules(file, f, from, to, &mut out);
         }
         pagesize_match(&file.toks, from, to, &mut out);
-        bare_unwrap(&file.toks, from, to, &mut out);
     }
     out.sort_by_key(|f| f.line);
     out
@@ -430,33 +424,6 @@ fn pagesize_match(toks: &[Tok], from: usize, to: usize, out: &mut Vec<RuleFindin
     }
 }
 
-// ---------------------------------------------------------------------------
-// bare-unwrap
-// ---------------------------------------------------------------------------
-
-/// Flags `.unwrap()` in non-test library bodies.
-fn bare_unwrap(toks: &[Tok], from: usize, to: usize, out: &mut Vec<RuleFinding>) {
-    let to = to.min(toks.len());
-    for i in from..to {
-        let hit = toks[i].is(".")
-            && toks.get(i + 1).is_some_and(|t| t.is_ident("unwrap"))
-            && toks.get(i + 2).is_some_and(|t| t.is("("))
-            && toks.get(i + 3).is_some_and(|t| t.is(")"));
-        if hit {
-            let line = toks[i + 1].line;
-            out.push(RuleFinding {
-                rule: "bare-unwrap",
-                line,
-                message: "`.unwrap()` in library code — use `.expect(\"why it \
-                          cannot fail\")` or propagate the error; there is no \
-                          inline suppression for this rule, only the committed \
-                          baseline"
-                    .to_owned(),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,22 +494,6 @@ mod tests {
             "fn f(x: Option<u64>) -> u64 { match x { Some(v) => v, _ => 0 } }\n",
         );
         assert!(unrelated.is_empty());
-    }
-
-    #[test]
-    fn bare_unwrap_in_lib_only() {
-        let r = rules_of("fn f(x: Option<u64>) -> u64 { x.unwrap() }\n");
-        assert_eq!(r, ["bare-unwrap"]);
-        let test_code = rules_of(
-            "#[cfg(test)]\nmod tests {\n  fn t() { let x: Option<u64> = None; x.unwrap(); }\n}\n",
-        );
-        assert!(test_code.is_empty());
-        let f = ParsedFile::parse(
-            Path::new("crates/x/src/main.rs"),
-            FileKind::Bin,
-            "fn main() { std::env::args().next().unwrap(); }\n",
-        );
-        assert!(file_rules(&f).is_empty());
     }
 
     #[test]

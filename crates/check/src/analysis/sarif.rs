@@ -37,10 +37,6 @@ fn rule_description(rule: &str) -> &'static str {
             "`match` over PageSize with a `_` wildcard arm; list every \
              variant so new page sizes break the build."
         }
-        "bare-unwrap" => {
-            "`.unwrap()` in non-test library code; use expect(\"why\") or \
-             propagate the error."
-        }
         "lockset-race" => {
             "Plain field of a cross-thread-shared struct written under an \
              empty or inconsistent lockset (interprocedural Eraser-style \

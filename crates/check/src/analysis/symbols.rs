@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use super::outline::{DeclKind, ParsedFile, Vis};
-use crate::lint::FileKind;
+use super::FileKind;
 
 /// Name of the crate (workspace member directory) a path belongs to.
 ///

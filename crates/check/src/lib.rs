@@ -1,4 +1,4 @@
-//! # mixtlb-check — concurrency model checker and workspace lint pass
+//! # mixtlb-check — concurrency model checker and structural analyzer
 //!
 //! PR 1 made the simulator genuinely parallel: a sharded, thread-safe
 //! shared LLC ([`mixtlb-cache`]'s `shared` module), per-core ASID-tagged
@@ -19,13 +19,14 @@
 //!    mirrored-set sweep, absorbed counters sum consistently, no
 //!    lock-order inversion across LLC shards). Without the feature the
 //!    facade is a zero-overhead `std::sync` re-export.
-//! 2. **[`lint`] — a token-level workspace lint driver** (`mixtlb-check
-//!    --lint`) enforcing project rules that `rustc`/`clippy` cannot see:
-//!    no `Ordering::Relaxed` without a written justification, no
-//!    `unwrap`/`expect`/`panic!` in non-test library code, every
-//!    `TlbDevice` impl overrides `invalidate_sets`, no hard-coded TLB
-//!    geometry constants outside `mixtlb-types`, every crate forbids
-//!    `unsafe_code`.
+//! 2. **[`analysis`] — structural static analysis** (`mixtlb-check
+//!    --analyze`): twelve project rules that `rustc`/`clippy` cannot see
+//!    (address-bit arithmetic, lock order, lockset races, atomic
+//!    orderings, hot-path allocation, bit-packing and tag ranges, …),
+//!    gated against the committed `check-baseline.json`. The unsafe and
+//!    panic policy is not here: `[workspace.lints]` hands it to rustc and
+//!    clippy, and every exception is a compiler-checked
+//!    `#[expect(..., reason = "...")]`.
 //! 3. **[`protocol`] — executable shootdown-protocol scenarios** shared by
 //!    the model-check test suites, with seeded bugs (doorbell-before-remap
 //!    reordering, partial mirrored-set sweeps) proving the explorer
@@ -38,16 +39,14 @@
 //! ## Running the checkers
 //!
 //! ```text
-//! cargo run -p mixtlb-check -- --lint        # workspace lint pass
+//! cargo run -p mixtlb-check -- --analyze .   # structural analysis
 //! cargo test -p mixtlb-check --features model # bounded model checking
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
 pub mod handoff;
-pub mod lint;
 pub mod protocol;
 pub mod sched;
 pub mod sync;

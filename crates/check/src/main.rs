@@ -1,15 +1,14 @@
 //! `mixtlb-check` — the workspace's offline checker CLI.
 //!
 //! ```text
-//! mixtlb-check --lint [ROOT]     # token-level workspace lint pass
-//! mixtlb-check --analyze [ROOT]  # structural static analysis (13 semantic rules)
+//! mixtlb-check --analyze [ROOT]  # structural static analysis (12 semantic rules)
 //!               [--format text|json|sarif] [--baseline PATH]
 //!               [--update-baseline] [--locks] [--stats]
 //! mixtlb-check --model           # bounded model-check of the shootdown protocol
-//! mixtlb-check --list-rules      # print lint + analysis rule identifiers
+//! mixtlb-check --list-rules      # print the analysis rule identifiers
 //! ```
 //!
-//! Exit codes are uniform across `--lint`, `--analyze`, and `--model`:
+//! Exit codes are uniform across `--analyze` and `--model`:
 //! **0** — clean; **1** — findings (or a model failure) remain; **2** —
 //! internal error (bad arguments, unreadable root or baseline, a hot-path
 //! root that matches no workspace fn). CI gates
@@ -27,27 +26,20 @@
 //! two-core shootdown protocol must pass *every* schedule up to the
 //! preemption bound, and each seeded bug must be caught.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mixtlb_check::analysis;
 use mixtlb_check::handoff::{HandoffBug, HandoffScenario};
-use mixtlb_check::lint;
 use mixtlb_check::protocol::{SeededBug, ShootdownScenario};
 use mixtlb_check::sched::{Config, FailureKind};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("--lint") => run_lint(args.get(1).map(PathBuf::from)),
         Some("--analyze") => run_analyze(&args[1..]),
         Some("--model") => run_model(),
         Some("--list-rules") => {
-            for rule in lint::RULES {
-                println!("{rule}");
-            }
             for rule in analysis::ANALYSIS_RULES {
                 println!("{rule}");
             }
@@ -55,7 +47,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: mixtlb-check --lint [ROOT] | --analyze [ROOT] \
+                "usage: mixtlb-check --analyze [ROOT] \
                  [--format text|json|sarif] [--baseline PATH] \
                  [--update-baseline] [--locks] [--stats] | --model | \
                  --list-rules"
@@ -226,36 +218,6 @@ fn print_stats(report: &analysis::AnalysisReport) {
         report.stats.value_rule_nanos[2] as f64 / 1e6,
         report.stats.blocking_nanos as f64 / 1e6
     );
-}
-
-fn run_lint(root: Option<PathBuf>) -> ExitCode {
-    let root = root.unwrap_or_else(|| PathBuf::from("."));
-    match lint::lint_workspace(&root) {
-        Ok(report) => {
-            for finding in &report.findings {
-                println!("{finding}");
-            }
-            if report.is_clean() {
-                println!(
-                    "lint: {} file(s) clean ({} rules)",
-                    report.files_checked,
-                    lint::RULES.len()
-                );
-                ExitCode::SUCCESS
-            } else {
-                println!(
-                    "lint: {} finding(s) in {} file(s)",
-                    report.findings.len(),
-                    report.files_checked
-                );
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("lint: cannot walk {}: {e}", root.display());
-            ExitCode::from(2)
-        }
-    }
 }
 
 fn run_model() -> ExitCode {

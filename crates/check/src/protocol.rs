@@ -236,6 +236,10 @@ impl ShootdownScenario {
                 remotes_u64 + 1,
                 "every core sweeps exactly once"
             );
+            #[expect(
+                clippy::panic,
+                reason = "the validator reports invariant violations by panicking into the explorer's catch_unwind, which turns them into a Failure"
+            )]
             for (core, tlb) in tlbs.iter().enumerate() {
                 let mut tlb = tlb.lock().unwrap_or_else(|e| e.into_inner());
                 // Probe one 4 KB region per set: with 2 sets, offsets 0
@@ -259,11 +263,9 @@ impl ShootdownScenario {
                     }
                 }
                 if let Err(v) = tlb.check_invariants() {
-                    // lint: allow(panic) — the validator reports violations by panicking into the explorer's catch_unwind, which turns them into a Failure
                     panic!("core {core}: {v}");
                 }
                 if let Err(v) = tlb.check_invariants_strict() {
-                    // lint: allow(panic) — same reporting channel as check_invariants above
                     panic!("core {core} (post-probe quiescence): {v}");
                 }
             }

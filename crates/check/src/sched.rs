@@ -131,9 +131,9 @@ impl Report {
     /// # Panics
     ///
     /// Panics when `self.failure` is some — that is the point.
+    #[expect(clippy::panic, reason = "test-harness API, panicking is the contract")]
     pub fn assert_clean(&self) {
         if let Some(f) = &self.failure {
-            // lint: allow(panic) — test-harness API, panicking is the contract
             panic!(
                 "model checking failed after {} schedule(s): {:?}: {}\nschedule:\n  {}",
                 self.schedules,
@@ -283,6 +283,10 @@ impl Controller {
                     // deadlock or spin for real (that may be exactly the
                     // bug under test); unwind this thread instead.
                     drop(st);
+                    #[expect(
+                        clippy::panic,
+                        reason = "unwinding is how a managed thread leaves a torn-down run; the explorer catches AbortRun"
+                    )]
                     panic::panic_any(AbortRun);
                 }
                 return;
@@ -730,7 +734,7 @@ pub fn explore(cfg: &Config, scenario: impl Fn(&mut Sim)) -> Report {
 /// Monotonic object-id source for instrumented primitives.
 pub(crate) fn next_object_id() -> u64 {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-    // lint: allow(relaxed-ordering) — pure unique-id counter; only
+    // Relaxed: pure unique-id counter; only
     // atomicity matters, no ordering with any other memory access.
     NEXT.fetch_add(1, Ordering::Relaxed)
 }

@@ -7,8 +7,9 @@
 
 use std::path::{Path, PathBuf};
 
-use mixtlb_check::analysis::{analyze_sources, to_sarif, AnalysisReport, Baseline, SourceFile};
-use mixtlb_check::lint::FileKind;
+use mixtlb_check::analysis::{
+    analyze_sources, to_sarif, AnalysisReport, Baseline, FileKind, SourceFile,
+};
 
 /// Wraps fixture text as a library file of a pseudo-crate, so crate
 /// attribution and rule scoping behave as they would on real sources.
@@ -145,20 +146,6 @@ fn pagesize_match_fixture_pair() {
 }
 
 #[test]
-fn bare_unwrap_fixture_pair() {
-    let dirty = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/bare_unwrap_dirty.rs"),
-    )];
-    assert_eq!(rules_fired(&dirty), ["bare-unwrap"]);
-    let clean = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/bare_unwrap_clean.rs"),
-    )];
-    assert_eq!(rules_fired(&clean), [] as [&str; 0]);
-}
-
-#[test]
 fn lockset_race_fixture_pair() {
     let dirty = [lib(
         "crates/fixture/src/lib.rs",
@@ -202,11 +189,6 @@ fn atomic_ordering_fixture_pair() {
         report.findings
     );
     let msgs: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(
-        msgs.iter().any(|m| m.contains("justification marker")),
-        "the contradicted allow(relaxed-ordering) marker must be called \
-         out: {msgs:?}"
-    );
     assert!(
         msgs.iter().any(|m| m.contains("load then store")),
         "{msgs:?}"

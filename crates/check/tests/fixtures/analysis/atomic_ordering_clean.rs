@@ -24,7 +24,7 @@ impl Mailbox {
     }
 
     fn bump_delivered(&self) {
-        // lint: allow(relaxed-ordering) — pure counter, read after join
+        // Relaxed: pure counter, read after join
         self.delivered.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -1,9 +1,8 @@
 //! Seeded atomic-ordering bugs around a message-passing mailbox.
 //! Expected findings:
 //!   1. `publish` writes the plain `payload` field and then stores the
-//!      `seq` flag with `Relaxed` — a release-free publication. The
-//!      justification marker above the store claims independence, so the
-//!      finding also calls out the contradicted marker.
+//!      `seq` flag with `Relaxed` — a release-free publication, whatever
+//!      the comment above the store claims.
 //!   2. `consume` loads `seq` with `Relaxed` and then reads `payload` —
 //!      the acquire-free half of the same publication.
 //!   3. `bump_delivered` updates `delivered` as a separate load then
@@ -20,7 +19,7 @@ pub struct Mailbox {
 impl Mailbox {
     fn publish(&mut self, value: u64) {
         self.payload = value;
-        // lint: allow(relaxed-ordering) — flag claimed independent of payload
+        // Relaxed: flag claimed independent of payload
         self.seq.store(1, Ordering::Relaxed);
     }
 

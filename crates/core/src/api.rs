@@ -159,6 +159,30 @@ impl TlbStats {
 /// every design keeps compiling (and behaving exactly as before) without
 /// changes. Designs that store per-entry tags override them and report
 /// [`TlbDevice::supports_asids`] as `true`.
+///
+/// # Shootdown cost
+///
+/// [`TlbDevice::invalidate_sets`] has no default: every design must state
+/// how many sets a shootdown sweeps, or MIX's every-set superpage sweep
+/// (Sec. 5.1) would silently be priced as one set. An impl that omits it
+/// does not compile:
+///
+/// ```compile_fail,E0046
+/// use mixtlb_core::{Lookup, TlbDevice, TlbStats};
+/// use mixtlb_types::{AccessKind, PageSize, Translation, Vpn};
+///
+/// struct Forgetful(TlbStats);
+///
+/// impl TlbDevice for Forgetful {
+///     fn name(&self) -> &str { "forgetful" }
+///     fn lookup(&mut self, _: Vpn, _: AccessKind) -> Lookup { Lookup::Miss }
+///     fn fill(&mut self, _: Vpn, _: &Translation, _: &[Translation]) {}
+///     fn invalidate(&mut self, _: Vpn, _: PageSize) {}
+///     fn flush(&mut self) {}
+///     fn stats(&self) -> TlbStats { self.0 }
+///     fn reset_stats(&mut self) {}
+/// }
+/// ```
 pub trait TlbDevice: Send {
     /// A short human-readable design name (e.g. `"mix-l1"`).
     fn name(&self) -> &str;
@@ -261,10 +285,9 @@ pub trait TlbDevice: Send {
     /// during an IPI, before acknowledging. Conventional set-associative
     /// designs touch a single set; MIX TLBs must visit **every** set for a
     /// superpage because mirroring may have spread its entries across all
-    /// of them (the paper's Sec. 5.1 caveat).
-    fn invalidate_sets(&self, _vpn: Vpn, _size: PageSize) -> u64 {
-        1
-    }
+    /// of them (the paper's Sec. 5.1 caveat). Required, with no default
+    /// (see the trait docs).
+    fn invalidate_sets(&self, vpn: Vpn, size: PageSize) -> u64;
 
     /// Number of sets a *full flush* of this device must visit — every
     /// set once. This is the ceiling a batched shootdown sweep saturates

@@ -105,8 +105,11 @@ impl MixTlbConfig {
             sets,
             ways,
             kind: CoalesceKind::Bitmap,
+            #[expect(
+                clippy::expect_used,
+                reason = "set counts are small powers of two; a 4-billion-set TLB is not a meaningful geometry"
+            )]
             super_bundle: u32::try_from(sets)
-                // lint: allow(panic) — set counts are small powers of two; a 4-billion-set TLB is not a meaningful geometry
                 .expect("set count exceeds u32"),
             small_bundle: 1,
             fill_merge: FillMerge::ProbedSetOnly,
@@ -123,8 +126,11 @@ impl MixTlbConfig {
             sets,
             ways,
             kind: CoalesceKind::Length,
+            #[expect(
+                clippy::expect_used,
+                reason = "set counts are small powers of two; a 4-billion-set TLB is not a meaningful geometry"
+            )]
             super_bundle: u32::try_from(sets)
-                // lint: allow(panic) — set counts are small powers of two; a 4-billion-set TLB is not a meaningful geometry
                 .expect("set count exceeds u32"),
             small_bundle: 1,
             fill_merge: FillMerge::AllSets,
@@ -318,12 +324,18 @@ impl MixTlb {
 
     fn pos_of(&self, vpn: Vpn, size: PageSize) -> u32 {
         let base = self.bundle_base(vpn, size);
+        #[expect(
+            clippy::expect_used,
+            reason = "bundle_base aligns downward, so vpn >= base by construction"
+        )]
         let pos = vpn
             .page_offset_from(base, size)
-            // lint: allow(panic) — bundle_base aligns downward, so vpn >= base by construction
             .expect("vpn precedes its own bundle base");
+        #[expect(
+            clippy::expect_used,
+            reason = "bundle positions are bounded by the validated bundle size (<= 128)"
+        )]
         u32::try_from(pos)
-            // lint: allow(panic) — bundle positions are bounded by the validated bundle size (<= 128)
             .expect("bundle position exceeds the validated bundle size")
     }
 
@@ -357,14 +369,20 @@ impl MixTlb {
                 // Merge when the representation allows. Disjoint length
                 // ranges are *not* duplicates — they are different
                 // coalesced fragments of the bundle — and both stay.
-                // lint: allow(panic) — way index came from the duplicate scan over the same storage
+                #[expect(
+                    clippy::expect_used,
+                    reason = "way index came from the duplicate scan over the same storage"
+                )]
                 let dup_map = self.storage.get(set, way).expect("way is valid").map;
-                // lint: allow(panic) — same occupied way as the line above
+                #[expect(clippy::expect_used, reason = "same occupied way as the line above")]
                 let dup_dirty = self.storage.get(set, way).expect("way is valid").dirty;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "first_way was recorded from an occupied slot in this scan"
+                )]
                 let first = self
                     .storage
                     .get_mut(set, first_way)
-                    // lint: allow(panic) — first_way was recorded from an occupied slot in this scan
                     .expect("first entry is valid");
                 let mut merged_map = first.map;
                 if merged_map.merge(&dup_map) {
@@ -378,7 +396,7 @@ impl MixTlb {
             if !merged {
                 // Each way records at most once and `mask` is a u64, so
                 // the seen-list cannot outgrow its 64 slots.
-                // lint: allow(panic) — restates the storage plane's way cap
+                // restates the storage plane's way cap
                 assert!(seen_len < 64, "seen-list outgrew the 64-way cap");
                 seen[seen_len] = Some((way, key));
                 seen_len += 1;
@@ -522,13 +540,16 @@ impl MixTlb {
         };
         self.storage.touch(set, way);
         let singleton = {
-            // lint: allow(panic) — way index came from the hit probe over the same storage
+            #[expect(
+                clippy::expect_used,
+                reason = "way index came from the hit probe over the same storage"
+            )]
             let e = self.storage.get(set, way).expect("hit way is valid");
             e.map.count() == 1
         };
         let mut dirty_microop = false;
         if kind.is_store() {
-            // lint: allow(panic) — same hit way as the singleton read above
+            #[expect(clippy::expect_used, reason = "same hit way as the singleton read above")]
             let e = self.storage.get_mut(set, way).expect("hit way is valid");
             if !e.dirty {
                 dirty_microop = true;
@@ -541,7 +562,7 @@ impl MixTlb {
                 }
             }
         }
-        // lint: allow(panic) — same hit way as above
+        #[expect(clippy::expect_used, reason = "same hit way as above")]
         let e = *self.storage.get(set, way).expect("hit way is valid");
         let pos = self.pos_of(vpn, e.size);
         self.stats.record_hit(e.size);
@@ -612,7 +633,10 @@ impl MixTlb {
                         && (dirty_policy == DirtyPolicy::AndOfBundle || e.dirty == entry.dirty)
                 }) {
                     self.storage.touch(set, way);
-                    // lint: allow(panic) — way index came from the find() just above
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "way index came from the find() just above"
+                    )]
                     let existing = self.storage.get_mut(set, way).expect("found way is valid");
                     let before = existing.map.count();
                     if existing.map.merge(&entry.map) {
@@ -661,7 +685,10 @@ impl MixTlb {
                 match self.config.kind {
                     CoalesceKind::Bitmap => {
                         let remove = {
-                            // lint: allow(panic) — way was recorded from an occupied slot earlier in this sweep
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "way was recorded from an occupied slot earlier in this sweep"
+                            )]
                             let e = self.storage.get_mut(set, way).expect("way is valid");
                             if let Map::Bits(bits) = &mut e.map {
                                 *bits &= !(1u128 << pos);

@@ -129,7 +129,10 @@ impl MultiProbeTlb {
             .find(set, |e| e.size == size && e.vpn == base)
         {
             self.storage.touch(set, way);
-            // lint: allow(panic) — way index came from the find() in the surrounding condition
+            #[expect(
+                clippy::expect_used,
+                reason = "way index came from the find() in the surrounding condition"
+            )]
             let entry = self.storage.get_mut(set, way).expect("found way is valid");
             let mut dirty_microop = false;
             if kind.is_store() && !entry.dirty {
@@ -181,7 +184,10 @@ impl MultiProbeTlb {
             .find(set, |e| e.size == t.size && e.vpn == t.vpn)
         {
             self.storage.touch(set, way);
-            // lint: allow(panic) — way index came from the find() in the surrounding condition
+            #[expect(
+                clippy::expect_used,
+                reason = "way index came from the find() in the surrounding condition"
+            )]
             let entry = self.storage.get_mut(set, way).expect("found way is valid");
             entry.pfn = t.pfn;
             entry.perms = t.perms;

@@ -115,7 +115,10 @@ impl SingleSizeTlb {
         self.stats.entries_read += self.config.ways as u64;
         if let Some(way) = self.storage.find(set, |e| e.vpn == base) {
             self.storage.touch(set, way);
-            // lint: allow(panic) — way index came from the find() in the surrounding condition
+            #[expect(
+                clippy::expect_used,
+                reason = "way index came from the find() in the surrounding condition"
+            )]
             let entry = self.storage.get_mut(set, way).expect("found way is valid");
             let mut dirty_microop = false;
             if kind.is_store() && !entry.dirty {
@@ -147,7 +150,10 @@ impl SingleSizeTlb {
         // Refresh an existing entry instead of duplicating it.
         if let Some(way) = self.storage.find(set, |e| e.vpn == t.vpn) {
             self.storage.touch(set, way);
-            // lint: allow(panic) — way index came from the find() in the surrounding condition
+            #[expect(
+                clippy::expect_used,
+                reason = "way index came from the find() in the surrounding condition"
+            )]
             let entry = self.storage.get_mut(set, way).expect("found way is valid");
             entry.pfn = t.pfn;
             entry.perms = t.perms;

@@ -143,9 +143,12 @@ impl<E> SetStorage<E> {
         let way = if free != 0 {
             free.trailing_zeros() as usize
         } else {
+            #[expect(
+                clippy::expect_used,
+                reason = "ways >= 1 by construction, the min always exists"
+            )]
             (0..self.ways)
                 .min_by_key(|&w| self.stamps[base + w])
-                // lint: allow(panic) — ways >= 1 by construction, the min always exists
                 .expect("at least one way")
         };
         let evicted = self.slots[base + way].replace(entry);

@@ -26,7 +26,6 @@
 //! assert!(mix.total_cycles <= split.total_cycles * 1.05);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use mixtlb_cache::{CacheHierarchy, HierarchyConfig, PageWalkCache};
@@ -158,9 +157,12 @@ impl GpuScenario {
         };
         let space = kernel.create_space(policy);
         let region = Vpn::new(1 << 18);
+        #[expect(
+            clippy::expect_used,
+            reason = "a freshly created address space has no VMAs to overlap"
+        )]
         kernel
             .mmap(space, region, spec.footprint_pages(), Permissions::rw_user())
-            // lint: allow(panic) — a freshly created address space has no VMAs to overlap
             .expect("fresh address space");
         kernel.fault_all(space);
         GpuScenario {
@@ -229,7 +231,7 @@ impl GpuScenario {
             if sm == 0 {
                 sweep_walks = 0;
             }
-            // lint: allow(panic) — access generators are infinite iterators
+            #[expect(clippy::expect_used, reason = "access generators are infinite iterators")]
             let ev = generators[sm].next().expect("generators are infinite");
             stats.accesses += 1;
             let vpn = ev.va.vpn();

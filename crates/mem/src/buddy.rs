@@ -166,9 +166,12 @@ impl BuddyAllocator {
         let from_order = (order..=MAX_ORDER)
             .find(|&o| !self.free_lists[o as usize].is_empty())
             .ok_or(AllocError::OutOfMemory)?;
+        #[expect(
+            clippy::expect_used,
+            reason = "the search above selected this order because its free list is non-empty"
+        )]
         let mut base = *self.free_lists[from_order as usize]
             .last()
-            // lint: allow(panic) — the search above selected this order because its free list is non-empty
             .expect("order was found non-empty");
         self.remove_free(base, from_order);
         // Split down, keeping the HIGH half each time.

@@ -30,7 +30,6 @@
 //! assert_eq!(b.raw(), a.raw() + 512);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod buddy;

@@ -184,11 +184,14 @@ impl PhysicalMemory {
     ///
     /// Panics if the block was not allocated as a unit at this base/order.
     pub fn free_block(&mut self, base: Pfn, order: u8) {
+        #[expect(
+            clippy::panic,
+            reason = "freeing an untracked block is a simulator bug; failing loudly is the allocator's contract"
+        )]
         let (recorded_order, _) = self
             .allocated
             .get(&base.raw())
             .copied()
-            // lint: allow(panic) — freeing an untracked block is a simulator bug; failing loudly is the allocator's contract
             .unwrap_or_else(|| panic!("freeing unallocated block at {base}"));
         assert_eq!(recorded_order, order, "free order mismatch at {base}");
         self.unmark(base.raw(), order);
@@ -325,9 +328,12 @@ impl PhysicalMemory {
             }
             self.buddy.free(window_start, order);
             for &(b, o, k) in &inside {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "rollback re-allocates a block this very function just freed, so the region is free"
+                )]
                 self.buddy
                     .alloc_at(b, o)
-                    // lint: allow(panic) — rollback re-allocates a block this very function just freed, so the region is free
                     .expect("original block location must still be free during rollback");
                 self.mark(b, o, k);
             }
@@ -385,10 +391,13 @@ impl PhysicalMemory {
     }
 
     fn unmark(&mut self, base: u64, order: u8) {
+        #[expect(
+            clippy::panic,
+            reason = "unmarking an untracked block is a simulator bug surfaced immediately"
+        )]
         let (_, kind) = self
             .allocated
             .remove(&base)
-            // lint: allow(panic) — unmarking an untracked block is a simulator bug surfaced immediately
             .unwrap_or_else(|| panic!("unmark of untracked block {base:#x}"));
         let n = 1u64 << order;
         for f in base..base + n {

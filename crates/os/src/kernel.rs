@@ -118,9 +118,12 @@ impl FrameSource for PtFrames<'_> {
         // kernels segregate these by migratetype for the same reason
         // (puncturing a 2 MB run with one PTE page destroys a superpage
         // candidate and breaks physical contiguity).
+        #[expect(
+            clippy::expect_used,
+            reason = "page-table frames come from a reserved top-of-memory region sized at construction; exhaustion is a configuration bug"
+        )]
         self.0
             .alloc_block_top(0, FrameKind::PageTable)
-            // lint: allow(panic) — page-table frames come from a reserved top-of-memory region sized at construction; exhaustion is a configuration bug
             .expect("out of memory for page-table frames")
     }
 }
@@ -372,7 +375,10 @@ impl Kernel {
                     .is_aligned(pool_size)
                 && !self.spaces[sid].pool.is_empty()
             {
-                // lint: allow(panic) — pool non-emptiness is checked in the surrounding condition
+                #[expect(
+                    clippy::expect_used,
+                    reason = "pool non-emptiness is checked in the surrounding condition"
+                )]
                 let pfn = self.spaces[sid].pool.pop_front().expect("non-empty pool");
                 let t = Translation::new(vpn.align_down(pool_size), pfn, pool_size, vma.perms);
                 self.install(sid, t)?;
@@ -470,10 +476,10 @@ impl Kernel {
             .page_table
             .lookup(vpn)
             .ok_or(FaultError::NoVma)?;
+        #[expect(clippy::expect_used, reason = "the lookup just above found this exact mapping")]
         let removed = self.spaces[sid]
             .page_table
             .unmap(existing.vpn, existing.size)
-            // lint: allow(panic) — the lookup just above found this exact mapping
             .expect("lookup just found the mapping");
         self.mem.free_page(removed.pfn, removed.size);
         self.rmap[removed.pfn.raw() as usize] = 0;
@@ -499,10 +505,10 @@ impl Kernel {
             .lookup(vpn)
             .filter(|t| t.size.is_superpage())
             .ok_or(FaultError::NoVma)?;
+        #[expect(clippy::expect_used, reason = "the lookup just above found this exact mapping")]
         let removed = self.spaces[sid]
             .page_table
             .unmap(existing.vpn, existing.size)
-            // lint: allow(panic) — the lookup just above found this exact mapping
             .expect("lookup just found the mapping");
         self.rmap[removed.pfn.raw() as usize] = 0;
         let Kernel { mem, spaces, rmap } = self;
@@ -515,10 +521,13 @@ impl Kernel {
                 accessed: removed.accessed,
                 dirty: removed.dirty,
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "the covering superpage was unmapped above, so the 4 KB remaps cannot collide"
+            )]
             spaces[sid]
                 .page_table
                 .map(small, &mut PtFrames(mem))
-                // lint: allow(panic) — the covering superpage was unmapped above, so the 4 KB remaps cannot collide
                 .expect("region was just unmapped");
             rmap[small.pfn.raw() as usize] = pack_owner(sid, PageSize::Size4K, small.vpn);
         }
@@ -530,10 +539,13 @@ impl Kernel {
     fn install(&mut self, sid: usize, t: Translation) -> Result<(), FaultError> {
         // Split borrows: page table in `spaces`, frames from `mem`.
         let Kernel { mem, spaces, rmap } = self;
+        #[expect(
+            clippy::expect_used,
+            reason = "the fault path runs only for VPNs the walk just reported unmapped"
+        )]
         spaces[sid]
             .page_table
             .map(t, &mut PtFrames(mem))
-            // lint: allow(panic) — the fault path runs only for VPNs the walk just reported unmapped
             .expect("fault path never double-maps");
         rmap[t.pfn.raw() as usize] = pack_owner(sid, t.size, t.vpn);
         Ok(())
@@ -621,10 +633,13 @@ impl Kernel {
         for &(old, new, _order) in relocations {
             let packed = self.rmap[old.raw() as usize];
             if let Some((owner, size, vpn)) = unpack_owner(packed) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "reverse-map entries are maintained to point at live mappings"
+                )]
                 self.spaces[owner]
                     .page_table
                     .remap(vpn, size, new)
-                    // lint: allow(panic) — reverse-map entries are maintained to point at live mappings
                     .expect("reverse map points at a live mapping");
                 self.rmap[old.raw() as usize] = 0;
                 self.rmap[new.raw() as usize] = packed;

@@ -39,7 +39,6 @@
 //! assert_eq!((p4k, p2m), (0, 2)); // two 2 MB pages, no fragmentation
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod kernel;

@@ -34,7 +34,6 @@
 //! # Ok::<(), mixtlb_pagetable::MapError>(())
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod nested;

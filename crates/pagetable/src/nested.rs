@@ -122,9 +122,12 @@ impl NestedWalker {
                 }
             };
             let spa_pte = match &host_mapping {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the host table is pre-faulted to cover every guest page-table frame"
+                )]
                 Some(t) => t
                     .translate(VirtAddr::new(gpa_pte.raw()))
-                    // lint: allow(panic) — the host table is pre-faulted to cover every guest page-table frame
                     .expect("host leaf covers the guest PTE address"),
                 None => {
                     return Self::fault(pte_reads, pte_writes);
@@ -137,8 +140,11 @@ impl NestedWalker {
                 Entry::Empty => return Self::fault(pte_reads, pte_writes),
                 Entry::Table(child) => node = child,
                 Entry::Leaf(_) => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the walker only yields leaf entries at levels 0-2"
+                    )]
                     let gsize = PageSize::from_level(level)
-                        // lint: allow(panic) — the walker only yields leaf entries at levels 0-2
                         .expect("leaf entries exist only at levels 0-2");
                     // Guest A/D update.
                     let mut wrote = false;
@@ -170,9 +176,12 @@ impl NestedWalker {
                     // Final host walk for the data's guest-physical address
                     // (through the nested TLB too). Stores must still reach
                     // the host PTE's dirty bit, so they bypass the cache.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the guest walk just produced this covering leaf"
+                    )]
                     let data_gpa = gtrans
                         .translate(gva)
-                        // lint: allow(panic) — the guest walk just produced this covering leaf
                         .expect("guest leaf covers the request");
                     let data_gpn = mixtlb_types::Vpn::new(data_gpa.pfn().raw());
                     let cached = if access.is_store() {

@@ -15,8 +15,6 @@
 //! perfgate self-test
 //! ```
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -19,7 +19,6 @@
 //!
 //! [`translate_batch`]: mixtlb_sim::TranslationEngine::translate_batch
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod corpus;

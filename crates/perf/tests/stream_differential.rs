@@ -21,6 +21,11 @@
 //! Also here: the memory bound (the buffer pool's resident footprint is
 //! O(depth × block size), independent of corpus length).
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside `#[test]` fns report a broken fixture by panicking, which fails the calling test"
+)]
+
 use std::path::PathBuf;
 
 use mixtlb_core::TlbStats;

@@ -310,7 +310,10 @@ impl<'a> TranslationEngine<'a> {
         // L2.
         if self.hierarchy.l2.is_some() {
             self.stats.stall_cycles += self.l2_hit_cycles;
-            // lint: allow(panic) — is_some() checked in the surrounding condition
+            #[expect(
+                clippy::expect_used,
+                reason = "is_some() checked in the surrounding condition"
+            )]
             let l2 = self.hierarchy.l2.as_mut().expect("just checked");
             let l2_serial_before = l2.stats().serial_probes;
             let l2_result = l2.lookup_asid(self.asid, vpn, ev.kind, ev.pc);

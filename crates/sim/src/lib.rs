@@ -36,7 +36,6 @@
 //! assert!(mix.total_cycles <= split.total_cycles * 1.05);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod designs;

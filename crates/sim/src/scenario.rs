@@ -192,9 +192,12 @@ impl NativeScenario {
         };
         // 1 GB-aligned virtual base so every page size is usable.
         let region = Vpn::new(1 << 18);
+        #[expect(
+            clippy::expect_used,
+            reason = "a freshly created address space has no VMAs to overlap"
+        )]
         kernel
             .mmap(space, region, spec.footprint_pages(), Permissions::rw_user())
-            // lint: allow(panic) — a freshly created address space has no VMAs to overlap
             .expect("fresh address space has no overlapping VMAs");
         kernel.fault_all(space);
         NativeScenario {

@@ -123,17 +123,23 @@ impl VirtScenario {
             let vm_spec = spec.clone().with_footprint(footprint);
             let space = kernel.create_space(PagingPolicy::TransparentHuge(ThsConfig::default()));
             let region = Vpn::new(1 << 18);
+            #[expect(
+                clippy::expect_used,
+                reason = "a freshly created guest address space has no VMAs to overlap"
+            )]
             kernel
                 .mmap(space, region, vm_spec.footprint_pages(), Permissions::rw_user())
-                // lint: allow(panic) — a freshly created guest address space has no VMAs to overlap
                 .expect("fresh guest address space");
             kernel.fault_all(space);
             // EPT: back the whole guest-physical space through host THS.
             let ept_space =
                 host.create_space(PagingPolicy::TransparentHuge(ThsConfig::default()));
             let guest_frames = kernel.mem().total_frames();
+            #[expect(
+                clippy::expect_used,
+                reason = "the EPT space was created empty two lines above"
+            )]
             host.mmap(ept_space, Vpn::new(0), guest_frames, Permissions::rw_user())
-                // lint: allow(panic) — the EPT space was created empty two lines above
                 .expect("fresh EPT space");
             host.fault_all(ept_space);
             if splinter_fraction > 0.0 {
@@ -156,8 +162,11 @@ impl VirtScenario {
                 while i < superpages.len() {
                     if rng.gen_bool(splinter_fraction) {
                         for j in 0..SPLINTER_CLUSTER.min(superpages.len() - i) {
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "the superpage leaf was just enumerated from the live table"
+                            )]
                             host.splinter(ept_space, superpages[i + j])
-                                // lint: allow(panic) — the superpage leaf was just enumerated from the live table
                                 .expect("leaf just enumerated");
                         }
                         i += SPLINTER_CLUSTER;

@@ -252,7 +252,7 @@ impl SmpCore {
     /// and epoch-batched ledgers cover the same invalidations.
     pub(crate) fn run(&mut self, refs: u64, llc: &SharedCache, absorbed: &AbsorbedLedger) {
         for _ in 0..refs {
-            // lint: allow(panic) — trace generators are infinite iterators
+            #[expect(clippy::expect_used, reason = "trace generators are infinite iterators")]
             let ev = self.generator.next().expect("generator is infinite");
             self.step(&ev, llc);
             if self.shootdown_interval > 0 && self.stats.accesses.is_multiple_of(self.shootdown_interval)
@@ -289,7 +289,10 @@ impl SmpCore {
         }
         if self.hierarchy.l2.is_some() {
             self.stats.local_stall_cycles += self.l2_hit_cycles;
-            // lint: allow(panic) — is_some() checked in the surrounding condition
+            #[expect(
+                clippy::expect_used,
+                reason = "is_some() checked in the surrounding condition"
+            )]
             let l2 = self.hierarchy.l2.as_mut().expect("just checked");
             match l2.lookup_asid(self.asid, vpn, ev.kind, ev.pc) {
                 Lookup::Hit {
@@ -394,9 +397,12 @@ impl SmpCore {
         // Migrate to a different frame (functional model: the new frame
         // only needs to be distinct).
         let new_pfn = Pfn::new(t.pfn.raw() ^ (1 << 33));
+        #[expect(
+            clippy::expect_used,
+            reason = "the mapping was just looked up on this core's table"
+        )]
         self.pt
             .remap(t.vpn, t.size, new_pfn)
-            // lint: allow(panic) — the mapping was just looked up on this core's table
             .expect("page was just looked up");
         self.apply_local_invalidation(t.vpn, t.size);
         let code = t.size.encode() as usize;
@@ -406,7 +412,7 @@ impl SmpCore {
         self.stats.shootdown_cycles_initiated += self.tables.initiated_cost_by_size[code];
         self.pending_invalidations[code] += 1;
         for remote in &self.tables.remotes {
-            // lint: allow(relaxed-ordering) — commutative cost tally into
+            // Relaxed: commutative cost tally into
             // another core's absorbed counter. Nothing reads these during
             // replay; reports load them after `thread::scope` joins, which
             // already orders every increment. Only atomicity is needed,
@@ -442,7 +448,7 @@ impl SmpCore {
             let remote_cycles = model.remote_cost(swept);
             global_swept += swept;
             cost += remote_cycles;
-            // lint: allow(relaxed-ordering) — same commutative tally as the
+            // Relaxed: same commutative tally as the
             // eager ledger above: written during replay, read only after
             // the join edge of `thread::scope` orders every increment.
             absorbed.epoch[remote.core].fetch_add(remote_cycles, Ordering::Relaxed);

@@ -43,7 +43,6 @@
 //! assert!(report.total_shootdowns() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod core;

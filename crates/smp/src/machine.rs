@@ -281,12 +281,12 @@ impl SmpMachine {
                 stats: c.stats(),
                 l1: c.l1_stats(),
                 l2: c.l2_stats(),
-                // lint: allow(relaxed-ordering) — statistics read taken
+                // Relaxed: statistics read taken
                 // while the machine is quiesced: `report` runs after
                 // `thread::scope` joined every worker, and the join edge
                 // orders all absorbed-counter increments before this load.
                 shootdown_cycles_absorbed: self.absorbed.eager[i].load(Ordering::Relaxed),
-                // lint: allow(relaxed-ordering) — same quiesced read as above.
+                // Relaxed: same quiesced read as above.
                 shootdown_cycles_absorbed_epoch: self.absorbed.epoch[i].load(Ordering::Relaxed),
             })
             .collect();
@@ -321,9 +321,12 @@ impl SmpMachine {
             // possibly its own page size); migrate its local mapping.
             if let Some(local) = core.pt.lookup(vpn) {
                 let new_pfn = Pfn::new(local.pfn.raw() ^ (1 << 33));
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the mapping was just looked up on this core's table"
+                )]
                 core.pt
                     .remap(local.vpn, local.size, new_pfn)
-                    // lint: allow(panic) — the mapping was just looked up on this core's table
                     .expect("mapping was just looked up");
                 core.apply_local_invalidation(local.vpn, local.size);
             } else {
@@ -340,7 +343,7 @@ impl SmpMachine {
             .map(|r| (r.core, r.eager_cycles_by_size[code]))
             .collect();
         for (j, cycles) in contribs {
-            // lint: allow(relaxed-ordering) — commutative cost tally: adds
+            // Relaxed: commutative cost tally: adds
             // from different initiators never race with a decision-making
             // read (reports load after join), so only atomicity matters
             // and the totals are interleaving-independent by construction.

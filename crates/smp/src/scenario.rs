@@ -128,8 +128,11 @@ impl MultiProgrammedScenario {
         let mut spaces = Vec::new();
         let mut specs = Vec::new();
         for name in workloads {
+            #[expect(
+                clippy::panic,
+                reason = "an unknown workload name is a caller configuration bug surfaced immediately"
+            )]
             let base = WorkloadSpec::by_name(name)
-                // lint: allow(panic) — an unknown workload name is a caller configuration bug surfaced immediately
                 .unwrap_or_else(|| panic!("unknown workload {name:?}"));
             let mut footprint = base.footprint_bytes.min(fair_share);
             if let Some(cap) = cfg.per_core_cap {
@@ -137,9 +140,12 @@ impl MultiProgrammedScenario {
             }
             let spec = base.with_footprint(footprint.max(PAGE_SIZE_4K));
             let space = kernel.create_space(PagingPolicy::TransparentHuge(ThsConfig::default()));
+            #[expect(
+                clippy::expect_used,
+                reason = "a freshly created address space has no VMAs to overlap"
+            )]
             kernel
                 .mmap(space, region, spec.footprint_pages(), Permissions::rw_user())
-                // lint: allow(panic) — a freshly created address space has no VMAs to overlap
                 .expect("fresh address space has no overlapping VMAs");
             kernel.fault_all(space);
             spaces.push(space);

@@ -203,7 +203,10 @@ fn run_stress_core(
         let Some(space) = space else { break };
         stats.spaces_run += 1;
         let allocation = {
-            // lint: allow(panic) — a poisoned allocator lock means a worker already panicked
+            #[expect(
+                clippy::expect_used,
+                reason = "a poisoned allocator lock means a worker already panicked"
+            )]
             let mut guard = allocator.lock().expect("allocator lock poisoned");
             guard.allocate()
         };
@@ -300,11 +303,17 @@ pub fn run_asid_stress(factory: fn() -> TlbHierarchy, cfg: &StressConfig) -> Str
             .map(|id| s.spawn(move || run_stress_core(id, cfg, factory, deques, allocator)))
             .collect();
         for h in handles {
-            // lint: allow(panic) — a worker panic is a simulator bug; propagate it
+            #[expect(
+                clippy::expect_used,
+                reason = "a worker panic is a simulator bug; propagate it"
+            )]
             cores.push(h.join().expect("stress worker panicked"));
         }
     });
-    // lint: allow(panic) — all workers joined; the lock cannot be poisoned or held
+    #[expect(
+        clippy::expect_used,
+        reason = "all workers joined; the lock cannot be poisoned or held"
+    )]
     let generations = allocator.lock().expect("allocator lock poisoned").generation();
     StressReport {
         cores,

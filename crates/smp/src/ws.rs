@@ -262,7 +262,10 @@ pub fn replay_parallel(
             })
             .collect();
         for h in handles {
-            // lint: allow(panic) — a worker panic is a simulator bug; propagate it
+            #[expect(
+                clippy::expect_used,
+                reason = "a worker panic is a simulator bug; propagate it"
+            )]
             cores.push(h.join().expect("work-stealing worker panicked"));
         }
     });

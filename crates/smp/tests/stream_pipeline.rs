@@ -4,6 +4,11 @@
 //! side of the threaded pipeline — no hang, no partially decoded chunk
 //! ever reaching translation — with exactly the intact prefix consumed.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside `#[test]` fns report a broken fixture by panicking, which fails the calling test"
+)]
+
 use std::io;
 use std::path::PathBuf;
 

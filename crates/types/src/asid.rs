@@ -170,7 +170,7 @@ impl AsidAllocator {
             self.generation += 1;
             self.next = 1;
         }
-        // lint: allow(panic) — `next` is in `1..capacity <= CAPACITY` by construction
+        // `next` is in `1..capacity <= CAPACITY` by construction
         let asid = Asid::new(self.next);
         self.next += 1;
         AsidAllocation {

@@ -26,7 +26,6 @@
 //! assert_eq!(PageSize::Size2M.pages_4k(), 512);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod addr;

@@ -6,7 +6,10 @@
 //! cargo run --release --example fragmentation_study
 //! ```
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    reason = "examples keep the happy path readable; a failed setup aborts the demo with its message"
+)]
 
 use mixtlb::sim::{NativeScenario, PolicyChoice, ScenarioConfig};
 use mixtlb::trace::WorkloadSpec;

@@ -5,8 +5,6 @@
 //! cargo run --release --example gpu_translation
 //! ```
 
-#![forbid(unsafe_code)]
-
 use mixtlb::gpu::{GpuConfig, GpuScenario};
 use mixtlb::sim::{designs, improvement_percent};
 use mixtlb::trace::{WorkloadClass, WorkloadSpec};

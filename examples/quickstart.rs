@@ -4,7 +4,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    reason = "examples keep the happy path readable; a failed setup aborts the demo with its message"
+)]
 
 use mixtlb::core::{Lookup, MixTlb, MixTlbConfig, SplitTlb, SplitTlbConfig, TlbDevice};
 use mixtlb::types::{AccessKind, PageSize, Permissions, Pfn, Translation, VirtAddr, Vpn};

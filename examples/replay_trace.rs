@@ -7,8 +7,6 @@
 //! cargo run --release --example replay_trace [workload]
 //! ```
 
-#![forbid(unsafe_code)]
-
 use mixtlb::os::{Kernel, PagingPolicy, ThsConfig};
 use mixtlb::mem::{MemoryConfig, PhysicalMemory};
 use mixtlb::sim::{designs, TranslationEngine, WalkBackend};

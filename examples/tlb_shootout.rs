@@ -5,8 +5,6 @@
 //! cargo run --release --example tlb_shootout [workload]
 //! ```
 
-#![forbid(unsafe_code)]
-
 use mixtlb::sim::{designs, improvement_percent, NativeScenario, PolicyChoice, ScenarioConfig};
 use mixtlb::trace::WorkloadSpec;
 

@@ -5,7 +5,10 @@
 //! cargo run --release --example virtualized
 //! ```
 
-#![forbid(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    reason = "examples keep the happy path readable; a failed setup aborts the demo with its message"
+)]
 
 use mixtlb::sim::{designs, improvement_percent, VirtConfig, VirtScenario};
 use mixtlb::trace::WorkloadSpec;

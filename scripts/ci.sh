@@ -18,13 +18,14 @@ echo "==> cargo test benchmark package (its own workspace under benchmark/)"
 timeout 900 cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo clippy --workspace -- -D warnings"
+# Also the unsafe/panic policy gate: [workspace.lints] forbids
+# unsafe_code and denies clippy::{unwrap_used, expect_used, panic}
+# outside tests, and -D warnings turns an unfulfilled
+# #[expect(..., reason = "...")] (a stale exception) into a failure.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> mixtlb-check --lint (workspace lint gate)"
-cargo run --release -q -p mixtlb-check -- --lint
-
-echo "==> mixtlb-check --analyze (structural analysis gate, 13 rules)"
-# Zero non-baselined findings required across all thirteen rules —
+echo "==> mixtlb-check --analyze (structural analysis gate, 12 rules)"
+# Zero non-baselined findings required across all twelve rules —
 # including the interprocedural lockset-race, atomic-ordering, hot-path,
 # and value-range (bit-pack-overflow / tag-range / index-bound /
 # blocking-in-lock) analyses; accepted findings live in the committed
@@ -43,7 +44,7 @@ for rule in bit-pack-overflow tag-range index-bound blocking-in-lock; do
   fi
 done
 # Workspace pin: the abstract interpreter must summarize a real slice of
-# the workspace (93 fns at the time of writing), not bail out to Top.
+# the workspace (87 fns at the time of writing), not bail out to Top.
 summarized=$(sed -n 's/.*abstract interpretation: \([0-9][0-9]*\) value-summarized.*/\1/p' <<<"$analyze_log")
 if [[ -z "$summarized" || "$summarized" -le 40 ]]; then
   echo "CI: value summaries collapsed (summarized=${summarized:-missing})" >&2

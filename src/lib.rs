@@ -53,7 +53,6 @@
 //! directory. The `mixtlb-bench` crate regenerates every figure of the
 //! paper (see `EXPERIMENTS.md`).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use mixtlb_baselines as baselines;

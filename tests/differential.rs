@@ -3,6 +3,11 @@
 //! randomized address spaces (mixed page sizes), random access streams,
 //! random fill orders, and interleaved invalidations.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside `#[test]` fns report a broken fixture by panicking, which fails the calling test"
+)]
+
 use mixtlb::baselines::{
     colt_plus_plus_split, colt_split, superpage_indexed_mix, PredictiveHashRehash,
     PredictiveSkew, SkewTlb, SkewTlbConfig,

@@ -7,6 +7,12 @@
 //! the proptest dependency. Keep this file in sync: every `cc` line in
 //! the seed file gets a named test documenting what it caught.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "helpers outside `#[test]` fns report a broken fixture by panicking, which fails the calling test"
+)]
+
 use mixtlb::baselines::{
     colt_plus_plus_split, colt_split, superpage_indexed_mix, PredictiveHashRehash,
     PredictiveSkew, SkewTlb, SkewTlbConfig,
