@@ -1,18 +1,16 @@
 //! Value-range & known-bits abstract interpretation.
 //!
-//! The nine structural rules track names, locks, and calls but never
-//! *values* — which is exactly how the pre-PR-8 `Asid::new(id as u16 + 1)`
-//! overflow shipped. This module adds a small abstract domain and a
+//! The structural rules track names and calls but never *values* — which
+//! is exactly how the pre-PR-8 `Asid::new(id as u16 + 1)` overflow
+//! shipped. This module adds a small abstract domain and a
 //! flow-sensitive evaluator over the outline parser's token stream, and
-//! three value rules on top of it:
+//! two value rules on top of it:
 //!
 //! * `bit-pack-overflow` — shift-or packing chains whose fields overlap,
 //!   escape their slot, or exceed the carrier width;
 //! * `tag-range` — values flowing into constructors of width-annotated
 //!   tag types (`// bits: N` on the declaration) that may exceed the
-//!   declared width;
-//! * `index-bound` — indices into fixed-capacity storage (`[T; N]`
-//!   fields/locals, `vec![x; N]` locals) not provably within capacity.
+//!   declared width.
 //!
 //! # Domain
 //!
@@ -22,15 +20,15 @@
 //! `Top` is "any value". Everything unknown — fields, unannotated calls,
 //! non-const shifts — evaluates to `Top`, and rules stay silent on `Top`
 //! except where the whole point is provability (slot membership of a
-//! non-top packing field, index bounds against a known capacity). This
-//! is the same bias as the structural rules: a finding must be worth
-//! reading, so definite ranges come only from literals, casts, masks,
-//! modulo, `assert!` narrowing, annotations, and computed summaries.
+//! non-top packing field). This is the same bias as the structural
+//! rules: a finding must be worth reading, so definite ranges come only
+//! from literals, casts, masks, modulo, `assert!` narrowing,
+//! annotations, and computed summaries.
 //!
 //! # Interprocedural summaries
 //!
 //! Return ranges are computed bottom-up over the SCC condensation of the
-//! call graph (same engine as the lockset rules): each component is
+//! call graph ([`super::dataflow::condense`]): each component is
 //! iterated to a small fixpoint with widening (ranges that keep growing
 //! jump to `Top`), and `// bits: N` on a `fn` overrides its computed
 //! summary. Parameter ranges flow top-down in one pass: every call
@@ -424,21 +422,6 @@ fn collect_widths(files: &[ParsedFile]) -> Widths {
     w
 }
 
-/// `[T; N]` capacity from a concatenated type string (`[u64;4]`,
-/// `[PageSize;SIZES]`), resolving a const name through the const table.
-fn array_cap(ty: &str, consts: &HashMap<String, Val>) -> Option<u128> {
-    let inner = ty.strip_prefix('[')?.strip_suffix(']')?;
-    let count = inner.rsplit(';').next()?;
-    if let Some(n) = parse_int(count) {
-        return u128::try_from(n).ok();
-    }
-    let name = count.rsplit("::").next()?;
-    match consts.get(name) {
-        Some(Val::Rng { lo, hi, .. }) if lo == hi && *lo >= 0 => Some(*lo as u128),
-        _ => None,
-    }
-}
-
 /// Which value rule a walker pass is firing for (`None` in the summary
 /// and call-collection passes, which only compute).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -447,16 +430,12 @@ enum Pass {
     CollectCalls,
     Pack,
     Tag,
-    Index,
 }
 
 /// Read-only tables shared by every walker pass.
 struct Tables<'a> {
     consts: &'a HashMap<String, Val>,
     widths: &'a Widths,
-    /// Struct-field name → fixed array capacity (workspace-global; the
-    /// entry is dropped when two structs disagree on the size).
-    field_caps: &'a HashMap<String, u128>,
     /// Callee simple name → joined return range.
     ret_by_name: &'a HashMap<String, Val>,
     /// Callee simple name → joined per-parameter argument ranges.
@@ -475,14 +454,11 @@ struct Ev {
     /// `true` when a `u128`/`i128` cast or literal suffix appeared — the
     /// packing carrier is then 128 bits wide, not 64.
     wide: bool,
-    /// Root identifier of an lvalue path (`name`, `self.field` → field),
-    /// for capacity lookups at an indexing site.
-    root: Option<usize>,
 }
 
 impl Ev {
     fn new(v: Val, j: usize) -> Ev {
-        Ev { v, j, shift: None, wide: false, root: None }
+        Ev { v, j, shift: None, wide: false }
     }
 }
 
@@ -492,9 +468,6 @@ struct Walker<'a> {
     t: &'a Tables<'a>,
     pass: Pass,
     env: HashMap<String, Val>,
-    /// Local name → fixed capacity (from `[x; N]` / `vec![x; N]` / a
-    /// `[T; N]` type annotation).
-    caps: HashMap<String, u128>,
     loop_depth: u32,
     /// Values reaching `return` / the tail expression (summary pass).
     returns: Vec<Val>,
@@ -512,7 +485,6 @@ impl<'a> Walker<'a> {
             t,
             pass,
             env: HashMap::new(),
-            caps: HashMap::new(),
             loop_depth: 0,
             returns: Vec::new(),
             calls: Vec::new(),
@@ -728,8 +700,8 @@ impl<'a> Walker<'a> {
         }
     }
 
-    /// `let [mut] PAT [: TY] = EXPR;` — binds plain-identifier patterns,
-    /// records fixed capacities, and always evaluates the initializer.
+    /// `let [mut] PAT [: TY] = EXPR;` — binds plain-identifier patterns
+    /// and always evaluates the initializer.
     fn walk_let(&mut self, i: usize, to: usize) -> usize {
         let mut p = i + 1;
         if self.toks().get(p).is_some_and(|t| t.is_ident("mut")) {
@@ -744,15 +716,8 @@ impl<'a> Walker<'a> {
         });
         let name = plain.then(|| self.toks()[p].text.clone());
         let mut q = p + if plain { 1 } else { 0 };
-        // Type annotation: record `[T; N]` capacity, then advance to `=`.
+        // Type annotation: advance to `=`.
         if plain && self.toks().get(q).is_some_and(|t| t.is(":")) {
-            if self.toks().get(q + 1).is_some_and(|t| t.is("[")) {
-                if let Some(cap) = self.group_repeat_count(q + 1) {
-                    if let Some(n) = &name {
-                        self.caps.insert(n.clone(), cap);
-                    }
-                }
-            }
             q += 1;
             while q < to {
                 match self.toks()[q].text.as_str() {
@@ -774,53 +739,11 @@ impl<'a> Walker<'a> {
         if q >= to || self.toks()[q].is(";") {
             return self.finish_stmt(q, to);
         }
-        let rhs = q + 1;
-        if let Some(cap) = self.init_capacity(rhs) {
-            if let Some(n) = &name {
-                self.caps.insert(n.clone(), cap);
-            }
-        }
-        let e = self.eval(rhs, to);
+        let e = self.eval(q + 1, to);
         if let Some(n) = name {
             self.env.insert(n, e.v);
         }
         self.finish_stmt(e.j, to)
-    }
-
-    /// Constant repeat count of `[x; N]` (group at `open`).
-    fn group_repeat_count(&mut self, open: usize) -> Option<u128> {
-        let end = skip_group(self.toks(), open);
-        let mut depth = 0i64;
-        for k in open..end.saturating_sub(1) {
-            match self.toks()[k].text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                ";" if depth == 1 => {
-                    let e = self.eval(k + 1, end - 1);
-                    return match e.v {
-                        Val::Rng { lo, hi, .. } if lo == hi && lo >= 0 => Some(lo as u128),
-                        _ => None,
-                    };
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// Fixed capacity of a `let` initializer: `[x; N]` or `vec![x; N]`.
-    fn init_capacity(&mut self, i: usize) -> Option<u128> {
-        let toks = self.toks();
-        if toks.get(i).is_some_and(|t| t.is("[")) {
-            return self.group_repeat_count(i);
-        }
-        if toks.get(i).is_some_and(|t| t.is_ident("vec"))
-            && toks.get(i + 1).is_some_and(|t| t.is("!"))
-            && toks.get(i + 2).is_some_and(|t| t.is("["))
-        {
-            return self.group_repeat_count(i + 2);
-        }
-        None
     }
 
     /// `NAME op= EXPR;` — updates the environment; compound updates
@@ -1063,14 +986,14 @@ impl<'a> Walker<'a> {
         for t in &terms[1..] {
             v = v.or(t.v);
         }
-        Ev { v, j: e.j, shift: None, wide, root: None }
+        Ev { v, j: e.j, shift: None, wide }
     }
 
     fn eval_bitxor(&mut self, i: usize, hi: usize) -> Ev {
         let mut e = self.eval_bitand(i, hi);
         while e.j < hi && self.toks()[e.j].is("^") {
             let r = self.eval_bitand(e.j + 1, hi);
-            e = Ev { v: e.v.xor(r.v), j: r.j, shift: None, wide: e.wide | r.wide, root: None };
+            e = Ev { v: e.v.xor(r.v), j: r.j, shift: None, wide: e.wide | r.wide };
         }
         e
     }
@@ -1079,7 +1002,7 @@ impl<'a> Walker<'a> {
         let mut e = self.eval_shift(i, hi);
         while e.j < hi && self.toks()[e.j].is("&") {
             let r = self.eval_shift(e.j + 1, hi);
-            e = Ev { v: e.v.and(r.v), j: r.j, shift: None, wide: e.wide | r.wide, root: None };
+            e = Ev { v: e.v.and(r.v), j: r.j, shift: None, wide: e.wide | r.wide };
         }
         e
     }
@@ -1107,7 +1030,7 @@ impl<'a> Walker<'a> {
                 ("<<", Some(k), false) => Some((base, k)),
                 _ => None,
             };
-            e = Ev { v, j: r.j, shift, wide: e.wide | r.wide, root: None };
+            e = Ev { v, j: r.j, shift, wide: e.wide | r.wide };
         }
         e
     }
@@ -1121,7 +1044,7 @@ impl<'a> Walker<'a> {
             }
             let r = self.eval_mul(e.j + 1, hi);
             let v = if op == "+" { e.v.add(r.v) } else { e.v.sub(r.v) };
-            e = Ev { v, j: r.j, shift: None, wide: e.wide | r.wide, root: None };
+            e = Ev { v, j: r.j, shift: None, wide: e.wide | r.wide };
         }
         e
     }
@@ -1139,7 +1062,7 @@ impl<'a> Walker<'a> {
                 "/" => e.v.div(r.v),
                 _ => e.v.rem(r.v),
             };
-            e = Ev { v, j: r.j, shift: None, wide: e.wide | r.wide, root: None };
+            e = Ev { v, j: r.j, shift: None, wide: e.wide | r.wide };
         }
         e
     }
@@ -1153,7 +1076,7 @@ impl<'a> Walker<'a> {
                 Some((w, true)) => (e.v.cast_signed(w), w == 128),
                 None => (Val::Top, false),
             };
-            e = Ev { v, j: e.j + 2, shift: None, wide: e.wide | wide, root: None };
+            e = Ev { v, j: e.j + 2, shift: None, wide: e.wide | wide };
         }
         e
     }
@@ -1165,11 +1088,11 @@ impl<'a> Walker<'a> {
         match self.toks()[i].text.as_str() {
             "-" => {
                 let e = self.eval_unary(i + 1, hi);
-                Ev { v: e.v.neg(), j: e.j, shift: None, wide: e.wide, root: None }
+                Ev { v: e.v.neg(), j: e.j, shift: None, wide: e.wide }
             }
             "!" => {
                 let e = self.eval_unary(i + 1, hi);
-                Ev { v: Val::Top, j: e.j, shift: None, wide: e.wide, root: None }
+                Ev { v: Val::Top, j: e.j, shift: None, wide: e.wide }
             }
             "&" | "&&" | "*" => {
                 let mut e = self.eval_unary(
@@ -1207,44 +1130,18 @@ impl<'a> Walker<'a> {
                         if self.pass == Pass::CollectCalls {
                             self.calls.push((name, args.iter().map(|a| a.v).collect()));
                         }
-                        e = Ev { v, j: end, shift: None, wide: e.wide, root: None };
+                        e = Ev { v, j: end, shift: None, wide: e.wide };
                     } else {
-                        // Field access: value unknown, but remember the
-                        // field name as the indexing root.
-                        let root = (m.kind == TokKind::Ident).then_some(e.j + 1);
-                        e = Ev { v: Val::Top, j: e.j + 2, shift: None, wide: false, root };
+                        // Field access: value unknown.
+                        e = Ev::new(Val::Top, e.j + 2);
                     }
                 }
                 "[" => {
+                    // Indexing: the element is unknown, but the index
+                    // expression still runs the rules on what it contains.
                     let end = skip_group(self.toks(), e.j);
-                    let line = self.toks()[e.j].line;
-                    // Slicing (`a[..n]`, `a[a..b]`) is not an index.
-                    let mut slicing = false;
-                    let mut depth = 0i64;
-                    for k in e.j..end {
-                        match self.toks()[k].text.as_str() {
-                            "(" | "[" | "{" => depth += 1,
-                            ")" | "]" | "}" => depth -= 1,
-                            ".." | "..=" if depth == 1 => slicing = true,
-                            _ => {}
-                        }
-                    }
-                    let idx = self.eval(e.j + 1, end.saturating_sub(1));
-                    if self.pass == Pass::Index && !slicing {
-                        let cap = e
-                            .root
-                            .map(|r| self.toks()[r].text.as_str())
-                            .and_then(|name| {
-                                self.caps
-                                    .get(name)
-                                    .copied()
-                                    .or_else(|| self.t.field_caps.get(name).copied())
-                            });
-                        if let Some(cap) = cap {
-                            self.check_index(cap, idx.v, line);
-                        }
-                    }
-                    e = Ev { v: Val::Top, j: end, shift: None, wide: false, root: None };
+                    let _ = self.eval(e.j + 1, end.saturating_sub(1));
+                    e = Ev::new(Val::Top, end);
                 }
                 "?" => {
                     e.j += 1;
@@ -1336,7 +1233,7 @@ impl<'a> Walker<'a> {
             TokKind::Lit => {
                 let wide = tk.text.contains("u128") || tk.text.contains("i128");
                 let v = parse_int(&tk.text).map_or(Val::Top, Val::cst);
-                Ev { v, j: i + 1, shift: None, wide, root: None }
+                Ev { v, j: i + 1, shift: None, wide }
             }
             TokKind::Punct => match tk.text.as_str() {
                 "(" => {
@@ -1345,7 +1242,6 @@ impl<'a> Walker<'a> {
                     // Preserve a shift marker through parentheses only if
                     // the parens hold exactly the shift expression.
                     e.j = end;
-                    e.root = None;
                     e
                 }
                 "[" => {
@@ -1421,7 +1317,7 @@ impl<'a> Walker<'a> {
                     let arg = args.first().map(|a| a.v).unwrap_or(Val::Top);
                     let v = if signed { arg.cast_signed(w) } else { arg.cast_unsigned(w) };
                     let wide = w == 128 || args.iter().any(|a| a.wide);
-                    return Ev { v, j: end, shift: None, wide, root: None };
+                    return Ev { v, j: end, shift: None, wide };
                 }
             }
             let type_seg = segs
@@ -1451,16 +1347,16 @@ impl<'a> Walker<'a> {
         // Plain reference: local, then const table.
         if segs.len() == 1 {
             if let Some(v) = self.env.get(&last) {
-                return Ev { v: *v, j, shift: None, wide: false, root: Some(i) };
+                return Ev::new(*v, j);
             }
         }
         if let Some(v) = self.t.consts.get(&last) {
-            return Ev { v: *v, j, shift: None, wide: false, root: Some(last_idx) };
+            return Ev::new(*v, j);
         }
-        Ev { v: Val::Top, j, shift: None, wide: false, root: Some(last_idx) }
+        Ev::new(Val::Top, j)
     }
 
-    // ---- the three value rules ----
+    // ---- the two value rules ----
 
     /// `bit-pack-overflow` on an or-chain of evaluated terms.
     fn check_packing(&mut self, terms: &[Ev], line: u32) {
@@ -1584,37 +1480,6 @@ impl<'a> Walker<'a> {
             _ => {}
         }
     }
-
-    /// `index-bound` at an indexing site with a known fixed capacity.
-    /// Only the upper bound matters: indices are `usize` by type, so a
-    /// possibly-negative interval just reflects the sign-agnostic `%`.
-    fn check_index(&mut self, cap: u128, idx: Val, line: u32) {
-        match idx {
-            Val::Top => {
-                self.fire(
-                    "index-bound",
-                    line,
-                    format!(
-                        "index into fixed {cap}-slot storage is not provably in bounds — \
-                         mask it (`& {:#x}`), bound it with an assert, or use `.get()`",
-                        cap.saturating_sub(1)
-                    ),
-                );
-            }
-            Val::Rng { lo, hi, .. } if hi >= cap as i128 => {
-                self.fire(
-                    "index-bound",
-                    line,
-                    format!(
-                        "index in {lo}..={hi} may escape fixed {cap}-slot storage \
-                         (valid indices 0..={})",
-                        cap.saturating_sub(1)
-                    ),
-                );
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Workspace-wide `const NAME: TY = EXPR;` table, iterated to a small
@@ -1675,46 +1540,17 @@ fn collect_consts(files: &[ParsedFile], t: &Tables<'_>) -> HashMap<String, Val> 
     consts
 }
 
-/// `[T; N]`-typed struct fields across the workspace: field name →
-/// capacity. The map is keyed by bare field name (the walker has no
-/// receiver types), so a name is dropped the moment two structs
-/// disagree — including when one of them declares the field with a
-/// non-array type (a `Box<[T]>` of unknown length must not inherit an
-/// unrelated struct's fixed capacity).
-fn collect_field_caps(
-    files: &[ParsedFile],
-    consts: &HashMap<String, Val>,
-) -> HashMap<String, u128> {
-    let mut caps: HashMap<String, Option<u128>> = HashMap::new();
-    for file in files {
-        for s in &file.structs {
-            for (fname, fty) in &s.fields {
-                let cap = array_cap(fty, consts);
-                caps.entry(fname.clone())
-                    .and_modify(|c| {
-                        if *c != cap {
-                            *c = None;
-                        }
-                    })
-                    .or_insert(cap);
-            }
-        }
-    }
-    caps.into_iter().filter_map(|(k, v)| v.map(|c| (k, c))).collect()
-}
-
 /// Return-range summaries, bottom-up over the call-graph condensation.
-/// Returns the by-name joined map plus the count of functions with a
-/// non-`Top` summary.
+/// Returns the by-name joined map, the count of functions with a
+/// non-`Top` summary, and the number of call-graph SCCs.
 fn summarize(
     files: &[ParsedFile],
     graph: &CallGraph,
     consts: &HashMap<String, Val>,
     widths: &Widths,
-    field_caps: &HashMap<String, u128>,
-) -> (HashMap<String, Val>, usize) {
+) -> (HashMap<String, Val>, usize, usize) {
     let succ = successors(graph);
-    let cond = condense(graph.nodes.len(), &succ);
+    let comps = condense(graph.nodes.len(), &succ);
     let mut node_ret: Vec<Val> = vec![Val::Top; graph.nodes.len()];
     // During the bottom-up pass only unique names are resolvable (an
     // ambiguous name may have a not-yet-summarized definition).
@@ -1732,8 +1568,8 @@ fn summarize(
             ret_by_name.insert(f.name.clone(), Val::unsigned(w));
         }
     }
-    // `cond.comps` is emitted callee-first.
-    for comp in &cond.comps {
+    // `comps` is emitted callee-first.
+    for comp in &comps {
         for round in 0..3 {
             let mut changed = false;
             for &v in comp {
@@ -1745,7 +1581,6 @@ fn summarize(
                     let tables = Tables {
                         consts,
                         widths,
-                        field_caps,
                         ret_by_name: &ret_by_name,
                         param_ranges: &empty_params,
                     };
@@ -1788,7 +1623,7 @@ fn summarize(
             .and_modify(|old| *old = old.join(node_ret[v]))
             .or_insert(node_ret[v]);
     }
-    (by_name, summarized)
+    (by_name, summarized, comps.len())
 }
 
 /// One top-down pass joining every call site's argument values per
@@ -1821,39 +1656,37 @@ fn param_ranges(files: &[ParsedFile], t: &Tables<'_>) -> HashMap<String, Vec<Val
 
 /// Per-rule timing plus everything the driver reports.
 pub(crate) struct ValueResult {
-    /// `(file index, finding)` pairs across the three value rules.
+    /// `(file index, finding)` pairs across both value rules.
     pub findings: Vec<(usize, RuleFinding)>,
     /// Functions whose return summary is tighter than `Top`.
     pub summarized_fns: usize,
+    /// Strongly connected components of the call graph.
+    pub sccs: usize,
     /// Shared abstract-interpretation phase (consts, widths, summaries,
     /// parameter ranges), in nanoseconds.
     pub absint_nanos: u128,
-    /// Per-rule walk timings: `(rule, nanos)`.
-    pub rule_nanos: Vec<(&'static str, u128)>,
+    /// Walk time of bit-pack-overflow and tag-range, in nanoseconds.
+    pub rule_nanos: [u128; 2],
 }
 
-/// Runs the three value rules over every library file.
+/// Runs both value rules over every library file.
 pub(crate) fn value_rules(files: &[ParsedFile], graph: &CallGraph) -> ValueResult {
     let shared = Instant::now();
     let widths = collect_widths(files);
     let empty_consts = HashMap::new();
-    let empty_caps = HashMap::new();
     let empty_ret = HashMap::new();
     let empty_params = HashMap::new();
     let boot = Tables {
         consts: &empty_consts,
         widths: &widths,
-        field_caps: &empty_caps,
         ret_by_name: &empty_ret,
         param_ranges: &empty_params,
     };
     let consts = collect_consts(files, &boot);
-    let field_caps = collect_field_caps(files, &consts);
-    let (ret_by_name, summarized_fns) = summarize(files, graph, &consts, &widths, &field_caps);
+    let (ret_by_name, summarized_fns, sccs) = summarize(files, graph, &consts, &widths);
     let collect_tables = Tables {
         consts: &consts,
         widths: &widths,
-        field_caps: &field_caps,
         ret_by_name: &ret_by_name,
         param_ranges: &empty_params,
     };
@@ -1861,19 +1694,14 @@ pub(crate) fn value_rules(files: &[ParsedFile], graph: &CallGraph) -> ValueResul
     let tables = Tables {
         consts: &consts,
         widths: &widths,
-        field_caps: &field_caps,
         ret_by_name: &ret_by_name,
         param_ranges: &params,
     };
     let absint_nanos = shared.elapsed().as_nanos();
 
     let mut findings = Vec::new();
-    let mut rule_nanos = Vec::new();
-    for (rule, pass) in [
-        ("bit-pack-overflow", Pass::Pack),
-        ("tag-range", Pass::Tag),
-        ("index-bound", Pass::Index),
-    ] {
+    let mut rule_nanos = [0u128; 2];
+    for (slot, pass) in [Pass::Pack, Pass::Tag].into_iter().enumerate() {
         let t0 = Instant::now();
         for (fi, file) in files.iter().enumerate() {
             if file.kind != FileKind::Lib {
@@ -1891,9 +1719,9 @@ pub(crate) fn value_rules(files: &[ParsedFile], graph: &CallGraph) -> ValueResul
                 findings.extend(w.findings.into_iter().map(|rf| (fi, rf)));
             }
         }
-        rule_nanos.push((rule, t0.elapsed().as_nanos()));
+        rule_nanos[slot] = t0.elapsed().as_nanos();
     }
-    ValueResult { findings, summarized_fns, absint_nanos, rule_nanos }
+    ValueResult { findings, summarized_fns, sccs, absint_nanos, rule_nanos }
 }
 
 /// Seeds a walker's environment from *declared* parameter types: an
@@ -2071,28 +1899,6 @@ mod tests {
     }
 
     #[test]
-    fn index_bound_on_fixed_storage() {
-        let f = run(&["pub fn bad(i: usize) -> u64 { let a = [0u64; 4]; a[i] }\n\
-                       pub fn ok(i: usize) -> u64 { let a = [0u64; 4]; a[i & 3] }\n\
-                       pub fn also_ok(i: usize) -> u64 { let a = [0u64; 4]; a[i % 4] }\n"]);
-        let idx: Vec<&RuleFinding> = f.iter().filter(|x| x.rule == "index-bound").collect();
-        assert_eq!(idx.len(), 1, "{f:?}");
-        assert_eq!(idx[0].line, 1);
-    }
-
-    #[test]
-    fn index_bound_via_field_capacity() {
-        let f = run(&["pub struct S { slots: [u64; 8] }\n\
-                       impl S {\n\
-                           pub fn bad(&self, i: usize) -> u64 { self.slots[i] }\n\
-                           pub fn ok(&self, i: usize) -> u64 { self.slots[i & 7] }\n\
-                       }\n"]);
-        let idx: Vec<&RuleFinding> = f.iter().filter(|x| x.rule == "index-bound").collect();
-        assert_eq!(idx.len(), 1, "{f:?}");
-        assert_eq!(idx[0].line, 3);
-    }
-
-    #[test]
     fn param_ranges_reach_private_helpers() {
         let f = run(&["// bits: 12\n\
                        pub struct Tag(u16);\n\
@@ -2106,17 +1912,21 @@ mod tests {
     #[test]
     fn loops_widen_instead_of_underestimating() {
         // `x` grows without bound in the loop: a naive linear walk would
-        // keep its initial `0..=0` and wrongly prove the index safe; the
-        // loop join must widen it to `Top` so the index is flagged.
-        let f = run(&["pub fn grow(n: u64) -> u64 {\n\
-                           let mut x = 0usize;\n\
-                           for _i in 0..n { x += 1; }\n\
-                           let a = [0u64; 4];\n\
-                           a[x]\n\
-                       }\n"]);
-        let idx: Vec<&RuleFinding> = f.iter().filter(|x| x.rule == "index-bound").collect();
-        assert_eq!(idx.len(), 1, "{f:?}");
-        assert_eq!(idx[0].line, 5);
+        // keep its initial `0..=0`; the loop join must widen it to `Top`.
+        let grown = summary_of(
+            "pub fn grow(n: u64) -> usize {\n\
+               let mut x = 0usize;\n\
+               for _i in 0..n { x += 1; }\n\
+               x\n\
+             }\n",
+            "grow",
+        );
+        assert_eq!(grown, Val::Top);
+        let once = summary_of(
+            "pub fn once() -> usize { let mut x = 0usize; x += 1; x }\n",
+            "once",
+        );
+        assert_eq!(once, Val::cst(1));
     }
 
     #[test]
@@ -2136,8 +1946,7 @@ mod tests {
         let files = [ParsedFile::parse(Path::new("crates/x/src/lib.rs"), FileKind::Lib, src)];
         let graph = CallGraph::build(&files);
         let widths = collect_widths(&files);
-        let (by_name, _) =
-            summarize(&files, &graph, &HashMap::new(), &widths, &HashMap::new());
+        let (by_name, _, _) = summarize(&files, &graph, &HashMap::new(), &widths);
         by_name.get(name).copied().unwrap_or(Val::Top)
     }
 

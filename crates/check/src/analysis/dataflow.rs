@@ -1,18 +1,10 @@
-//! Interprocedural dataflow scaffolding plus the `hot-path` rule.
-//!
-//! Three reusable pieces for the concurrency rules ([`super::lockset`],
-//! [`super::atomics`]):
+//! Call-graph scaffolding plus the `hot-path` rule.
 //!
 //! * **SCC condensation** ([`condense`]) — iterative Tarjan over the
 //!   call graph, yielding components in bottom-up order (callees before
-//!   callers for caller→callee edges). Summary propagation runs one
-//!   direction over the component DAG with a fixpoint loop *inside*
-//!   each component, which terminates because every transfer function
-//!   is monotone over a finite lattice.
-//! * **Lock-set lattice** ([`LockSet`], [`LockNames`]) — the Eraser
-//!   lattice: sets of interned lock names under intersection, packed
-//!   into a 64-bit bitset. `FULL` (all ones) is the lattice top used to
-//!   seed intersections.
+//!   callers for caller→callee edges). The value-range summaries in
+//!   [`super::absint`] propagate one direction over the component DAG
+//!   with a fixpoint loop *inside* each component.
 //! * **`hot-path`** ([`hot_path`]) — walks the call graph *down* from
 //!   the batched-translation entry points and the smp replay inner
 //!   loop, flagging heap allocation, `clone()`, and formatting
@@ -21,8 +13,6 @@
 //!   (`new`, `default`, …) — every workspace `new` would otherwise be
 //!   "hot" via `Vec::new` false edges — trading false negatives inside
 //!   constructors for a signal that stays actionable.
-
-use std::collections::HashMap;
 
 use super::callgraph::CallGraph;
 use super::lexer::{Tok, TokKind};
@@ -35,27 +25,18 @@ use super::FileKind;
 // SCC condensation
 // ---------------------------------------------------------------------
 
-/// Strongly-connected-component condensation of a directed graph.
-#[derive(Debug)]
-pub(crate) struct Condensation {
-    /// Node index → component id.
-    pub comp_of: Vec<usize>,
-    /// Component id → member node indices. Component ids are assigned in
-    /// Tarjan emission order, which is **bottom-up**: for an edge
-    /// `u → v` in different components, `comp_of[v] < comp_of[u]`.
-    pub comps: Vec<Vec<usize>>,
-}
-
-/// Computes the SCC condensation of the graph with `n` nodes and
-/// successor lists `succ` (iterative Tarjan; no recursion so fixture
-/// pathologies cannot blow the stack).
-pub(crate) fn condense(n: usize, succ: &[Vec<usize>]) -> Condensation {
+/// Computes the strongly connected components of the graph with `n`
+/// nodes and successor lists `succ` (iterative Tarjan; no recursion so
+/// fixture pathologies cannot blow the stack). Each component lists its
+/// member nodes; components come in Tarjan emission order, which is
+/// **bottom-up**: for an edge `u → v` in different components, `v`'s
+/// component comes first.
+pub(crate) fn condense(n: usize, succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
     const UNSEEN: usize = usize::MAX;
     let mut index = vec![UNSEEN; n];
     let mut low = vec![0usize; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
-    let mut comp_of = vec![UNSEEN; n];
     let mut comps: Vec<Vec<usize>> = Vec::new();
     let mut next = 0usize;
     let mut call: Vec<(usize, usize)> = Vec::new();
@@ -93,7 +74,6 @@ pub(crate) fn condense(n: usize, succ: &[Vec<usize>]) -> Condensation {
                     let mut comp = Vec::new();
                     while let Some(w) = stack.pop() {
                         on_stack[w] = false;
-                        comp_of[w] = comps.len();
                         comp.push(w);
                         if w == v {
                             break;
@@ -104,7 +84,7 @@ pub(crate) fn condense(n: usize, succ: &[Vec<usize>]) -> Condensation {
             }
         }
     }
-    Condensation { comp_of, comps }
+    comps
 }
 
 /// Successor adjacency lists from the call graph's edge set,
@@ -118,85 +98,6 @@ pub(crate) fn successors(graph: &CallGraph) -> Vec<Vec<usize>> {
         s.sort_unstable();
     }
     succ
-}
-
-// ---------------------------------------------------------------------
-// Lock-set lattice
-// ---------------------------------------------------------------------
-
-/// A set of interned locks as a 64-bit bitset. `Default` is the empty
-/// set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct LockSet(pub u64);
-
-impl LockSet {
-    /// The empty set (lattice bottom).
-    pub const EMPTY: LockSet = LockSet(0);
-    /// All locks (lattice top — seed value for intersections).
-    pub const FULL: LockSet = LockSet(u64::MAX);
-
-    /// Set union.
-    pub fn union(self, o: LockSet) -> LockSet {
-        LockSet(self.0 | o.0)
-    }
-
-    /// Set intersection.
-    pub fn inter(self, o: LockSet) -> LockSet {
-        LockSet(self.0 & o.0)
-    }
-
-    /// This set plus one lock bit.
-    pub fn with(self, bit: u32) -> LockSet {
-        LockSet(self.0 | (1u64 << bit))
-    }
-
-    /// `true` when no lock is held.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-}
-
-/// Lock-name interner, capped at 64 distinct locks (the bitset width).
-/// Locks past the cap are untracked: [`LockNames::bit`] returns `None`
-/// and scanners treat the acquisition as a no-op. That direction can
-/// only *add* findings on pathological lock populations; it never
-/// silently protects a racy write.
-#[derive(Debug, Default)]
-pub(crate) struct LockNames {
-    names: Vec<String>,
-    by_name: HashMap<String, u32>,
-}
-
-impl LockNames {
-    /// Interns `name`, returning its bit (or `None` past the cap).
-    pub fn bit(&mut self, name: &str) -> Option<u32> {
-        if let Some(&b) = self.by_name.get(name) {
-            return Some(b);
-        }
-        if self.names.len() >= 64 {
-            return None;
-        }
-        let b = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), b);
-        Some(b)
-    }
-
-    /// Renders a set as `{a, b}` for messages (deterministic: interning
-    /// order is source order).
-    pub fn render(&self, set: LockSet) -> String {
-        let mut parts: Vec<&str> = Vec::new();
-        for (i, n) in self.names.iter().enumerate() {
-            if set.0 & (1u64 << i) != 0 {
-                parts.push(n);
-            }
-        }
-        if parts.is_empty() {
-            "{}".to_owned()
-        } else {
-            format!("{{{}}}", parts.join(", "))
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -473,28 +374,14 @@ mod tests {
     fn tarjan_finds_components_bottom_up() {
         // 0 -> 1 <-> 2, 1 -> 3. Components: {0}, {1,2}, {3}.
         let succ = vec![vec![1], vec![2, 3], vec![1], vec![]];
-        let c = condense(4, &succ);
-        assert_eq!(c.comps.len(), 3);
-        assert_eq!(c.comp_of[1], c.comp_of[2]);
-        assert_ne!(c.comp_of[0], c.comp_of[1]);
+        let comps = condense(4, &succ);
+        assert_eq!(comps.len(), 3);
+        let comp_of = |v: usize| comps.iter().position(|c| c.contains(&v));
+        assert_eq!(comp_of(1), comp_of(2));
+        assert_ne!(comp_of(0), comp_of(1));
         // Bottom-up: callee components numbered before callers.
-        assert!(c.comp_of[3] < c.comp_of[1]);
-        assert!(c.comp_of[1] < c.comp_of[0]);
-    }
-
-    #[test]
-    fn lockset_lattice_basics() {
-        let mut names = LockNames::default();
-        let a = names.bit("alpha").unwrap_or(63);
-        let b = names.bit("beta").unwrap_or(63);
-        assert_eq!(names.bit("alpha"), Some(a));
-        let sa = LockSet::EMPTY.with(a);
-        let sb = LockSet::EMPTY.with(b);
-        assert!(sa.inter(sb).is_empty());
-        assert_eq!(sa.union(sb).inter(sa), sa);
-        assert_eq!(names.render(sa.union(sb)), "{alpha, beta}");
-        assert_eq!(names.render(LockSet::EMPTY), "{}");
-        assert_eq!(LockSet::FULL.inter(sa), sa);
+        assert!(comp_of(3) < comp_of(1));
+        assert!(comp_of(1) < comp_of(0));
     }
 
     #[test]

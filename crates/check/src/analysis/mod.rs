@@ -5,75 +5,51 @@
 //! hand-rolled *front end*: the masked token stream
 //! ([`lexer`]) feeds an item/expression outline parser ([`outline`]),
 //! whose output builds a workspace symbol table ([`symbols`]) and a
-//! crate-level call graph ([`callgraph`]). The call graph additionally
-//! feeds an interprocedural dataflow layer ([`dataflow`]: SCC
-//! condensation + lockset lattice) for the concurrency rules, and a
-//! value-range abstract-interpretation layer ([`absint`]: interval +
-//! known-bits domain with widened joins and interprocedural return/
-//! parameter summaries) for the bit-geometry rules. Twelve semantic
-//! rules run on top:
+//! crate-level call graph ([`callgraph`]). The call graph feeds the
+//! hot-path reachability walk ([`dataflow`]) and a value-range
+//! abstract-interpretation layer ([`absint`]: interval + known-bits
+//! domain with widened joins and interprocedural return/parameter
+//! summaries over the call graph's SCC condensation) for the
+//! bit-geometry rules. Six semantic rules run on top, each kept because
+//! it fixed a real finding or pins a regression fixture (the evidence
+//! table is in DESIGN.md §8):
 //!
 //! | rule | checks | scope |
 //! |------|--------|-------|
 //! | `addr-arith` | no shift/mask/divide on `.raw()` address bits outside typed helpers | lib, except `mixtlb-types` |
 //! | `truncating-cast` | no `as u8`/`u16`/`u32` on raw address values | lib, except `mixtlb-types` |
 //! | `dead-code` | every exported symbol is referenced somewhere in the workspace | lib |
-//! | `lock-order` | the static lock-acquisition graph is acyclic | lib, except `crates/check` |
-//! | `pagesize-match` | no `_` wildcard arms in `PageSize` matches | lib |
-//! | `lockset-race` | shared plain fields written under a consistent non-empty lockset ([`lockset`]) | lib, except `crates/check` |
-//! | `atomic-ordering` | no release-free publication / split RMW over atomics ([`atomics`]) | lib, except `crates/check` |
 //! | `hot-path` | no allocation/clone/formatting reachable from the hot loops ([`dataflow::hot_path`]) | lib, except `crates/check` |
 //! | `bit-pack-overflow` | shift-or packings have disjoint fields that fit the carrier ([`absint`]) | lib |
 //! | `tag-range` | values into `// bits: N`-annotated constructors fit the declared width ([`absint`]) | lib |
-//! | `index-bound` | indices into fixed-capacity arrays provably in bounds ([`absint`]) | lib |
-//! | `blocking-in-lock` | no semaphore/event/bounded-queue wait while a `Mutex` is held ([`blocking`]) | lib, except `crates/check` |
 //!
-//! There are **no inline suppression markers**: accepted findings live
-//! in one committed baseline file
-//! (`check-baseline.json`, see [`baseline`]) keyed by line-insensitive
-//! fingerprints, refreshed with `--update-baseline`, and audited through
-//! its git history. CI runs `--analyze` and fails on any finding not in
-//! the baseline.
+//! There are **no suppressions**: no inline markers and no baseline
+//! file. A finding is fixed in code, and CI fails on any finding.
 
 pub(crate) mod absint;
-pub(crate) mod atomics;
-pub(crate) mod baseline;
-pub(crate) mod blocking;
 pub(crate) mod callgraph;
 pub(crate) mod dataflow;
 pub(crate) mod lexer;
-pub(crate) mod lockorder;
-pub(crate) mod lockset;
 pub(crate) mod outline;
 pub(crate) mod rules;
-pub(crate) mod sarif;
 pub(crate) mod symbols;
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use outline::{DeclKind, ParsedFile, Vis};
 
-pub use baseline::{find_collision, fingerprint, Baseline, FingerprintCollision};
-pub use sarif::{to_json, to_sarif};
-
 /// All analysis rule identifiers (order is the report order).
-pub const ANALYSIS_RULES: [&str; 12] = [
+pub const ANALYSIS_RULES: [&str; 6] = [
     "addr-arith",
     "truncating-cast",
     "dead-code",
-    "lock-order",
-    "pagesize-match",
-    "lockset-race",
-    "atomic-ordering",
     "hot-path",
     "bit-pack-overflow",
     "tag-range",
-    "index-bound",
-    "blocking-in-lock",
 ];
 
 /// How a file participates in the build. Only library code is analyzed;
@@ -147,8 +123,6 @@ pub struct Finding {
     pub line: usize,
     /// Explanation and suggested fix.
     pub message: String,
-    /// Stable line-insensitive fingerprint (see [`baseline`]).
-    pub fingerprint: String,
 }
 
 impl fmt::Display for Finding {
@@ -175,46 +149,31 @@ pub struct AnalysisStats {
     pub symbols: usize,
     /// Call-graph edges resolved.
     pub call_edges: usize,
-    /// Named-field structs outlined.
-    pub structs: usize,
-    /// Structs the lockset model classifies as cross-thread shared.
-    pub shared_structs: usize,
     /// Call-graph strongly connected components.
     pub sccs: usize,
     /// Functions reachable from the hot-path roots.
     pub hot_fns: usize,
     /// Functions with a non-trivial abstract return-value summary.
     pub summarized_fns: usize,
-    /// Wall time of the shared abstract-interpretation phase (constant
-    /// pool + interprocedural value summaries), ns.
-    pub absint_nanos: u128,
-    /// Per-rule wall time of the value-rule passes, ns, in
-    /// [`ANALYSIS_RULES`] order: bit-pack-overflow, tag-range,
-    /// index-bound.
-    pub value_rule_nanos: [u128; 3],
-    /// Wall time of the blocking-in-lock rule, ns.
-    pub blocking_nanos: u128,
     /// Wall time of the (parallel) per-file lex/outline phase, ns.
     pub parse_nanos: u128,
     /// Wall time of symbol/graph construction plus all rules, ns.
     pub rules_nanos: u128,
+    /// Wall time of the shared abstract-interpretation phase (constant
+    /// pool + interprocedural value summaries), ns.
+    pub absint_nanos: u128,
+    /// Per-rule wall time, ns. `addr-arith` and `truncating-cast` share
+    /// one taint pass, timed once under a joint label.
+    pub rule_nanos: [(&'static str, u128); 5],
 }
 
 /// Result of analyzing a file set.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisReport {
-    /// Non-baselined findings, in path/line order.
+    /// Findings, in path/line order.
     pub findings: Vec<Finding>,
     /// Front-end statistics.
     pub stats: AnalysisStats,
-    /// The extracted static lock-acquisition order, one edge per line
-    /// (`first -> second  (fn, file:line)`) — consumed by the dynamic
-    /// model checker's documentation and by humans.
-    pub lock_edges: Vec<String>,
-    /// Findings suppressed by the applied baseline.
-    pub baselined: usize,
-    /// Baseline-suppressed finding counts per rule (for `--stats`).
-    pub baselined_by_rule: Vec<(&'static str, usize)>,
     /// Hot-path roots that match no workspace fn. Meaningful for a whole
     /// workspace run (a fixture file set legitimately lacks the roots);
     /// `--analyze` treats any entry as an internal error.
@@ -225,36 +184,6 @@ impl AnalysisReport {
     /// `true` when no findings remain.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
-    }
-
-    /// Removes findings whose fingerprints the baseline accepts,
-    /// recording how many were suppressed (total and per rule).
-    ///
-    /// # Errors
-    ///
-    /// Refuses to suppress anything when two distinct live findings
-    /// hash to one fingerprint — a baseline entry for that fingerprint
-    /// would silently swallow both (see [`FingerprintCollision`]).
-    pub fn apply_baseline(
-        &mut self,
-        baseline: &Baseline,
-    ) -> Result<(), FingerprintCollision> {
-        if let Some(c) = baseline::find_collision(&self.findings) {
-            return Err(c);
-        }
-        let before = self.findings.len();
-        self.findings.retain(|f| {
-            let keep = !baseline.contains(&f.fingerprint);
-            if !keep {
-                match self.baselined_by_rule.iter_mut().find(|(r, _)| *r == f.rule) {
-                    Some((_, n)) => *n += 1,
-                    None => self.baselined_by_rule.push((f.rule, 1)),
-                }
-            }
-            keep
-        });
-        self.baselined += before - self.findings.len();
-        Ok(())
     }
 }
 
@@ -316,33 +245,26 @@ fn parse_all(sources: &[SourceFile]) -> Vec<ParsedFile> {
 /// Analyzes an explicit file set (the fixture tests drive this directly;
 /// [`analyze_workspace`] feeds it from disk).
 pub fn analyze_sources(sources: &[SourceFile]) -> AnalysisReport {
-    let parse_started = std::time::Instant::now();
+    let parse_started = Instant::now();
     let parsed: Vec<ParsedFile> = parse_all(sources);
     let parse_nanos = parse_started.elapsed().as_nanos();
-    let rules_started = std::time::Instant::now();
+    let rules_started = Instant::now();
     let table = symbols::SymbolTable::build(&parsed);
     let graph = callgraph::CallGraph::build(&parsed);
     let refs = callgraph::count_references(&parsed);
-    let locks = lockorder::LockOrderGraph::extract(&parsed);
-    let shared = lockset::SharedModel::build(&parsed);
 
     let mut raw: Vec<(usize, &'static str, usize, String)> = Vec::new();
 
-    // File-local rules.
+    // File-local rules (addr-arith, truncating-cast).
+    let t0 = Instant::now();
     for (fi, file) in parsed.iter().enumerate() {
         for f in rules::file_rules(file) {
             raw.push((fi, f.rule, f.line as usize, f.message));
         }
     }
+    let taint_nanos = t0.elapsed().as_nanos();
 
-    // Interprocedural concurrency rules (see the module table).
-    let lockset_result = lockset::lockset_race(&parsed, &graph, &shared);
-    for (fi, f) in lockset_result.findings {
-        raw.push((fi, f.rule, f.line as usize, f.message));
-    }
-    for (fi, f) in atomics::atomic_ordering(&parsed, &graph, &shared) {
-        raw.push((fi, f.rule, f.line as usize, f.message));
-    }
+    let t0 = Instant::now();
     let (hot_findings, hot_fns) = dataflow::hot_path(&parsed, &graph);
     let unresolved_hot_roots = dataflow::unresolved_hot_roots(
         &parsed,
@@ -353,29 +275,16 @@ pub fn analyze_sources(sources: &[SourceFile]) -> AnalysisReport {
     for (fi, f) in hot_findings {
         raw.push((fi, f.rule, f.line as usize, f.message));
     }
+    let hot_nanos = t0.elapsed().as_nanos();
 
-    // Value-range rules (bit-pack-overflow / tag-range / index-bound)
-    // and the blocking-in-lock deadlock rule.
+    // Value-range rules (bit-pack-overflow / tag-range).
     let value = absint::value_rules(&parsed, &graph);
     for (fi, f) in value.findings {
         raw.push((fi, f.rule, f.line as usize, f.message));
     }
-    let mut value_rule_nanos = [0u128; 3];
-    for (rule, ns) in &value.rule_nanos {
-        let slot = match *rule {
-            "bit-pack-overflow" => 0,
-            "tag-range" => 1,
-            _ => 2,
-        };
-        value_rule_nanos[slot] = *ns;
-    }
-    let blocking = blocking::blocking_in_lock(&parsed, &graph);
-    let blocking_nanos = blocking.nanos;
-    for (fi, f) in blocking.findings {
-        raw.push((fi, f.rule, f.line as usize, f.message));
-    }
 
     // dead-code: exported symbols nobody references.
+    let t0 = Instant::now();
     for sym in &table.syms {
         if sym.vis == Vis::Private || sym.name == "main" {
             continue;
@@ -440,73 +349,18 @@ pub fn analyze_sources(sources: &[SourceFile]) -> AnalysisReport {
             ));
         }
     }
+    let dead_nanos = t0.elapsed().as_nanos();
 
-    // lock-order: a cycle in the static acquisition graph.
-    if let Some(cycle) = &locks.cycle {
-        let on_cycle = |name: &str| cycle.iter().any(|c| c == name);
-        let witness = locks
-            .edges
-            .iter()
-            .find(|e| on_cycle(&e.first) && on_cycle(&e.second));
-        if let Some(e) = witness {
-            raw.push((
-                e.file,
-                "lock-order",
-                e.line as usize,
-                format!(
-                    "static lock-acquisition cycle {} (seen in `{}`): a \
-                     potential ABBA deadlock — impose one global order on \
-                     these locks",
-                    cycle.join(" -> "),
-                    e.in_fn
-                ),
-            ));
-        }
-    }
-
-    // Fingerprint against source line text, with per-identical-line
-    // occurrence indices, then sort.
-    let lines: Vec<Vec<&str>> = sources.iter().map(|s| s.text.lines().collect()).collect();
-    raw.sort_by(|a, b| (a.0, a.2, a.1).cmp(&(b.0, b.2, b.1)));
-    let mut occurrence: HashMap<(String, String, String), usize> = HashMap::new();
-    let mut findings = Vec::new();
-    for (fi, rule, line, message) in raw {
-        let path = &sources[fi].path;
-        let text = lines[fi]
-            .get(line.saturating_sub(1))
-            .copied()
-            .unwrap_or("")
-            .trim()
-            .to_owned();
-        let path_str = path.display().to_string();
-        let key = (rule.to_owned(), path_str.clone(), text.clone());
-        let n = occurrence.entry(key).or_default();
-        let fp = fingerprint(rule, &path_str, &text, *n);
-        *n += 1;
-        findings.push(Finding {
+    let mut findings: Vec<Finding> = raw
+        .into_iter()
+        .map(|(fi, rule, line, message)| Finding {
             rule,
-            path: path.clone(),
+            path: sources[fi].path.clone(),
             line,
             message,
-            fingerprint: fp,
-        });
-    }
-    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-
-    let lock_edges = locks
-        .edges
-        .iter()
-        .map(|e| {
-            format!(
-                "{} -> {}  ({}, {}:{})",
-                e.first,
-                e.second,
-                e.in_fn,
-                parsed[e.file].path.display(),
-                e.line
-            )
         })
         .collect();
+    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
 
     AnalysisReport {
         findings,
@@ -515,20 +369,20 @@ pub fn analyze_sources(sources: &[SourceFile]) -> AnalysisReport {
             functions: parsed.iter().map(|p| p.fns.len()).sum(),
             symbols: table.syms.len(),
             call_edges: graph.edges.len(),
-            structs: parsed.iter().map(|p| p.structs.len()).sum(),
-            shared_structs: lockset_result.shared_structs,
-            sccs: lockset_result.sccs,
+            sccs: value.sccs,
             hot_fns,
             summarized_fns: value.summarized_fns,
-            absint_nanos: value.absint_nanos,
-            value_rule_nanos,
-            blocking_nanos,
             parse_nanos,
             rules_nanos: rules_started.elapsed().as_nanos(),
+            absint_nanos: value.absint_nanos,
+            rule_nanos: [
+                ("addr-arith + truncating-cast", taint_nanos),
+                ("dead-code", dead_nanos),
+                ("hot-path", hot_nanos),
+                ("bit-pack-overflow", value.rule_nanos[0]),
+                ("tag-range", value.rule_nanos[1]),
+            ],
         },
-        lock_edges,
-        baselined: 0,
-        baselined_by_rule: Vec::new(),
         unresolved_hot_roots,
     }
 }
@@ -550,6 +404,48 @@ pub fn analyze_workspace(root: &Path) -> io::Result<AnalysisReport> {
         });
     }
     Ok(analyze_sources(&sources))
+}
+
+/// Renders a report as flat JSON for scripting: the findings array plus
+/// the run statistics (hand-written; the workspace is offline, so no
+/// serde).
+pub fn to_json(report: &AnalysisReport) -> String {
+    let mut out = String::from("{\n  \"findings\": [");
+    for (i, f) in report.findings.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "\n    {{ \"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\" }}",
+            escape(f.rule),
+            escape(&f.path.display().to_string()),
+            f.line,
+            escape(&f.message)
+        ));
+    }
+    let s = &report.stats;
+    out.push_str(&format!(
+        "\n  ],\n  \"stats\": {{ \"files\": {}, \"functions\": {}, \"symbols\": {}, \"call_edges\": {}, \"sccs\": {}, \"hot_fns\": {}, \"summarized_fns\": {} }}\n}}\n",
+        s.files, s.functions, s.symbols, s.call_edges, s.sccs, s.hot_fns, s.summarized_fns
+    ));
+    out
+}
+
+/// JSON string-literal escaping.
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Human-readable declaration kind.
@@ -598,22 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_suppresses_known_findings() {
-        let files = [src(
-            "crates/a/src/lib.rs",
-            "fn f(vpn: Vpn) -> u64 { vpn.raw() << 9 }\n",
-        )];
-        let mut report = analyze_sources(&files);
-        assert_eq!(report.findings.len(), 1);
-        let accepted = Baseline::parse(&Baseline::render(&report.findings));
-        report
-            .apply_baseline(&accepted)
-            .expect("occurrence-indexed fingerprints cannot collide here");
-        assert!(report.is_clean());
-        assert_eq!(report.baselined, 1);
-    }
-
-    #[test]
     fn classification_by_path() {
         assert_eq!(classify(Path::new("compat/rand/src/lib.rs")), FileKind::Compat);
         assert_eq!(classify(Path::new("tests/differential.rs")), FileKind::Test);
@@ -632,5 +512,18 @@ mod tests {
         assert_eq!(report.stats.functions, 2);
         assert_eq!(report.stats.symbols, 2);
         assert_eq!(report.stats.call_edges, 2);
+    }
+
+    #[test]
+    fn json_form_carries_findings_and_stats() {
+        let report = analyze_sources(&[src(
+            "crates/a/src/lib.rs",
+            "fn f(vpn: Vpn) -> u64 { vpn.raw() << 9 }\n",
+        )]);
+        let json = to_json(&report);
+        assert!(json.contains("\"rule\": \"addr-arith\""), "{json}");
+        assert!(json.contains("\"path\": \"crates/a/src/lib.rs\", \"line\": 1"), "{json}");
+        assert!(json.contains("\"functions\": 1"), "{json}");
+        assert_eq!(escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
     }
 }

@@ -60,36 +60,6 @@ pub(crate) struct ItemDecl {
     pub line: u32,
     /// `true` when declared under `#[cfg(test)]` (or `#[test]`).
     pub is_test: bool,
-    /// Concatenated type text for `const`/`static` items (empty for other
-    /// kinds) — lets the concurrency rules spot `static FLAG: AtomicU64`.
-    pub ty: String,
-}
-
-/// How a function takes `self` (drives the shared-access classification
-/// of the lockset rule: `&self` methods are the concurrently-callable
-/// surface of a shared type, `&mut self` implies exclusive access).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SelfKind {
-    /// Free function — no `self` receiver.
-    None,
-    /// `&self` (possibly `&'a self`).
-    Ref,
-    /// `&mut self`.
-    RefMut,
-    /// `self` / `mut self` by value.
-    Owned,
-}
-
-/// A `struct` declaration with its parsed field list (named-field structs
-/// only; tuple structs contribute an empty list).
-#[derive(Debug, Clone)]
-pub(crate) struct StructDecl {
-    /// Simple name.
-    pub name: String,
-    /// `(field name, concatenated type text)` per named field.
-    pub fields: Vec<(String, String)>,
-    /// `true` under `#[cfg(test)]`.
-    pub is_test: bool,
 }
 
 /// A function (free, inherent method, trait method, or trait-impl method).
@@ -106,10 +76,6 @@ pub(crate) struct FnDecl {
     pub line: u32,
     /// `(pattern, type-text)` for each non-`self` parameter.
     pub params: Vec<(String, String)>,
-    /// How the function takes `self`.
-    pub self_kind: SelfKind,
-    /// Concatenated return-type text (empty for `()` returns).
-    pub ret: String,
     /// Token range of the body, *excluding* the outer braces; `None` for
     /// bodyless trait-method signatures.
     pub body: Option<(usize, usize)>,
@@ -135,8 +101,6 @@ pub(crate) struct ParsedFile {
     pub fns: Vec<FnDecl>,
     /// Module-level declarations.
     pub items: Vec<ItemDecl>,
-    /// Named-field struct declarations with their field lists.
-    pub structs: Vec<StructDecl>,
     /// `// bits: N` width annotations, as `(1-based line, N)` pairs.
     /// Collected from the *raw* source before comment masking (the lexer
     /// never sees comments), sorted by line. An annotation names the
@@ -155,7 +119,6 @@ impl ParsedFile {
             toks,
             fns: Vec::new(),
             items: Vec::new(),
-            structs: Vec::new(),
             bit_widths: bit_width_annotations(source),
         };
         let end = out.toks.len();
@@ -284,18 +247,12 @@ impl Parser<'_> {
                     }
                     if let Some(name) = self.tok(j).filter(|t| t.kind == TokKind::Ident) {
                         if name.text != "_" {
-                            let ty = if self.tok(j + 1).is_some_and(|t| t.is(":")) {
-                                self.type_text(j + 2, to, &["=", ";"])
-                            } else {
-                                String::new()
-                            };
                             let decl = ItemDecl {
                                 kind,
                                 name: name.text.clone(),
                                 vis,
                                 line: name.line,
                                 is_test: self.ctx.in_test || attr_test,
-                                ty,
                             };
                             self.push_item(decl);
                         }
@@ -328,7 +285,6 @@ impl Parser<'_> {
                             vis,
                             line: name.line,
                             is_test: self.ctx.in_test || attr_test,
-                            ty: String::new(),
                         };
                         self.push_item(decl);
                     }
@@ -381,39 +337,6 @@ impl Parser<'_> {
         to
     }
 
-    /// Collects concatenated type text from `from` until a depth-0 stop
-    /// token (or `to`), descending into generics/groups verbatim.
-    fn type_text(&self, from: usize, to: usize, stops: &[&str]) -> String {
-        let toks = &self.file.toks;
-        let mut out = String::new();
-        let mut i = from;
-        while i < to.min(toks.len()) {
-            let t = &toks[i];
-            if stops.contains(&t.text.as_str()) {
-                break;
-            }
-            if t.is("<") {
-                let close = skip_generics(toks, i);
-                for t in &toks[i..close.min(toks.len())] {
-                    out.push_str(&t.text);
-                }
-                i = close;
-                continue;
-            }
-            if t.is("(") || t.is("[") || t.is("{") {
-                let close = skip_group(toks, i);
-                for t in &toks[i..close.min(toks.len())] {
-                    out.push_str(&t.text);
-                }
-                i = close;
-                continue;
-            }
-            out.push_str(&t.text);
-            i += 1;
-        }
-        out
-    }
-
     /// Parses `fn name …` starting at the `fn` keyword; returns the index
     /// past the item.
     fn function(
@@ -436,16 +359,13 @@ impl Parser<'_> {
         }
         // Parameter list.
         let mut params = Vec::new();
-        let mut self_kind = SelfKind::None;
         if self.tok(i).is_some_and(|t| t.is("(")) {
             let close = skip_group(&self.file.toks, i);
             params = self.params(i + 1, close.saturating_sub(1));
-            self_kind = self.self_kind(i + 1, close.saturating_sub(1));
             i = close;
         }
         // Return type / where clause: scan to the body `{` or a `;`.
         let mut body = None;
-        let mut ret = String::new();
         while i < to.min(toks_len) {
             match self.tok(i) {
                 Some(t) if t.is(";") => {
@@ -457,10 +377,6 @@ impl Parser<'_> {
                     body = Some((i + 1, close.saturating_sub(1)));
                     i = close;
                     break;
-                }
-                Some(t) if t.is("->") => {
-                    ret = self.type_text(i + 1, to, &["where", "{", ";"]);
-                    i += 1;
                 }
                 Some(t) if t.is("<") => i = skip_generics(&self.file.toks, i),
                 Some(t) if t.is("(") || t.is("[") => i = skip_group(&self.file.toks, i),
@@ -485,7 +401,6 @@ impl Parser<'_> {
                 vis,
                 line,
                 is_test,
-                ty: String::new(),
             });
         }
         self.file.fns.push(FnDecl {
@@ -494,52 +409,12 @@ impl Parser<'_> {
             vis,
             line,
             params,
-            self_kind,
-            ret,
             body,
             in_trait_impl: self.ctx.in_trait_impl,
             is_test,
             is_cold: attr_cold,
         });
         i
-    }
-
-    /// Classifies the `self` receiver of a parameter-list token range.
-    fn self_kind(&self, from: usize, to: usize) -> SelfKind {
-        let toks = &self.file.toks;
-        // The receiver, when present, is the first parameter: scan up to
-        // the first depth-0 `,` or `:` for a bare `self` token.
-        let mut i = from;
-        let mut amp = false;
-        let mut is_mut = false;
-        let mut after_tick = false;
-        while i < to.min(toks.len()) {
-            let t = &toks[i];
-            if t.is(",") || t.is(":") {
-                break;
-            }
-            if t.is("&") {
-                amp = true;
-            } else if t.is("'") {
-                after_tick = true; // lifetime: `&'a self`
-                i += 1;
-                continue;
-            } else if t.is_ident("mut") {
-                is_mut = true;
-            } else if t.is_ident("self") {
-                return match (amp, is_mut) {
-                    (true, true) => SelfKind::RefMut,
-                    (true, false) => SelfKind::Ref,
-                    (false, _) => SelfKind::Owned,
-                };
-            } else if t.kind == TokKind::Ident && !after_tick {
-                // A non-lifetime identifier before any `self`: free fn.
-                break;
-            }
-            after_tick = false;
-            i += 1;
-        }
-        SelfKind::None
     }
 
     /// Parses a parameter list token range into `(pattern, type)` pairs.
@@ -620,7 +495,6 @@ impl Parser<'_> {
             vis,
             line,
             is_test: self.ctx.in_test || attr_test,
-            ty: String::new(),
         });
         let mut i = at + 2;
         if self.tok(i).is_some_and(|t| t.is("<")) {
@@ -642,13 +516,6 @@ impl Parser<'_> {
                         self.ctx.in_test |= attr_test;
                         self.items(i + 1, close.saturating_sub(1));
                         self.ctx = saved;
-                    } else if kw == "struct" {
-                        let fields = self.struct_fields(i + 1, close.saturating_sub(1));
-                        self.file.structs.push(StructDecl {
-                            name,
-                            fields,
-                            is_test: self.ctx.in_test || attr_test,
-                        });
                     }
                     return close;
                 }
@@ -657,52 +524,6 @@ impl Parser<'_> {
             }
         }
         to
-    }
-
-    /// Parses a named-field struct body into `(name, type-text)` pairs.
-    fn struct_fields(&self, from: usize, to: usize) -> Vec<(String, String)> {
-        let toks = &self.file.toks;
-        let mut out = Vec::new();
-        let mut i = from;
-        while i < to.min(toks.len()) {
-            let t = &toks[i];
-            // Skip attributes and visibility modifiers before the name.
-            if t.is("#") {
-                let mut j = i + 1;
-                if toks.get(j).is_some_and(|t| t.is("[")) {
-                    j = skip_group(toks, j);
-                }
-                i = j;
-                continue;
-            }
-            if t.is_ident("pub") {
-                i += 1;
-                if toks.get(i).is_some_and(|t| t.is("(")) {
-                    i = skip_group(toks, i);
-                }
-                continue;
-            }
-            if t.kind == TokKind::Ident && toks.get(i + 1).is_some_and(|t| t.is(":")) {
-                let name = t.text.clone();
-                let ty = self.type_text(i + 2, to, &[","]);
-                out.push((name, ty));
-                // Advance past the field's type to the `,` (or end).
-                i += 2;
-                while i < to.min(toks.len()) && !toks[i].is(",") {
-                    if toks[i].is("<") {
-                        i = skip_generics(toks, i);
-                    } else if toks[i].is("(") || toks[i].is("[") || toks[i].is("{") {
-                        i = skip_group(toks, i);
-                    } else {
-                        i += 1;
-                    }
-                }
-                i += 1;
-                continue;
-            }
-            i += 1;
-        }
-        out
     }
 
     /// Parses an `impl` block starting at the keyword.
@@ -866,73 +687,14 @@ mod tests {
     }
 
     #[test]
-    fn classifies_self_receivers() {
-        let f = parse(
-            "impl S {\n\
-               fn a(&self) {}\n\
-               fn b(&mut self, x: u64) {}\n\
-               fn c(self) {}\n\
-               fn d(&'a self) {}\n\
-               fn e(x: u64) {}\n\
-             }\n",
-        );
-        let kinds: Vec<SelfKind> = f.fns.iter().map(|x| x.self_kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                SelfKind::Ref,
-                SelfKind::RefMut,
-                SelfKind::Owned,
-                SelfKind::Ref,
-                SelfKind::None,
-            ]
-        );
-    }
-
-    #[test]
-    fn captures_return_types_and_cold_attr() {
+    fn captures_cold_attr() {
         let f = parse(
             "fn guard(&self) -> MutexGuard<'_, u64> { self.m.lock() }\n\
              #[cold]\nfn fault(n: u64) -> io::Error { panic!() }\n\
              fn plain() {}\n",
         );
-        assert!(f.fns[0].ret.contains("Guard"), "{}", f.fns[0].ret);
         assert!(!f.fns[0].is_cold);
-        assert_eq!(f.fns[1].ret, "io::Error");
         assert!(f.fns[1].is_cold, "#[cold] must be captured");
-        assert!(f.fns[2].ret.is_empty());
         assert!(!f.fns[2].is_cold, "#[cold] must not leak to the next fn");
-    }
-
-    #[test]
-    fn captures_struct_fields_and_static_types() {
-        let f = parse(
-            "pub struct Shard {\n\
-               #[doc(hidden)]\n\
-               pub m: Mutex<u64>,\n\
-               hits: u64,\n\
-               map: HashMap<Vpn, Translation>,\n\
-             }\n\
-             static EPOCH: AtomicU64 = AtomicU64::new(0);\n\
-             const LIMIT: usize = 8;\n",
-        );
-        assert_eq!(f.structs.len(), 1);
-        let fields: Vec<(&str, &str)> = f.structs[0]
-            .fields
-            .iter()
-            .map(|(n, t)| (n.as_str(), t.as_str()))
-            .collect();
-        assert_eq!(
-            fields,
-            [
-                ("m", "Mutex<u64>"),
-                ("hits", "u64"),
-                ("map", "HashMap<Vpn,Translation>"),
-            ]
-        );
-        let epoch = f.items.iter().find(|i| i.name == "EPOCH").expect("EPOCH");
-        assert_eq!(epoch.ty, "AtomicU64");
-        let limit = f.items.iter().find(|i| i.name == "LIMIT").expect("LIMIT");
-        assert_eq!(limit.ty, "usize");
     }
 }

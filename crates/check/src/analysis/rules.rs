@@ -1,6 +1,6 @@
 //! Per-function semantic rules.
 //!
-//! All three file-local rules share one body-scanning toolkit built on the
+//! Both file-local rules share one body-scanning toolkit built on the
 //! outline parser's token ranges:
 //!
 //! * **`addr-arith`** — address-arithmetic taint. `.raw()` called on an
@@ -17,10 +17,6 @@
 //! * **`truncating-cast`** — `as u8`/`as u16`/`as u32` applied to a
 //!   raw-tainted expression silently drops high address bits; the fix is
 //!   `u32::try_from(..)` (or staying in the typed domain).
-//! * **`pagesize-match`** — a `match` whose arms name `PageSize`
-//!   variants must not have a `_` wildcard arm: adding a fourth page
-//!   size must break the build at every site that dispatches on size,
-//!   not silently fall into a default.
 //!
 //! Rules are syntactic and advisory by design — no type inference, no
 //! data-flow joins — and they bias toward false negatives: a finding
@@ -53,8 +49,6 @@ const ARITH_OPS: [&str; 12] = [
 ];
 /// Truncating cast targets.
 const NARROW: [&str; 3] = ["u8", "u16", "u32"];
-/// `PageSize` idents that mark a size-dispatching match arm.
-const PAGESIZE_IDENTS: [&str; 4] = ["PageSize", "Size4K", "Size2M", "Size1G"];
 
 /// Runs every file-local rule over one parsed library file.
 pub(crate) fn file_rules(file: &ParsedFile) -> Vec<RuleFinding> {
@@ -62,16 +56,15 @@ pub(crate) fn file_rules(file: &ParsedFile) -> Vec<RuleFinding> {
     if file.kind != FileKind::Lib {
         return out;
     }
-    let in_types = file.path.iter().any(|c| c == "types");
+    if file.path.iter().any(|c| c == "types") {
+        return out;
+    }
     for f in &file.fns {
         if f.is_test {
             continue;
         }
         let Some((from, to)) = f.body else { continue };
-        if !in_types {
-            taint_rules(file, f, from, to, &mut out);
-        }
-        pagesize_match(&file.toks, from, to, &mut out);
+        taint_rules(file, f, from, to, &mut out);
     }
     out.sort_by_key(|f| f.line);
     out
@@ -335,95 +328,6 @@ fn primary_end(toks: &[Tok], start: usize, ceil: usize) -> usize {
     }
 }
 
-// ---------------------------------------------------------------------------
-// pagesize-match
-// ---------------------------------------------------------------------------
-
-/// Flags `match` statements that dispatch on `PageSize` variants but keep
-/// a `_` wildcard arm.
-fn pagesize_match(toks: &[Tok], from: usize, to: usize, out: &mut Vec<RuleFinding>) {
-    let to = to.min(toks.len());
-    let mut i = from;
-    while i < to {
-        if !toks[i].is_ident("match") {
-            i += 1;
-            continue;
-        }
-        // Scrutinee runs to the first top-level `{` (struct literals are
-        // not legal in match scrutinees without parens, so this is safe).
-        let mut j = i + 1;
-        while j < to && !toks[j].is("{") {
-            if toks[j].is("(") || toks[j].is("[") {
-                j = skip_group(toks, j);
-            } else {
-                j += 1;
-            }
-        }
-        if j >= to {
-            break;
-        }
-        let close = skip_group(toks, j).saturating_sub(1);
-        let mut names_pagesize = false;
-        let mut wildcard_line: Option<u32> = None;
-        // Arms: pattern up to a top-level `=>`, body `{…}` or up to `,`.
-        let mut k = j + 1;
-        while k < close {
-            let pat_start = k;
-            while k < close && !toks[k].is("=>") {
-                if toks[k].is("(") || toks[k].is("[") || toks[k].is("{") {
-                    k = skip_group(toks, k);
-                } else {
-                    k += 1;
-                }
-            }
-            if k >= close {
-                break;
-            }
-            let pat = &toks[pat_start..k];
-            if pat.iter().any(|t| {
-                t.kind == TokKind::Ident && PAGESIZE_IDENTS.contains(&t.text.as_str())
-            }) {
-                names_pagesize = true;
-            }
-            let is_wild = pat.first().is_some_and(|t| t.is_ident("_"))
-                && (pat.len() == 1 || pat.get(1).is_some_and(|t| t.is_ident("if")));
-            if is_wild {
-                wildcard_line = wildcard_line.or(pat.first().map(|t| t.line));
-            }
-            // Skip the arm body.
-            k += 1; // past `=>`
-            if k < close && toks[k].is("{") {
-                k = skip_group(toks, k);
-            } else {
-                while k < close && !toks[k].is(",") {
-                    if toks[k].is("(") || toks[k].is("[") || toks[k].is("{") {
-                        k = skip_group(toks, k);
-                    } else {
-                        k += 1;
-                    }
-                }
-            }
-            if k < close && toks[k].is(",") {
-                k += 1;
-            }
-        }
-        if names_pagesize {
-            if let Some(line) = wildcard_line {
-                out.push(RuleFinding {
-                    rule: "pagesize-match",
-                    line,
-                    message: "`match` over `PageSize` hides sizes behind a `_` \
-                              wildcard arm — list every variant so adding a \
-                              page size breaks the build at each dispatch \
-                              site instead of silently defaulting"
-                        .to_owned(),
-                });
-            }
-        }
-        i = close + 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,22 +382,6 @@ mod tests {
         assert_eq!(r, ["truncating-cast"]);
         let clean = rules_of("fn f(n: usize) -> u32 { n as u32 }\n");
         assert!(clean.is_empty());
-    }
-
-    #[test]
-    fn pagesize_wildcard_is_flagged() {
-        let dirty = rules_of(
-            "fn pages(s: PageSize) -> u64 {\n  match s {\n    PageSize::Size4K => 1,\n    _ => 512,\n  }\n}\n",
-        );
-        assert_eq!(dirty, ["pagesize-match"]);
-        let clean = rules_of(
-            "fn pages(s: PageSize) -> u64 {\n  match s {\n    PageSize::Size4K => 1,\n    PageSize::Size2M => 512,\n    PageSize::Size1G => 262144,\n  }\n}\n",
-        );
-        assert!(clean.is_empty());
-        let unrelated = rules_of(
-            "fn f(x: Option<u64>) -> u64 { match x { Some(v) => v, _ => 0 } }\n",
-        );
-        assert!(unrelated.is_empty());
     }
 
     #[test]

@@ -13,24 +13,26 @@
 //!    `Mutex`/`AtomicU64` from the [`sync`] facade; with the `model`
 //!    feature those resolve to instrumented wrappers whose operations are
 //!    schedule points, and [`sched::explore`] replays small 2–3-core
-//!    shootdown and shared-LLC scenarios under *every* interleaving up to
-//!    a preemption bound, asserting the coherence invariants (no stale
+//!    shootdown and shared-LLC scenarios over interleavings up to a
+//!    preemption bound (see [`sched`] for the search's known gap), asserting the coherence invariants (no stale
 //!    translation after a shootdown acknowledges, no orphan mirror after a
 //!    mirrored-set sweep, absorbed counters sum consistently, no
 //!    lock-order inversion across LLC shards). Without the feature the
 //!    facade is a zero-overhead `std::sync` re-export.
 //! 2. **[`analysis`] — structural static analysis** (`mixtlb-check
-//!    --analyze`): twelve project rules that `rustc`/`clippy` cannot see
-//!    (address-bit arithmetic, lock order, lockset races, atomic
-//!    orderings, hot-path allocation, bit-packing and tag ranges, …),
-//!    gated against the committed `check-baseline.json`. The unsafe and
-//!    panic policy is not here: `[workspace.lints]` hands it to rustc and
-//!    clippy, and every exception is a compiler-checked
+//!    --analyze`): six project rules that `rustc`/`clippy` cannot see
+//!    (address-bit arithmetic, truncating casts, dead exports, hot-path
+//!    allocation, bit-packing and tag ranges). There are no
+//!    suppressions: CI fails on any finding. The unsafe and panic policy
+//!    is not here: `[workspace.lints]` hands it to rustc and clippy, and
+//!    every exception is a compiler-checked
 //!    `#[expect(..., reason = "...")]`.
-//! 3. **[`protocol`] — executable shootdown-protocol scenarios** shared by
-//!    the model-check test suites, with seeded bugs (doorbell-before-remap
-//!    reordering, partial mirrored-set sweeps) proving the explorer
-//!    actually catches the failure modes it claims to.
+//! 3. **[`protocol`] + [`handoff`] — executable protocol scenarios**
+//!    shared by the model-check test suites: the shootdown protocol and
+//!    the streaming pipeline's bounded hand-off, with seeded bugs
+//!    (doorbell-before-remap reordering, partial mirrored-set sweeps, a
+//!    missing publish) proving the explorer actually catches the failure
+//!    modes it claims to.
 //!
 //! The structural TLB invariants themselves (`check_invariants`) live in
 //! `mixtlb-core` next to `MixTlb`, so unit tests and the model checker

@@ -1,7 +1,8 @@
 //! The bounded interleaving explorer (a "mini-loom").
 //!
-//! [`explore`] runs a multi-threaded scenario under **every** thread
-//! interleaving up to a preemption bound, using stateless re-execution:
+//! [`explore`] runs a multi-threaded scenario under thread interleavings
+//! up to a preemption bound (see *Known gap* below), using stateless
+//! re-execution:
 //! each schedule spawns fresh OS threads whose instrumented synchronization
 //! operations ([`crate::sync::instrumented`]) park at *schedule points*; a
 //! controller grants exactly one thread the right to run between points, so
@@ -28,10 +29,16 @@
 //! Execution is serialized at synchronization-operation granularity, so the
 //! explorer checks *logic* races (check-then-act windows, missing
 //! acknowledgement edges, partial invalidation sweeps) under sequential
-//! consistency. It does **not** model weak-memory reorderings; the
-//! workspace lint's `relaxed-ordering` rule exists precisely because
-//! `Ordering::Relaxed` choices cannot be validated here and therefore need
-//! a written justification.
+//! consistency. It does **not** model weak-memory reorderings, which is
+//! why every `Ordering::Relaxed` site carries a written `// Relaxed: …`
+//! justification.
+//!
+//! # Known gap
+//!
+//! The search only tries switching from the running thread to a
+//! *later-registered* one, which then runs to completion: two threads of
+//! four schedule points each get 5 schedules, not all 70 interleavings.
+//! Scenarios that need a back-and-forth switch are not reached.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
@@ -596,14 +603,9 @@ fn run_once(cfg: &Config, sim: Sim, prefix: &[usize]) -> RunOutcome {
     }
 }
 
-/// Detects a cycle in the held→acquired edge set; returns its nodes.
-///
-/// Shared with the *static* lock-order extraction in
-/// [`crate::analysis::lockorder`]: the dynamic explorer feeds it observed
-/// mutex-object-id edges, the analyzer feeds it interned lock-path ids
-/// from the whole-workspace acquisition-order graph, so both checkers
-/// agree on what an inversion is.
-pub(crate) fn find_cycle(edges: &HashSet<(u64, u64)>) -> Option<Vec<u64>> {
+/// Detects a cycle in the held→acquired edge set of observed mutex
+/// object ids; returns its nodes.
+fn find_cycle(edges: &HashSet<(u64, u64)>) -> Option<Vec<u64>> {
     let mut adj: HashMap<u64, Vec<u64>> = HashMap::new();
     for &(a, b) in edges {
         adj.entry(a).or_default().push(b);

@@ -1,15 +1,11 @@
 //! Fixture self-tests for the structural analyzer: every semantic rule
 //! must fire on its seeded dirty fixture and stay silent on the paired
-//! clean fixture; the SARIF renderer must match its committed golden
-//! log byte-for-byte; and the real workspace, under the committed
-//! `check-baseline.json`, must analyze clean — the `--analyze` gate CI
-//! enforces.
+//! clean fixture; and the real workspace must analyze clean — the
+//! `--analyze` gate CI enforces.
 
 use std::path::{Path, PathBuf};
 
-use mixtlb_check::analysis::{
-    analyze_sources, to_sarif, AnalysisReport, Baseline, FileKind, SourceFile,
-};
+use mixtlb_check::analysis::{analyze_sources, AnalysisReport, FileKind, SourceFile};
 
 /// Wraps fixture text as a library file of a pseudo-crate, so crate
 /// attribution and rule scoping behave as they would on real sources.
@@ -101,106 +97,6 @@ fn dead_code_fixture_pair_spans_crates() {
 }
 
 #[test]
-fn lock_order_fixture_pair() {
-    let dirty = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/lock_order_dirty.rs"),
-    )];
-    assert_eq!(rules_fired(&dirty), ["lock-order"]);
-    let report = analyze(&dirty);
-    assert!(
-        report.findings[0].message.contains("ABBA"),
-        "{}",
-        report.findings[0].message
-    );
-    let clean = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/lock_order_clean.rs"),
-    )];
-    assert_eq!(rules_fired(&clean), [] as [&str; 0]);
-    // The acyclic order is still extracted for `--locks` / the dynamic
-    // checker's documentation.
-    let clean_report = analyze(&clean);
-    assert!(
-        clean_report
-            .lock_edges
-            .iter()
-            .any(|e| e.contains("s.alpha -> s.beta")),
-        "{:?}",
-        clean_report.lock_edges
-    );
-}
-
-#[test]
-fn pagesize_match_fixture_pair() {
-    let dirty = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/pagesize_match_dirty.rs"),
-    )];
-    assert_eq!(rules_fired(&dirty), ["pagesize-match"]);
-    let clean = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/pagesize_match_clean.rs"),
-    )];
-    assert_eq!(rules_fired(&clean), [] as [&str; 0]);
-}
-
-#[test]
-fn lockset_race_fixture_pair() {
-    let dirty = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/lockset_race_dirty.rs"),
-    )];
-    assert_eq!(rules_fired(&dirty), ["lockset-race"]);
-    let report = analyze(&dirty);
-    assert!(
-        report.findings.len() >= 4,
-        "inconsistent pair, unlocked write, and broken helper entry set \
-         must all fire: {:?}",
-        report.findings
-    );
-    let msgs: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(
-        msgs.iter().any(|m| m.contains("inconsistent locksets")),
-        "{msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("no lock held")),
-        "{msgs:?}"
-    );
-    let clean = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/lockset_race_clean.rs"),
-    )];
-    assert_eq!(rules_fired(&clean), [] as [&str; 0]);
-}
-
-#[test]
-fn atomic_ordering_fixture_pair() {
-    let dirty = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/atomic_ordering_dirty.rs"),
-    )];
-    assert_eq!(rules_fired(&dirty), ["atomic-ordering"]);
-    let report = analyze(&dirty);
-    assert!(
-        report.findings.len() >= 3,
-        "both publication halves and the split RMW must fire: {:?}",
-        report.findings
-    );
-    let msgs: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(
-        msgs.iter().any(|m| m.contains("load then store")),
-        "{msgs:?}"
-    );
-    let clean = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/atomic_ordering_clean.rs"),
-    )];
-    assert_eq!(rules_fired(&clean), [] as [&str; 0]);
-}
-
-#[test]
 fn hot_path_fixture_pair() {
     let dirty = [lib(
         "crates/fixture/src/lib.rs",
@@ -288,68 +184,6 @@ fn tag_range_fixture_pair() {
     assert_eq!(rules_fired(&clean), [] as [&str; 0]);
 }
 
-#[test]
-fn index_bound_fixture_pair() {
-    let dirty = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/index_bound_dirty.rs"),
-    )];
-    assert_eq!(rules_fired(&dirty), ["index-bound"]);
-    let report = analyze(&dirty);
-    assert!(
-        report.findings.len() >= 3,
-        "the off-by-one modulo, the unbounded hash, and the local-table \
-         slip must all fire: {:?}",
-        report.findings
-    );
-    let msgs: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(
-        msgs.iter().any(|m| m.contains("may escape fixed 8-slot")),
-        "{msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("not provably in bounds")),
-        "{msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("3-slot")),
-        "{msgs:?}"
-    );
-    let clean = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/index_bound_clean.rs"),
-    )];
-    assert_eq!(rules_fired(&clean), [] as [&str; 0]);
-}
-
-#[test]
-fn blocking_in_lock_fixture_pair() {
-    let dirty = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/blocking_dirty.rs"),
-    )];
-    assert_eq!(rules_fired(&dirty), ["blocking-in-lock"]);
-    let report = analyze(&dirty);
-    assert!(
-        report.findings.len() >= 3,
-        "the direct semaphore wait, the push through the private helper, \
-         and the permit acquire under the read lock must all fire: {:?}",
-        report.findings
-    );
-    let msgs: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(msgs.iter().any(|m| m.contains(".wait()")), "{msgs:?}");
-    assert!(
-        msgs.iter().any(|m| m.contains("enqueue")),
-        "the call into the blocking helper must be flagged at the locked \
-         call site: {msgs:?}"
-    );
-    let clean = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/blocking_clean.rs"),
-    )];
-    assert_eq!(rules_fired(&clean), [] as [&str; 0]);
-}
-
 /// The shipped pre-PR-8 bug, shape-for-shape: `Asid::new(id as u16 + 1)`
 /// plus the unmasked 16-bit tag packed at bit 52. The value rules this
 /// PR adds must catch both halves — the whole motivation for the layer.
@@ -383,11 +217,11 @@ fn finding_order_is_stable_across_parallel_runs() {
     let sources = [
         lib(
             "crates/a/src/lib.rs",
-            include_str!("fixtures/analysis/lockset_race_dirty.rs"),
+            include_str!("fixtures/analysis/bit_pack_dirty.rs"),
         ),
         lib(
             "crates/b/src/lib.rs",
-            include_str!("fixtures/analysis/atomic_ordering_dirty.rs"),
+            include_str!("fixtures/analysis/tag_range_dirty.rs"),
         ),
         lib(
             "crates/c/src/lib.rs",
@@ -403,7 +237,7 @@ fn finding_order_is_stable_across_parallel_runs() {
         ),
         lib(
             "crates/f/src/lib.rs",
-            include_str!("fixtures/analysis/lock_order_dirty.rs"),
+            include_str!("fixtures/analysis/dead_code_dirty_a.rs"),
         ),
     ];
     let reference: Vec<String> =
@@ -416,47 +250,15 @@ fn finding_order_is_stable_across_parallel_runs() {
     }
 }
 
-/// The SARIF log for the addr-arith dirty fixture, byte-for-byte. The
-/// fingerprints inside are line-insensitive, so this golden only churns
-/// when the rule's *output contract* changes — regenerate deliberately
-/// with `UPDATE_SARIF_GOLDEN=1 cargo test -p mixtlb-check sarif_golden`.
-#[test]
-fn sarif_golden_is_stable() {
-    let report = analyze(&[lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/addr_arith_dirty.rs"),
-    )]);
-    let sarif = to_sarif(&report);
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/analysis/addr_arith_dirty.sarif");
-    if std::env::var_os("UPDATE_SARIF_GOLDEN").is_some() {
-        std::fs::write(&golden_path, &sarif).expect("write golden");
-    }
-    let golden = std::fs::read_to_string(&golden_path).expect("read golden");
-    assert_eq!(
-        sarif, golden,
-        "SARIF drifted from the committed golden; rerun with \
-         UPDATE_SARIF_GOLDEN=1 if the change is intentional"
-    );
-}
-
-/// The gate CI runs: the workspace itself, under the committed baseline,
-/// has zero findings. If this fails, fix the finding in code — or, for
-/// a deliberate acceptance, run `--analyze . --update-baseline` and
-/// commit the diff.
+/// The gate CI runs: the workspace itself has zero findings. If this
+/// fails, fix the finding in code; there is no suppression mechanism.
 #[test]
 fn workspace_is_analysis_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut report =
-        mixtlb_check::analysis::analyze_workspace(&root).expect("walk workspace");
-    let baseline =
-        Baseline::load(&root.join("check-baseline.json")).expect("read baseline");
-    report
-        .apply_baseline(&baseline)
-        .expect("no fingerprint collisions in the workspace findings");
+    let report = mixtlb_check::analysis::analyze_workspace(&root).expect("walk workspace");
     assert!(
         report.is_clean(),
-        "non-baselined analysis findings:\n{}",
+        "analysis findings:\n{}",
         report
             .findings
             .iter()
@@ -466,14 +268,8 @@ fn workspace_is_analysis_clean() {
     );
     assert!(report.stats.files > 100, "workspace walk looks truncated");
     // Pin that the interprocedural passes actually ran over the real
-    // workspace, not a degenerate front end: the shared-state model sees
-    // the concurrent structs, the condensation is non-trivial, and the
-    // hot roots reach a real slice of the call graph.
-    assert!(report.stats.structs > 50, "struct outline looks truncated");
-    assert!(
-        report.stats.shared_structs >= 1,
-        "SharedCache/SmpMachine should register as cross-thread shared"
-    );
+    // workspace, not a degenerate front end: the condensation is
+    // non-trivial, and the hot roots reach a real slice of the call graph.
     assert!(report.stats.sccs > 100, "condensation looks degenerate");
     assert!(
         report.stats.hot_fns > 20,

@@ -1,5 +1,6 @@
 //! Model-checking the *real* shared LLC under the interleaving explorer,
-//! plus lock-discipline fixtures for the lock-order analysis.
+//! plus lock-discipline fixtures for the explorer's lock-order-inversion
+//! check.
 //!
 //! These tests compile `mixtlb-cache` with its `model` feature (see this
 //! crate's dev-dependencies): the LLC's shard mutexes and statistics

@@ -3,7 +3,9 @@
 //! packages that opt in. These tests pin the opt-in: every `crates/*`
 //! member and the root package inherit the workspace table, and every
 //! `compat/*` stub forbids `unsafe_code` itself. A new crate added
-//! without the table fails here.
+//! without the table fails here. They also keep the analyzer's rule
+//! list and its evidence table in DESIGN.md §8 in step, so a rule cannot
+//! land without an evidence row.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -86,4 +88,47 @@ fn every_compat_stub_forbids_unsafe_code() {
             path.display()
         );
     }
+}
+
+/// `(rule, verdict)` per row of the DESIGN.md §8 rule evidence table:
+/// the table whose header starts `| rule | wall time |`.
+fn evidence_rows(design: &str) -> Vec<(String, String)> {
+    let section = design
+        .split("\n## ")
+        .find(|s| s.starts_with("8. "))
+        .unwrap_or_default();
+    section
+        .lines()
+        .skip_while(|l| !l.starts_with("| rule | wall time |"))
+        .skip(2) // header and separator
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| {
+            let cells: Vec<&str> = l.trim_matches('|').split('|').map(str::trim).collect();
+            let rule = cells.first().unwrap_or(&"").trim_matches('`').to_owned();
+            let verdict = cells.last().unwrap_or(&"").to_string();
+            (rule, verdict)
+        })
+        .collect()
+}
+
+#[test]
+fn design_evidence_table_names_exactly_the_analysis_rules() {
+    let rows = evidence_rows(&read(&root().join("DESIGN.md")));
+    assert!(!rows.is_empty(), "DESIGN.md §8 must hold the rule evidence table");
+    for (rule, verdict) in &rows {
+        assert!(
+            verdict == "kept" || verdict == "deleted",
+            "evidence row `{rule}` must end in kept or deleted, not `{verdict}`"
+        );
+    }
+    let kept: Vec<&str> = rows
+        .iter()
+        .filter(|(_, v)| v == "kept")
+        .map(|(r, _)| r.as_str())
+        .collect();
+    assert_eq!(
+        kept,
+        mixtlb_check::analysis::ANALYSIS_RULES,
+        "the kept rows of the DESIGN.md §8 evidence table must be the analyzer's rules, in order"
+    );
 }

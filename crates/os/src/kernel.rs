@@ -5,7 +5,7 @@ use std::fmt;
 
 use mixtlb_mem::{CompactionOutcome, FrameKind, PhysicalMemory};
 use mixtlb_pagetable::{FrameSource, PageTable};
-use mixtlb_types::{PageSize, Permissions, Pfn, Translation, Vpn};
+use mixtlb_types::{FrameOwner, PageSize, Permissions, Pfn, Translation, Vpn};
 
 use crate::policy::{PagingPolicy, ThsConfig};
 use crate::vma::{VmaError, VmaSet};
@@ -128,28 +128,14 @@ impl FrameSource for PtFrames<'_> {
     }
 }
 
-/// Packed reverse-map entry: `valid(1) | space(8) | size(2) | vpn(36)`.
-fn pack_owner(space: usize, size: PageSize, vpn: Vpn) -> u64 {
-    1 | ((space as u64 & 0xFF) << 1) | (u64::from(size.encode()) << 9) | (vpn.raw() << 11)
-}
-
-fn unpack_owner(packed: u64) -> Option<(usize, PageSize, Vpn)> {
-    if packed & 1 == 0 {
-        return None;
-    }
-    let space = ((packed >> 1) & 0xFF) as usize;
-    let size = PageSize::decode(((packed >> 9) & 0b11) as u8)?;
-    let vpn = Vpn::new(packed >> 11);
-    Some((space, size, vpn))
-}
-
 /// The kernel: owns physical memory and all address spaces, handles demand
 /// faults, and routes compaction relocations to the right page tables.
 pub struct Kernel {
     mem: PhysicalMemory,
     spaces: Vec<AddressSpace>,
-    /// `rmap[pfn]` holds the packed owner of the *block base* frame of each
-    /// mapped page, 0 when unowned (free, memhog, page tables).
+    /// `rmap[pfn]` holds the packed [`FrameOwner`] of the *block base*
+    /// frame of each mapped page, 0 when unowned (free, memhog, page
+    /// tables).
     rmap: Vec<u64>,
 }
 
@@ -289,7 +275,24 @@ impl Kernel {
     /// Creates an address space with the given policy, reserving its
     /// hugetlbfs pool (if any) immediately — like `libhugetlbfs` reserving
     /// at program link/start time.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the kernel already has [`FrameOwner::MAX_SPACES`]
+    /// spaces: the reverse map could not tell the new one apart.
     pub fn create_space(&mut self, policy: PagingPolicy) -> SpaceId {
+        if self.spaces.len() >= FrameOwner::MAX_SPACES {
+            #[expect(
+                clippy::panic,
+                reason = "more address spaces than the reverse map can name is a configuration bug surfaced immediately"
+            )]
+            {
+                panic!(
+                    "at most {} address spaces fit the reverse map",
+                    FrameOwner::MAX_SPACES
+                );
+            }
+        }
         let page_table = PageTable::new(&mut PtFrames(&mut self.mem));
         let mut pool = VecDeque::new();
         let mut pool_size = None;
@@ -529,7 +532,12 @@ impl Kernel {
                 .page_table
                 .map(small, &mut PtFrames(mem))
                 .expect("region was just unmapped");
-            rmap[small.pfn.raw() as usize] = pack_owner(sid, PageSize::Size4K, small.vpn);
+            rmap[small.pfn.raw() as usize] = FrameOwner {
+                space: sid,
+                size: PageSize::Size4K,
+                vpn: small.vpn,
+            }
+            .pack();
         }
         Ok(())
     }
@@ -547,7 +555,12 @@ impl Kernel {
             .page_table
             .map(t, &mut PtFrames(mem))
             .expect("fault path never double-maps");
-        rmap[t.pfn.raw() as usize] = pack_owner(sid, t.size, t.vpn);
+        rmap[t.pfn.raw() as usize] = FrameOwner {
+            space: sid,
+            size: t.size,
+            vpn: t.vpn,
+        }
+        .pack();
         Ok(())
     }
 
@@ -632,12 +645,12 @@ impl Kernel {
     fn apply_relocations(&mut self, relocations: &[(Pfn, Pfn, u8)]) {
         for &(old, new, _order) in relocations {
             let packed = self.rmap[old.raw() as usize];
-            if let Some((owner, size, vpn)) = unpack_owner(packed) {
+            if let Some(FrameOwner { space, size, vpn }) = FrameOwner::unpack(packed) {
                 #[expect(
                     clippy::expect_used,
                     reason = "reverse-map entries are maintained to point at live mappings"
                 )]
-                self.spaces[owner]
+                self.spaces[space]
                     .page_table
                     .remap(vpn, size, new)
                     .expect("reverse map points at a live mapping");
@@ -834,22 +847,6 @@ mod tests {
         let mut k = kernel_mb(64);
         let s = k.create_space(PagingPolicy::SmallOnly);
         assert_eq!(k.fault(s, Vpn::new(0x123)), Err(FaultError::NoVma));
-    }
-
-    #[test]
-    fn owner_packing_roundtrip() {
-        let cases = [
-            (0usize, PageSize::Size4K, Vpn::new(0)),
-            (255, PageSize::Size1G, Vpn::new((1 << 36) - 1)),
-            (7, PageSize::Size2M, Vpn::new(0x400)),
-        ];
-        for (space, size, vpn) in cases {
-            assert_eq!(
-                unpack_owner(pack_owner(space, size, vpn)),
-                Some((space, size, vpn))
-            );
-        }
-        assert_eq!(unpack_owner(0), None);
     }
 
     #[test]

@@ -30,12 +30,14 @@
 
 mod addr;
 mod asid;
+mod owner;
 mod page;
 mod perms;
 mod pte;
 
 pub use addr::{PhysAddr, VirtAddr, PTES_PER_NODE, PTE_BYTES};
 pub use asid::{Asid, AsidAllocation, AsidAllocator};
+pub use owner::FrameOwner;
 pub use page::{PageSize, Pfn, Vpn, PAGE_SHIFT, PAGE_SIZE_4K};
 pub use perms::{AccessKind, Permissions};
 pub use pte::{Translation, TranslationError};

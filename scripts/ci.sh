@@ -24,27 +24,23 @@ echo "==> cargo clippy --workspace -- -D warnings"
 # #[expect(..., reason = "...")] (a stale exception) into a failure.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> mixtlb-check --analyze (structural analysis gate, 12 rules)"
-# Zero non-baselined findings required across all twelve rules —
-# including the interprocedural lockset-race, atomic-ordering, hot-path,
-# and value-range (bit-pack-overflow / tag-range / index-bound /
-# blocking-in-lock) analyses; accepted findings live in the committed
-# check-baseline.json (refresh only via --update-baseline). --stats
-# prints per-rule counts and wall time into the CI log so drift is
-# visible. The whole front end runs in seconds; the timeout is a safety
-# net, not a budget.
-analyze_log=$(timeout 60 cargo run --release -q -p mixtlb-check -- --analyze . --stats)
+echo "==> mixtlb-check --analyze (structural analysis gate, 6 rules)"
+# Zero findings required across all six rules (addr-arith,
+# truncating-cast, dead-code, hot-path, bit-pack-overflow, tag-range).
+# There is no baseline: any finding exits 1 and fails this stage (after
+# the log, findings included, is printed). --stats prints per-rule counts
+# and wall time into the CI log so drift is visible. The whole front end
+# runs in seconds; the timeout is a safety net, not a budget.
+analyze_status=0
+analyze_log=$(timeout 60 cargo run --release -q -p mixtlb-check -- --analyze . --stats) \
+  || analyze_status=$?
 printf '%s\n' "$analyze_log"
-# The four value/blocking rules must stay at zero live findings — fix
-# the code, don't baseline them in quietly.
-for rule in bit-pack-overflow tag-range index-bound blocking-in-lock; do
-  if ! grep -Eq "^  ${rule} +0 live" <<<"$analyze_log"; then
-    echo "CI: analyzer rule ${rule} reported live findings (or vanished from --stats)" >&2
-    exit 1
-  fi
-done
+if [[ "$analyze_status" -ne 0 ]]; then
+  echo "CI: mixtlb-check --analyze exited ${analyze_status}" >&2
+  exit 1
+fi
 # Workspace pin: the abstract interpreter must summarize a real slice of
-# the workspace (87 fns at the time of writing), not bail out to Top.
+# the workspace (83 fns at the time of writing), not bail out to Top.
 summarized=$(sed -n 's/.*abstract interpretation: \([0-9][0-9]*\) value-summarized.*/\1/p' <<<"$analyze_log")
 if [[ -z "$summarized" || "$summarized" -le 40 ]]; then
   echo "CI: value summaries collapsed (summarized=${summarized:-missing})" >&2
@@ -55,6 +51,12 @@ echo "==> mixtlb-check --model (time-boxed shootdown model check)"
 # Exhaustive 2-core exploration + seeded-bug self-check; the binary
 # bounds its own schedule counts, so this stays well under a minute.
 timeout 300 cargo run --release -q -p mixtlb-check -- --model
+
+echo "==> model_deque (work-stealing deque under the interleaving explorer)"
+# Owner push/pop against a thief's steal on a small ChunkDeque: every
+# chunk must be taken exactly once. Builds mixtlb-smp with its model
+# feature, so the deque's atomics are schedule points.
+timeout 300 cargo test -q -p mixtlb-smp --features model --test model_deque
 
 if [[ "${MIXTLB_SKIP_SMP_STRESS:-0}" == "1" ]]; then
   echo "==> smp stress skipped (MIXTLB_SKIP_SMP_STRESS=1)"
