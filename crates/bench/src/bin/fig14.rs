@@ -27,8 +27,9 @@ fn main() {
         ("THS", PolicyChoice::Ths),
     ];
     let mut table = Table::new(&["workload", "4KB", "2MB", "1GB", "THS"]);
-    let mut class_sums: std::collections::HashMap<&str, [f64; 4]> = Default::default();
-    let mut class_counts: std::collections::HashMap<&str, f64> = Default::default();
+    // Class averages, in the order the classes first appear in the
+    // workload table: (class, column sums, workload count).
+    let mut classes: Vec<(&str, [f64; 4], f64)> = Vec::new();
     for spec in scale.cpu_workloads() {
         let mut cells = vec![spec.name.to_owned()];
         let mut vals = [0.0f64; 4];
@@ -52,15 +53,21 @@ fn main() {
             WorkloadClass::BigMemory => "big-memory avg",
             WorkloadClass::Gpu => unreachable!("cpu list"),
         };
-        let sums = class_sums.entry(class).or_default();
+        let at = match classes.iter().position(|c| c.0 == class) {
+            Some(at) => at,
+            None => {
+                classes.push((class, [0.0; 4], 0.0));
+                classes.len() - 1
+            }
+        };
+        let (_, sums, count) = &mut classes[at];
         for i in 0..4 {
             sums[i] += vals[i];
         }
-        *class_counts.entry(class).or_default() += 1.0;
+        *count += 1.0;
         table.row(cells);
     }
-    for (class, sums) in &class_sums {
-        let n = class_counts[class];
+    for (class, sums, n) in &classes {
         table.row(vec![
             format!("[{class}]"),
             signed_pct(sums[0] / n),

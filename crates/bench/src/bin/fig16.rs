@@ -15,22 +15,23 @@ fn main() {
         scale,
     );
     let refs = scale.refs();
+    // In `designs::all_cpu_designs` order; the averages follow it too.
     let contenders: [(&str, designs::DesignFactory); 3] = [
-        ("skew+pred", designs::skew_pred),
-        ("hr+pred", designs::hash_rehash_pred),
         ("mix", designs::mix),
+        ("hr+pred", designs::hash_rehash_pred),
+        ("skew+pred", designs::skew_pred),
     ];
     let mut table = Table::new(&["workload", "design", "perf vs split", "energy saved"]);
-    let mut sums: std::collections::HashMap<&str, (f64, f64, f64)> = Default::default();
+    // Per contender: (perf sum, energy sum, workload count).
+    let mut sums = [(0.0f64, 0.0f64, 0.0f64); 3];
     for spec in scale.cpu_workloads() {
         let cfg = scale.native_cfg(PolicyChoice::Ths, 0.2);
         let mut scenario = NativeScenario::prepare(&spec, &cfg);
         let split: PerfReport = scenario.run(designs::haswell_split(), refs);
-        for (name, factory) in contenders {
+        for (&(name, factory), entry) in contenders.iter().zip(&mut sums) {
             let report = scenario.run(factory(), refs);
             let perf = improvement_percent(&split, &report);
             let energy = report.energy_savings_vs(&split);
-            let entry = sums.entry(name).or_default();
             entry.0 += perf;
             entry.1 += energy;
             entry.2 += 1.0;
@@ -45,7 +46,7 @@ fn main() {
     table.print();
     println!("\naverages:");
     let mut avg = Table::new(&["design", "perf vs split", "energy saved"]);
-    for (name, (p, e, n)) in sums {
+    for (&(name, _), (p, e, n)) in contenders.iter().zip(sums) {
         avg.row(vec![name.to_owned(), signed_pct(p / n), signed_pct(e / n)]);
     }
     avg.print();

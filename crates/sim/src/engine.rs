@@ -203,6 +203,8 @@ pub struct TranslationEngine<'a> {
     ntlb: Option<Box<dyn TlbDevice>>,
     backend: WalkBackend<'a>,
     l2_hit_cycles: u64,
+    /// The L1's and L2's serial-probe counts when the engine took them.
+    serial_base: (u64, u64),
     /// Tag for lookups and fills. [`Asid::UNTAGGED`] (the default)
     /// reproduces untagged hardware exactly.
     asid: Asid,
@@ -213,6 +215,7 @@ impl<'a> TranslationEngine<'a> {
     /// Creates an engine over a hierarchy and a walk backend, with the
     /// Haswell cache hierarchy and a 7-cycle L2 TLB latency (Sec. 4).
     pub fn new(hierarchy: TlbHierarchy, backend: WalkBackend<'a>) -> TranslationEngine<'a> {
+        let serial_base = serial_probes(&hierarchy);
         TranslationEngine {
             hierarchy,
             caches: CacheHierarchy::new(HierarchyConfig::haswell()),
@@ -222,6 +225,7 @@ impl<'a> TranslationEngine<'a> {
             ))),
             backend,
             l2_hit_cycles: 7,
+            serial_base,
             asid: Asid::UNTAGGED,
             stats: EngineStats::default(),
         }
@@ -273,16 +277,12 @@ impl<'a> TranslationEngine<'a> {
     }
 
     /// Translates one trace event. Returns the physical address, or `None`
-    /// on a page fault (which is also counted).
+    /// on a page fault (which is also counted). Serial-probe stalls are
+    /// charged when the stats are read ([`TranslationEngine::stats`]).
     pub fn access(&mut self, ev: &TraceEvent) -> Option<PhysAddr> {
         self.stats.accesses += 1;
         let vpn = ev.va.vpn();
-        // L1. Extra serial probes (hash-rehash) cost pipeline bubbles.
-        let l1_serial_before = self.hierarchy.l1.stats().serial_probes;
-        let l1_result = self.hierarchy.l1.lookup_asid(self.asid, vpn, ev.kind, ev.pc);
-        let l1_serial = self.hierarchy.l1.stats().serial_probes - l1_serial_before;
-        self.stats.stall_cycles += 2 * l1_serial;
-        match l1_result {
+        match self.hierarchy.l1.lookup_asid(self.asid, vpn, ev.kind, ev.pc) {
             Lookup::Hit {
                 translation,
                 dirty_microop,
@@ -315,11 +315,7 @@ impl<'a> TranslationEngine<'a> {
                 reason = "is_some() checked in the surrounding condition"
             )]
             let l2 = self.hierarchy.l2.as_mut().expect("just checked");
-            let l2_serial_before = l2.stats().serial_probes;
-            let l2_result = l2.lookup_asid(self.asid, vpn, ev.kind, ev.pc);
-            let l2_serial = l2.stats().serial_probes - l2_serial_before;
-            self.stats.stall_cycles += self.l2_hit_cycles * l2_serial;
-            match l2_result {
+            match l2.lookup_asid(self.asid, vpn, ev.kind, ev.pc) {
                 Lookup::Hit {
                     translation,
                     dirty_microop,
@@ -406,9 +402,7 @@ impl<'a> TranslationEngine<'a> {
     /// with two hot-loop savings:
     ///
     /// * L1 probes go through [`TlbDevice::lookup_batch`], so the replay
-    ///   loop pays one dynamic dispatch per chunk instead of per access
-    ///   (serial-probe stalls are accounted per chunk; the per-access sum
-    ///   is identical).
+    ///   loop pays one dynamic dispatch per chunk instead of per access.
     /// * A run of *immediately consecutive* accesses to the same 4 KB page
     ///   reuses the previous access's resolution instead of re-probing —
     ///   sound because nothing can intervene between consecutive accesses
@@ -416,13 +410,14 @@ impl<'a> TranslationEngine<'a> {
     ///   on the same entry, its LRU re-touch preserves relative recency
     ///   order, and its duplicate sweep is a no-op. Stores take the window
     ///   only when it was seeded by a probe hit on an already-dirty entry
-    ///   (so no dirty micro-op can fire); faults never seed it.
+    ///   (so no dirty micro-op can fire). A fault, or an access left to
+    ///   the scalar fallback, clears it.
     ///
     /// Per-access results and [`EngineStats`] match the scalar path
-    /// exactly for every non-predictive design (window hits count as L1
-    /// hits); prediction-based designs skip predictor training on window
-    /// hits, which can only alter their serial-probe stall accounting,
-    /// never presence or translations.
+    /// exactly for every non-predictive design whose L1 hits never rehash
+    /// (window hits count as L1 hits). A window hit skips its probe, so it
+    /// skips an L1 rehash's stall and a predictor's training, which can
+    /// only alter serial-probe stalls, never presence or translations.
     pub fn translate_batch(&mut self, events: &[TraceEvent], out: &mut Vec<Option<PhysAddr>>) {
         /// Probe-chunk cap: keeps the staging buffer cache-resident.
         const CHUNK: usize = 256;
@@ -436,11 +431,6 @@ impl<'a> TranslationEngine<'a> {
         let mut batch: Vec<BatchAccess> = Vec::with_capacity(CHUNK);
         let mut lookups: Vec<Lookup> = Vec::with_capacity(CHUNK);
         let mut window: Option<ReuseWindow> = None;
-        // Serial-probe stall accounting is a sum over probes, so one
-        // before/after read of the (by-value, possibly merged) device
-        // stats covers the whole batch — scalar reads them per access,
-        // which is a large share of its per-access cost.
-        let l1_serial_before = self.hierarchy.l1.stats().serial_probes;
         let mut i = 0usize;
         while i < events.len() {
             // Fast path: drain the whole run of accesses the reuse window
@@ -499,12 +489,9 @@ impl<'a> TranslationEngine<'a> {
                     // A conforming device always consumes at least one
                     // access; fall back to the scalar path so a degenerate
                     // implementation still makes forward progress. The
-                    // scalar path charges its own serial-probe stalls, so
-                    // back out what the batch-wide sum below will re-add.
-                    let before = self.hierarchy.l1.stats().serial_probes;
+                    // window must not outlive the access it skips.
                     out[i + pos] = self.access(&events[i + pos]);
-                    let double = self.hierarchy.l1.stats().serial_probes - before;
-                    self.stats.stall_cycles -= 2 * double;
+                    window = None;
                     pos += 1;
                     continue;
                 }
@@ -525,10 +512,9 @@ impl<'a> TranslationEngine<'a> {
                             window = seed_window(ev.va.vpn(), &translation, translation.dirty);
                         }
                         Lookup::Miss => {
-                            if let Some(translation) = self.resolve_miss(ev) {
-                                out[i + pos + k] = translation.translate(ev.va).ok();
-                                window = seed_window(ev.va.vpn(), &translation, false);
-                            }
+                            let resolved = self.resolve_miss(ev);
+                            out[i + pos + k] = resolved.and_then(|t| t.translate(ev.va).ok());
+                            window = resolved.and_then(|t| seed_window(ev.va.vpn(), &t, false));
                         }
                     }
                 }
@@ -536,8 +522,6 @@ impl<'a> TranslationEngine<'a> {
             }
             i += batch.len();
         }
-        let l1_serial = self.hierarchy.l1.stats().serial_probes - l1_serial_before;
-        self.stats.stall_cycles += 2 * l1_serial;
     }
 
     fn walk(&mut self, va: VirtAddr, kind: mixtlb_types::AccessKind) -> UnifiedWalk {
@@ -596,13 +580,25 @@ impl<'a> TranslationEngine<'a> {
     pub fn finish(self) -> (EngineStats, TlbStats, Option<TlbStats>, HierarchyStats) {
         let l1 = self.hierarchy.l1.stats();
         let l2 = self.hierarchy.l2.as_ref().map(|t| t.stats());
-        (self.stats, l1, l2, self.caches.stats())
+        (self.stats(), l1, l2, self.caches.stats())
     }
 
-    /// The running counters (without consuming the engine).
+    /// The running counters (without consuming the engine). Serial-probe
+    /// stalls are charged here, from the probes the devices counted since
+    /// the engine took them: 2 cycles per L1 rehash, an L2 access per L2
+    /// rehash. The counts only grow while the engine owns the devices.
     pub fn stats(&self) -> EngineStats {
-        self.stats
+        let (l1, l2) = serial_probes(&self.hierarchy);
+        let mut stats = self.stats;
+        stats.stall_cycles +=
+            2 * (l1 - self.serial_base.0) + self.l2_hit_cycles * (l2 - self.serial_base.1);
+        stats
     }
+}
+
+/// The hierarchy's L1 and L2 serial-probe counts.
+fn serial_probes(h: &TlbHierarchy) -> (u64, u64) {
+    (h.l1.stats().serial_probes, h.l2.as_ref().map_or(0, |t| t.stats().serial_probes))
 }
 
 #[cfg(test)]
@@ -803,6 +799,246 @@ mod tests {
         engine.access(&ev(va, AccessKind::Load));
         assert_eq!(engine.stats().stall_cycles - after_walk, 14);
         assert_eq!(engine.stats().l2_hits, 1);
+    }
+
+    fn hash_rehash_hierarchy(l1_ways: usize) -> TlbHierarchy {
+        use mixtlb_core::{MultiProbeConfig, MultiProbeTlb};
+        TlbHierarchy::new(
+            "hr-test",
+            Box::new(MultiProbeTlb::new(MultiProbeConfig::all_sizes(4, l1_ways))),
+            Some(Box::new(MultiProbeTlb::new(MultiProbeConfig::all_sizes(16, 4)))),
+        )
+    }
+
+    #[test]
+    fn stall_cycles_charge_each_serial_probe_when_read() {
+        // Both levels probe 4 KB, then 2 MB, then 1 GB, so a 2 MB hit is
+        // one rehash and a miss is two.
+        let (mut pt, _frames) = small_world();
+        let mut engine =
+            TranslationEngine::new(hash_rehash_hierarchy(2), WalkBackend::Native(&mut pt));
+        let va = 0x400u64 * 4096;
+        engine.access(&ev(va, AccessKind::Load)); // cold walk
+        let mut expected = engine.stats().stall_cycles;
+        // L1 miss (2 rehashes), the L2 access, and an L2 miss (2 rehashes
+        // at 7 cycles each) come before the walk's own cycles.
+        assert!(expected > 2 * 2 + 7 + 7 * 2);
+        // (flush the L1 first?, address, stall cycles the access adds)
+        let steps = [
+            (false, va, 2),            // L1 hit on the second probe
+            (false, va + 0x1000, 2),   // same 2 MB page
+            (true, va, 2 * 2 + 7 + 7), // L1 miss, L2 hit on the second probe
+            (false, va + 0x2345, 2),
+        ];
+        for (flush, addr, charge) in steps {
+            if flush {
+                engine.hierarchy.l1.flush();
+            }
+            engine.access(&ev(addr, AccessKind::Load));
+            expected += charge;
+            assert_eq!(engine.stats().stall_cycles, expected, "after {addr:#x}");
+        }
+        let (stats, ..) = engine.finish();
+        assert_eq!(stats.stall_cycles, expected);
+    }
+
+    #[test]
+    fn serial_probes_counted_before_the_engine_are_not_charged() {
+        use mixtlb_core::{MultiProbeConfig, MultiProbeTlb};
+        let (mut pt, _frames) = small_world();
+        let superpage = Translation::new(
+            Vpn::new(0x400),
+            Pfn::new(0x8000),
+            PageSize::Size2M,
+            Permissions::rw_user(),
+        );
+        let mut l1 = MultiProbeTlb::new(MultiProbeConfig::all_sizes(4, 2));
+        l1.fill(superpage.vpn, &superpage, &[superpage]);
+        l1.lookup(Vpn::new(0x400), AccessKind::Load); // hit: 1 rehash
+        l1.lookup(Vpn::new(0x9_9999), AccessKind::Load); // miss: 2 rehashes
+        let mut l2 = MultiProbeTlb::new(MultiProbeConfig::all_sizes(16, 4));
+        l2.lookup(Vpn::new(0x9_9999), AccessKind::Load); // miss: 2 rehashes
+        let h = TlbHierarchy::new("hr-used", Box::new(l1), Some(Box::new(l2)));
+        let mut engine = TranslationEngine::new(h, WalkBackend::Native(&mut pt));
+        assert_eq!(engine.stats().stall_cycles, 0);
+        engine.access(&ev(0x400 * 4096, AccessKind::Load)); // hit: 1 rehash
+        assert_eq!(engine.stats().stall_cycles, 2);
+        let (stats, l1, l2, _) = engine.finish();
+        assert_eq!(stats.stall_cycles, 2);
+        assert_eq!(l1.serial_probes, 4);
+        assert_eq!(l2.map(|s| s.serial_probes), Some(2));
+    }
+
+    /// Delegates to an inner device, except that its `lookup_batch`
+    /// consumes nothing on every other call — the degenerate device the
+    /// scalar fallback in `translate_batch` exists for.
+    struct HalfStalled {
+        inner: Box<dyn TlbDevice>,
+        stall: bool,
+    }
+
+    impl TlbDevice for HalfStalled {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn lookup(&mut self, vpn: Vpn, kind: AccessKind) -> Lookup {
+            self.inner.lookup(vpn, kind)
+        }
+        fn lookup_pc(&mut self, vpn: Vpn, kind: AccessKind, pc: u64) -> Lookup {
+            self.inner.lookup_pc(vpn, kind, pc)
+        }
+        fn lookup_asid(&mut self, asid: Asid, vpn: Vpn, kind: AccessKind, pc: u64) -> Lookup {
+            self.inner.lookup_asid(asid, vpn, kind, pc)
+        }
+        fn lookup_batch(
+            &mut self,
+            asid: Asid,
+            batch: &[BatchAccess],
+            out: &mut Vec<Lookup>,
+        ) -> usize {
+            self.stall = !self.stall;
+            if self.stall {
+                0
+            } else {
+                self.inner.lookup_batch(asid, batch, out)
+            }
+        }
+        fn fill(&mut self, vpn: Vpn, requested: &Translation, line: &[Translation]) {
+            self.inner.fill(vpn, requested, line);
+        }
+        fn fill_asid(
+            &mut self,
+            asid: Asid,
+            vpn: Vpn,
+            requested: &Translation,
+            line: &[Translation],
+        ) {
+            self.inner.fill_asid(asid, vpn, requested, line);
+        }
+        fn peek_run(&self, vpn: Vpn) -> Option<mixtlb_core::CoalescedRun> {
+            self.inner.peek_run(vpn)
+        }
+        fn invalidate(&mut self, vpn: Vpn, size: PageSize) {
+            self.inner.invalidate(vpn, size);
+        }
+        fn flush(&mut self) {
+            self.inner.flush();
+        }
+        fn invalidate_sets(&self, vpn: Vpn, size: PageSize) -> u64 {
+            self.inner.invalidate_sets(vpn, size)
+        }
+        fn stats(&self) -> TlbStats {
+            self.inner.stats()
+        }
+        fn reset_stats(&mut self) {
+            self.inner.reset_stats();
+        }
+    }
+
+    /// A store-heavy trace over 48 scattered 4 KB pages, the four 2 MB
+    /// pages of [`small_world`] and one unmapped page. Most of it is
+    /// `page, other page, page (load)` triples whose middle page indexes
+    /// the same L1 set as the outer one, so a 1-way L1 evicts the outer
+    /// page in between; the rest is superpage accesses, faults and a few
+    /// same-page loads.
+    fn store_heavy_trace(len: usize) -> Vec<TraceEvent> {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        let small = |k: u64, r: u64| ((0x1_0000 + k % 48 * 5) << 12) | (r % 4096);
+        let mut events: Vec<TraceEvent> = Vec::with_capacity(len + 2);
+        while events.len() < len {
+            let r = next();
+            let mut kind = || {
+                if next() % 8 < 5 {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                }
+            };
+            match r % 32 {
+                0..=23 => {
+                    let k = r >> 8;
+                    let va = small(k, r >> 3);
+                    events.push(ev(va, kind()));
+                    events.push(ev(small(k + 4 * (1 + r % 11), r >> 5), kind()));
+                    events.push(ev(va ^ 0x88, AccessKind::Load));
+                }
+                24..=27 => {
+                    let page = 0x400 + (r >> 3) % 4 * 512 + (r >> 5) % 512;
+                    events.push(ev((page << 12) | ((r >> 14) % 4096), kind()));
+                }
+                28..=30 => events.push(ev(0x9999_9000, kind())),
+                _ => {
+                    let va = events.last().map_or(0, |e| e.va.raw() ^ 0x40);
+                    events.push(ev(va, AccessKind::Load));
+                }
+            }
+        }
+        events
+    }
+
+    #[test]
+    fn batch_fallback_matches_scalar() {
+        let events = store_heavy_trace(4000);
+        // Without same-page runs every probe chunk is full, and the
+        // window serves nothing unless it goes stale. A window hit skips
+        // its probe, and on a hash-rehash L1 the rehash the scalar path
+        // charges with it, so that L1 replays only this trace.
+        let mut distinct = events.clone();
+        distinct.dedup_by_key(|e| e.va.vpn());
+        fn half_stalled(l1: Box<dyn TlbDevice>, stalled: bool) -> Box<dyn TlbDevice> {
+            if stalled {
+                Box::new(HalfStalled {
+                    inner: l1,
+                    stall: false,
+                })
+            } else {
+                l1
+            }
+        }
+        let mix: fn(bool) -> TlbHierarchy = |stalled| {
+            let l1 = Box::new(MixTlb::new(MixTlbConfig::l1(4, 1)));
+            let l2 = Box::new(MixTlb::new(MixTlbConfig::l2(16, 4)));
+            TlbHierarchy::new("mix-1way", half_stalled(l1, stalled), Some(l2))
+        };
+        let hash_rehash: fn(bool) -> TlbHierarchy = |stalled| {
+            let h = hash_rehash_hierarchy(1);
+            TlbHierarchy::new("hr-1way", half_stalled(h.l1, stalled), h.l2)
+        };
+        for (build, events) in [(mix, &events), (mix, &distinct), (hash_rehash, &distinct)] {
+            let (mut pt_a, mut frames) = small_world();
+            for k in 0..48u64 {
+                pt_a.map(
+                    Translation::new(
+                        Vpn::new(0x1_0000 + k * 5),
+                        Pfn::new(0x2_0000 + k * 7),
+                        PageSize::Size4K,
+                        Permissions::rw_user(),
+                    ),
+                    &mut frames,
+                )
+                .unwrap();
+            }
+            let mut pt_b = pt_a.clone();
+            let mut scalar = TranslationEngine::new(build(false), WalkBackend::Native(&mut pt_a));
+            let expected: Vec<_> = events.iter().map(|e| scalar.access(e)).collect();
+            let mut batched = TranslationEngine::new(build(true), WalkBackend::Native(&mut pt_b));
+            let mut got = Vec::new();
+            batched.translate_batch(events, &mut got);
+            let name = scalar.hierarchy().name().to_owned();
+            assert_eq!(got, expected, "{name}: physical addresses");
+            let (want, got) = (scalar.stats(), batched.stats());
+            assert!(
+                want.faults > 0 && want.dirty_microops > 0 && want.l2_hits > 0,
+                "{name}: {want:?}"
+            );
+            assert_eq!(got, want, "{name}: engine stats");
+        }
     }
 
     #[test]
