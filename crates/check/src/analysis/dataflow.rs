@@ -1,18 +1,11 @@
-//! Call-graph scaffolding plus the `hot-path` rule.
-//!
-//! * **SCC condensation** ([`condense`]) — iterative Tarjan over the
-//!   call graph, yielding components in bottom-up order (callees before
-//!   callers for caller→callee edges). The value-range summaries in
-//!   [`super::absint`] propagate one direction over the component DAG
-//!   with a fixpoint loop *inside* each component.
-//! * **`hot-path`** ([`hot_path`]) — walks the call graph *down* from
-//!   the batched-translation entry points and the smp replay inner
-//!   loop, flagging heap allocation, `clone()`, and formatting
-//!   machinery in anything reachable. Resolution is name-based and
-//!   over-approximate, so traversal is cut at constructor-shaped sinks
-//!   (`new`, `default`, …) — every workspace `new` would otherwise be
-//!   "hot" via `Vec::new` false edges — trading false negatives inside
-//!   constructors for a signal that stays actionable.
+//! The `hot-path` rule ([`hot_path`]): walks the call graph *down* from
+//! the batched-translation entry points and the smp replay inner loop,
+//! flagging heap allocation, `clone()`, and formatting machinery in
+//! anything reachable. Resolution is name-based and over-approximate, so
+//! traversal is cut at constructor-shaped sinks (`new`, `default`, …) —
+//! every workspace `new` would otherwise be "hot" via `Vec::new` false
+//! edges — trading false negatives inside constructors for a signal that
+//! stays actionable.
 
 use super::callgraph::CallGraph;
 use super::lexer::{Tok, TokKind};
@@ -21,75 +14,9 @@ use super::rules::RuleFinding;
 use super::symbols::crate_of;
 use super::FileKind;
 
-// ---------------------------------------------------------------------
-// SCC condensation
-// ---------------------------------------------------------------------
-
-/// Computes the strongly connected components of the graph with `n`
-/// nodes and successor lists `succ` (iterative Tarjan; no recursion so
-/// fixture pathologies cannot blow the stack). Each component lists its
-/// member nodes; components come in Tarjan emission order, which is
-/// **bottom-up**: for an edge `u → v` in different components, `v`'s
-/// component comes first.
-pub(crate) fn condense(n: usize, succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    const UNSEEN: usize = usize::MAX;
-    let mut index = vec![UNSEEN; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut comps: Vec<Vec<usize>> = Vec::new();
-    let mut next = 0usize;
-    let mut call: Vec<(usize, usize)> = Vec::new();
-    for start in 0..n {
-        if index[start] != UNSEEN {
-            continue;
-        }
-        index[start] = next;
-        low[start] = next;
-        next += 1;
-        stack.push(start);
-        on_stack[start] = true;
-        call.push((start, 0));
-        while let Some((v, pos)) = call.last_mut() {
-            let v = *v;
-            if *pos < succ[v].len() {
-                let w = succ[v][*pos];
-                *pos += 1;
-                if index[w] == UNSEEN {
-                    index[w] = next;
-                    low[w] = next;
-                    next += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some((p, _)) = call.last() {
-                    low[*p] = low[*p].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comps.push(comp);
-                }
-            }
-        }
-    }
-    comps
-}
-
 /// Successor adjacency lists from the call graph's edge set,
 /// index-sorted for deterministic traversal.
-pub(crate) fn successors(graph: &CallGraph) -> Vec<Vec<usize>> {
+fn successors(graph: &CallGraph) -> Vec<Vec<usize>> {
     let mut succ = vec![Vec::new(); graph.nodes.len()];
     for &(a, b) in &graph.edges {
         succ[a].push(b);
@@ -99,10 +26,6 @@ pub(crate) fn successors(graph: &CallGraph) -> Vec<Vec<usize>> {
     }
     succ
 }
-
-// ---------------------------------------------------------------------
-// hot-path rule
-// ---------------------------------------------------------------------
 
 /// Root functions by simple name: the batched translation entry points
 /// plus the streaming pipeline's per-block stage loops (reader, decoder,
@@ -369,20 +292,6 @@ fn scan_hot_sites(toks: &[Tok], from: usize, to: usize) -> Vec<HotSite> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tarjan_finds_components_bottom_up() {
-        // 0 -> 1 <-> 2, 1 -> 3. Components: {0}, {1,2}, {3}.
-        let succ = vec![vec![1], vec![2, 3], vec![1], vec![]];
-        let comps = condense(4, &succ);
-        assert_eq!(comps.len(), 3);
-        let comp_of = |v: usize| comps.iter().position(|c| c.contains(&v));
-        assert_eq!(comp_of(1), comp_of(2));
-        assert_ne!(comp_of(0), comp_of(1));
-        // Bottom-up: callee components numbered before callers.
-        assert!(comp_of(3) < comp_of(1));
-        assert!(comp_of(1) < comp_of(0));
-    }
 
     #[test]
     fn dangling_hot_roots_are_reported() {

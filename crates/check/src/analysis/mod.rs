@@ -6,13 +6,9 @@
 //! ([`lexer`]) feeds an item/expression outline parser ([`outline`]),
 //! whose output builds a workspace symbol table ([`symbols`]) and a
 //! crate-level call graph ([`callgraph`]). The call graph feeds the
-//! hot-path reachability walk ([`dataflow`]) and a value-range
-//! abstract-interpretation layer ([`absint`]: interval + known-bits
-//! domain with widened joins and interprocedural return/parameter
-//! summaries over the call graph's SCC condensation) for the
-//! bit-geometry rules. Six semantic rules run on top, each kept because
-//! it fixed a real finding or pins a regression fixture (the evidence
-//! table is in DESIGN.md §8):
+//! hot-path reachability walk ([`dataflow`]). Four semantic rules run on
+//! top, each kept because it fixed a real finding (the evidence table is
+//! in DESIGN.md §8):
 //!
 //! | rule | checks | scope |
 //! |------|--------|-------|
@@ -20,13 +16,13 @@
 //! | `truncating-cast` | no `as u8`/`u16`/`u32` on raw address values | lib, except `mixtlb-types` |
 //! | `dead-code` | every exported symbol is referenced somewhere in the workspace | lib |
 //! | `hot-path` | no allocation/clone/formatting reachable from the hot loops ([`dataflow::hot_path`]) | lib, except `crates/check` |
-//! | `bit-pack-overflow` | shift-or packings have disjoint fields that fit the carrier ([`absint`]) | lib |
-//! | `tag-range` | values into `// bits: N`-annotated constructors fit the declared width ([`absint`]) | lib |
 //!
 //! There are **no suppressions**: no inline markers and no baseline
-//! file. A finding is fixed in code, and CI fails on any finding.
+//! file. A finding is fixed in code, and CI fails on any finding. Bit
+//! widths are not checked here: the packed words (`FrameOwner`, the v2
+//! trace's offset/kind word) carry `const` assertions that rustc
+//! evaluates, and `Asid`'s 12-bit range is held by its constructors.
 
-pub(crate) mod absint;
 pub(crate) mod callgraph;
 pub(crate) mod dataflow;
 pub(crate) mod lexer;
@@ -43,14 +39,7 @@ use std::time::Instant;
 use outline::{DeclKind, ParsedFile, Vis};
 
 /// All analysis rule identifiers (order is the report order).
-pub const ANALYSIS_RULES: [&str; 6] = [
-    "addr-arith",
-    "truncating-cast",
-    "dead-code",
-    "hot-path",
-    "bit-pack-overflow",
-    "tag-range",
-];
+pub const ANALYSIS_RULES: [&str; 4] = ["addr-arith", "truncating-cast", "dead-code", "hot-path"];
 
 /// How a file participates in the build. Only library code is analyzed;
 /// the other kinds are parsed (for references and the call graph) but
@@ -149,22 +138,15 @@ pub struct AnalysisStats {
     pub symbols: usize,
     /// Call-graph edges resolved.
     pub call_edges: usize,
-    /// Call-graph strongly connected components.
-    pub sccs: usize,
     /// Functions reachable from the hot-path roots.
     pub hot_fns: usize,
-    /// Functions with a non-trivial abstract return-value summary.
-    pub summarized_fns: usize,
     /// Wall time of the (parallel) per-file lex/outline phase, ns.
     pub parse_nanos: u128,
     /// Wall time of symbol/graph construction plus all rules, ns.
     pub rules_nanos: u128,
-    /// Wall time of the shared abstract-interpretation phase (constant
-    /// pool + interprocedural value summaries), ns.
-    pub absint_nanos: u128,
     /// Per-rule wall time, ns. `addr-arith` and `truncating-cast` share
     /// one taint pass, timed once under a joint label.
-    pub rule_nanos: [(&'static str, u128); 5],
+    pub rule_nanos: [(&'static str, u128); 3],
 }
 
 /// Result of analyzing a file set.
@@ -277,12 +259,6 @@ pub fn analyze_sources(sources: &[SourceFile]) -> AnalysisReport {
     }
     let hot_nanos = t0.elapsed().as_nanos();
 
-    // Value-range rules (bit-pack-overflow / tag-range).
-    let value = absint::value_rules(&parsed, &graph);
-    for (fi, f) in value.findings {
-        raw.push((fi, f.rule, f.line as usize, f.message));
-    }
-
     // dead-code: exported symbols nobody references.
     let t0 = Instant::now();
     for sym in &table.syms {
@@ -369,18 +345,13 @@ pub fn analyze_sources(sources: &[SourceFile]) -> AnalysisReport {
             functions: parsed.iter().map(|p| p.fns.len()).sum(),
             symbols: table.syms.len(),
             call_edges: graph.edges.len(),
-            sccs: value.sccs,
             hot_fns,
-            summarized_fns: value.summarized_fns,
             parse_nanos,
             rules_nanos: rules_started.elapsed().as_nanos(),
-            absint_nanos: value.absint_nanos,
             rule_nanos: [
                 ("addr-arith + truncating-cast", taint_nanos),
                 ("dead-code", dead_nanos),
                 ("hot-path", hot_nanos),
-                ("bit-pack-overflow", value.rule_nanos[0]),
-                ("tag-range", value.rule_nanos[1]),
             ],
         },
         unresolved_hot_roots,
@@ -425,8 +396,8 @@ pub fn to_json(report: &AnalysisReport) -> String {
     }
     let s = &report.stats;
     out.push_str(&format!(
-        "\n  ],\n  \"stats\": {{ \"files\": {}, \"functions\": {}, \"symbols\": {}, \"call_edges\": {}, \"sccs\": {}, \"hot_fns\": {}, \"summarized_fns\": {} }}\n}}\n",
-        s.files, s.functions, s.symbols, s.call_edges, s.sccs, s.hot_fns, s.summarized_fns
+        "\n  ],\n  \"stats\": {{ \"files\": {}, \"functions\": {}, \"symbols\": {}, \"call_edges\": {}, \"hot_fns\": {} }}\n}}\n",
+        s.files, s.functions, s.symbols, s.call_edges, s.hot_fns
     ));
     out
 }

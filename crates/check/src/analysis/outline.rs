@@ -101,12 +101,6 @@ pub(crate) struct ParsedFile {
     pub fns: Vec<FnDecl>,
     /// Module-level declarations.
     pub items: Vec<ItemDecl>,
-    /// `// bits: N` width annotations, as `(1-based line, N)` pairs.
-    /// Collected from the *raw* source before comment masking (the lexer
-    /// never sees comments), sorted by line. An annotation names the
-    /// declared bit width of the declaration on its own line or the next
-    /// non-annotation line below it (see [`ParsedFile::bits_for_line`]).
-    pub bit_widths: Vec<(u32, u32)>,
 }
 
 impl ParsedFile {
@@ -119,7 +113,6 @@ impl ParsedFile {
             toks,
             fns: Vec::new(),
             items: Vec::new(),
-            bit_widths: bit_width_annotations(source),
         };
         let end = out.toks.len();
         let mut p = Parser {
@@ -134,39 +127,6 @@ impl ParsedFile {
         p.items(0, end);
         out
     }
-
-    /// The declared bit width covering `line`: an annotation on the line
-    /// itself (trailing `// bits: N`) or on one of up to two consecutive
-    /// annotation/comment lines immediately above (the doc-comment-plus-
-    /// annotation idiom). `None` when no annotation governs the line.
-    pub fn bits_for_line(&self, line: u32) -> Option<u32> {
-        self.bit_widths
-            .iter()
-            .rev()
-            .find(|(l, _)| *l <= line && line - *l <= 2)
-            .map(|(_, n)| *n)
-    }
-}
-
-/// Scans *raw* (unmasked) source for `// bits: N` annotations. The lexer
-/// works on comment-masked text, so widths must be harvested before
-/// masking; only the comment shape `// bits: N` (any leading `/`s and
-/// spacing, an optional trailing remark after the number) is recognized.
-fn bit_width_annotations(source: &str) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    for (idx, raw_line) in source.lines().enumerate() {
-        let Some(comment_at) = raw_line.find("//") else { continue };
-        let comment = raw_line[comment_at..].trim_start_matches('/').trim_start();
-        let Some(rest) = comment.strip_prefix("bits:") else { continue };
-        let rest = rest.trim_start();
-        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-        if let Ok(n) = digits.parse::<u32>() {
-            if (1..=128).contains(&n) {
-                out.push((idx as u32 + 1, n));
-            }
-        }
-    }
-    out
 }
 
 #[derive(Clone)]

@@ -13,20 +13,20 @@
 //!    `Mutex`/`AtomicU64` from the [`sync`] facade; with the `model`
 //!    feature those resolve to instrumented wrappers whose operations are
 //!    schedule points, and [`sched::explore`] replays small 2–3-core
-//!    shootdown and shared-LLC scenarios over interleavings up to a
-//!    preemption bound (see [`sched`] for the search's known gap), asserting the coherence invariants (no stale
+//!    shootdown and shared-LLC scenarios over every interleaving up to
+//!    a preemption bound, asserting the coherence invariants (no stale
 //!    translation after a shootdown acknowledges, no orphan mirror after a
 //!    mirrored-set sweep, absorbed counters sum consistently, no
 //!    lock-order inversion across LLC shards). Without the feature the
 //!    facade is a zero-overhead `std::sync` re-export.
 //! 2. **[`analysis`] — structural static analysis** (`mixtlb-check
-//!    --analyze`): six project rules that `rustc`/`clippy` cannot see
+//!    --analyze`): four project rules that `rustc`/`clippy` cannot see
 //!    (address-bit arithmetic, truncating casts, dead exports, hot-path
-//!    allocation, bit-packing and tag ranges). There are no
-//!    suppressions: CI fails on any finding. The unsafe and panic policy
-//!    is not here: `[workspace.lints]` hands it to rustc and clippy, and
-//!    every exception is a compiler-checked
-//!    `#[expect(..., reason = "...")]`.
+//!    allocation). There are no suppressions: CI fails on any finding.
+//!    The unsafe and panic policy is not here: `[workspace.lints]` hands
+//!    it to rustc and clippy, and every exception is a compiler-checked
+//!    `#[expect(..., reason = "...")]`; packed bit widths are `const`
+//!    assertions rustc evaluates.
 //! 3. **[`protocol`] + [`handoff`] — executable protocol scenarios**
 //!    shared by the model-check test suites: the shootdown protocol and
 //!    the streaming pipeline's bounded hand-off, with seeded bugs

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! mixtlb-check --analyze [ROOT] [--format text|json] [--stats]
-//!                                # structural static analysis (6 rules)
+//!                                # structural static analysis (4 rules)
 //! mixtlb-check --model           # bounded model-check of the shootdown protocol
 //! mixtlb-check --list-rules      # print the analysis rule identifiers
 //! ```
@@ -132,24 +132,16 @@ fn print_stats(report: &analysis::AnalysisReport) {
         let n = report.findings.iter().filter(|f| f.rule == rule).count();
         println!("  {rule:<17} {n}");
     }
-    println!(
-        "analyze: front end: {} SCC(s), {} hot-reachable fn(s)",
-        stats.sccs, stats.hot_fns
-    );
-    println!(
-        "analyze: abstract interpretation: {} value-summarized fn(s)",
-        stats.summarized_fns
-    );
+    println!("analyze: front end: {} hot-reachable fn(s)", stats.hot_fns);
     let per_rule: Vec<String> = stats
         .rule_nanos
         .iter()
         .map(|(rule, ns)| format!("{rule} {:.1} ms", *ns as f64 / 1e6))
         .collect();
     println!(
-        "analyze: wall time: parse {:.1} ms, rules {:.1} ms, shared absint {:.1} ms ({})",
+        "analyze: wall time: parse {:.1} ms, rules {:.1} ms ({})",
         stats.parse_nanos as f64 / 1e6,
         stats.rules_nanos as f64 / 1e6,
-        stats.absint_nanos as f64 / 1e6,
         per_rule.join(", ")
     );
 }

@@ -1,8 +1,7 @@
 //! The bounded interleaving explorer (a "mini-loom").
 //!
-//! [`explore`] runs a multi-threaded scenario under thread interleavings
-//! up to a preemption bound (see *Known gap* below), using stateless
-//! re-execution:
+//! [`explore`] runs a multi-threaded scenario under every thread
+//! interleaving up to a preemption bound, using stateless re-execution:
 //! each schedule spawns fresh OS threads whose instrumented synchronization
 //! operations ([`crate::sync::instrumented`]) park at *schedule points*; a
 //! controller grants exactly one thread the right to run between points, so
@@ -32,13 +31,6 @@
 //! consistency. It does **not** model weak-memory reorderings, which is
 //! why every `Ordering::Relaxed` site carries a written `// Relaxed: …`
 //! justification.
-//!
-//! # Known gap
-//!
-//! The search only tries switching from the running thread to a
-//! *later-registered* one, which then runs to completion: two threads of
-//! four schedule points each get 5 schedules, not all 70 interleavings.
-//! Scenarios that need a back-and-forth switch are not reached.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
@@ -425,7 +417,9 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// One decision of an execution, for the DFS over schedules.
 #[derive(Debug, Clone)]
 struct StepRecord {
-    /// Enabled tids at this point, ascending.
+    /// Enabled tids at this point: the previously running one first (if
+    /// enabled), then the rest ascending, so every other thread is an
+    /// alternative *after* the default choice.
     enabled: Vec<usize>,
     /// Index into `enabled` that was granted.
     chosen: usize,
@@ -506,7 +500,7 @@ fn run_once(cfg: &Config, sim: Sim, prefix: &[usize]) -> RunOutcome {
             {
                 break 'steps; // schedule complete
             }
-            let enabled: Vec<usize> = st
+            let mut enabled: Vec<usize> = st
                 .status
                 .iter()
                 .enumerate()
@@ -545,17 +539,18 @@ fn run_once(cfg: &Config, sim: Sim, prefix: &[usize]) -> RunOutcome {
                 });
                 break 'steps;
             }
+            if let Some(at) = prev.and_then(|p| enabled.iter().position(|&t| t == p)) {
+                enabled[..=at].rotate_right(1);
+            }
             // Choose: replay the prefix, then default to run-to-completion
-            // (keep the previous thread going — zero preemptions).
+            // (index 0 keeps the previous thread going — zero preemptions).
             let step = decisions.len();
             let chosen = match prefix.get(step) {
                 // The replayed enabled sets are identical (deterministic
                 // scenarios), so the recorded index stays valid; clamp
                 // defensively anyway.
                 Some(&idx) => idx.min(enabled.len() - 1),
-                None => prev
-                    .and_then(|p| enabled.iter().position(|&t| t == p))
-                    .unwrap_or(0),
+                None => 0,
             };
             let tid = enabled[chosen];
             if is_preemption(prev, tid, &enabled) {
@@ -739,4 +734,39 @@ pub(crate) fn next_object_id() -> u64 {
     // Relaxed: pure unique-id counter; only
     // atomicity matters, no ordering with any other memory access.
     NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sync::instrumented::AtomicU64;
+
+    /// Two threads of four schedule points each (`Start` plus three
+    /// atomic loads) interleave in C(8, 4) = 70 ways; an exhaustive
+    /// search must run each exactly once. Under a bound of 0 each thread
+    /// runs to completion (2 orders); a bound of 1 adds, per order, one
+    /// switch after the first thread's 1st, 2nd or 3rd point (2 × 4 = 8).
+    #[test]
+    fn search_runs_every_interleaving_within_the_bound() {
+        for (cfg, expect) in [
+            (Config::exhaustive(), 70),
+            (Config::with_preemption_bound(0), 2),
+            (Config::with_preemption_bound(1), 8),
+        ] {
+            let report = explore(&cfg, |sim| {
+                let cell = Arc::new(AtomicU64::new(0));
+                for name in ["a", "b"] {
+                    let cell = Arc::clone(&cell);
+                    sim.thread(name, move || {
+                        for _ in 0..3 {
+                            cell.load(Ordering::SeqCst);
+                        }
+                    });
+                }
+            });
+            report.assert_clean();
+            assert!(report.complete);
+            assert_eq!(report.schedules, expect, "{:?}", cfg.preemption_bound);
+        }
+    }
 }

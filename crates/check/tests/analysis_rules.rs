@@ -123,91 +123,6 @@ fn hot_path_fixture_pair() {
     assert_eq!(rules_fired(&clean), [] as [&str; 0]);
 }
 
-#[test]
-fn bit_pack_overflow_fixture_pair() {
-    let dirty = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/bit_pack_dirty.rs"),
-    )];
-    assert_eq!(rules_fired(&dirty), ["bit-pack-overflow"]);
-    let report = analyze(&dirty);
-    assert!(
-        report.findings.len() >= 3,
-        "slot overflow (via the kind_code summary), field overlap, and \
-         carrier escape must all fire: {:?}",
-        report.findings
-    );
-    let msgs: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(
-        msgs.iter().any(|m| m.contains("overlapping bit")),
-        "{msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("slot is only")),
-        "{msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("64-bit carrier")),
-        "{msgs:?}"
-    );
-    let clean = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/bit_pack_clean.rs"),
-    )];
-    assert_eq!(rules_fired(&clean), [] as [&str; 0]);
-}
-
-#[test]
-fn tag_range_fixture_pair() {
-    let dirty = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/tag_range_dirty.rs"),
-    )];
-    assert_eq!(rules_fired(&dirty), ["tag-range"]);
-    let report = analyze(&dirty);
-    assert!(report.findings.len() >= 2, "{:?}", report.findings);
-    let msgs: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(
-        msgs.iter().any(|m| m.contains("`Vmid`") && m.contains("bits: 12")),
-        "{msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("possibly-negative")),
-        "{msgs:?}"
-    );
-    // Mask, checked-constructor branch, and full-width modulo wrap all
-    // prove the range.
-    let clean = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/tag_range_clean.rs"),
-    )];
-    assert_eq!(rules_fired(&clean), [] as [&str; 0]);
-}
-
-/// The shipped pre-PR-8 bug, shape-for-shape: `Asid::new(id as u16 + 1)`
-/// plus the unmasked 16-bit tag packed at bit 52. The value rules this
-/// PR adds must catch both halves — the whole motivation for the layer.
-#[test]
-fn pre_pr8_asid_overflow_regression_is_flagged() {
-    let sources = [lib(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/analysis/asid_overflow_regression.rs"),
-    )];
-    assert_eq!(rules_fired(&sources), ["bit-pack-overflow", "tag-range"]);
-    let report = analyze(&sources);
-    let msgs: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("`Asid`") && m.contains("65536")),
-        "the truncated-and-offset id must be flagged at the constructor \
-         call: {msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("64-bit carrier")),
-        "the unmasked tag in the entry packing must be flagged: {msgs:?}"
-    );
-}
-
 /// The per-file parse fans out across worker threads; findings must
 /// nevertheless come back in deterministic (file, line) order. Analyze
 /// the same multi-file, multi-rule workload repeatedly and require
@@ -215,14 +130,6 @@ fn pre_pr8_asid_overflow_regression_is_flagged() {
 #[test]
 fn finding_order_is_stable_across_parallel_runs() {
     let sources = [
-        lib(
-            "crates/a/src/lib.rs",
-            include_str!("fixtures/analysis/bit_pack_dirty.rs"),
-        ),
-        lib(
-            "crates/b/src/lib.rs",
-            include_str!("fixtures/analysis/tag_range_dirty.rs"),
-        ),
         lib(
             "crates/c/src/lib.rs",
             include_str!("fixtures/analysis/hot_path_dirty.rs"),
@@ -267,20 +174,10 @@ fn workspace_is_analysis_clean() {
             .join("\n")
     );
     assert!(report.stats.files > 100, "workspace walk looks truncated");
-    // Pin that the interprocedural passes actually ran over the real
-    // workspace, not a degenerate front end: the condensation is
-    // non-trivial, and the hot roots reach a real slice of the call graph.
-    assert!(report.stats.sccs > 100, "condensation looks degenerate");
+    // Pin that the call-graph walk actually ran over the real workspace,
+    // not a degenerate front end: the hot roots reach a real slice of it.
     assert!(
         report.stats.hot_fns > 20,
         "translate_batch/SmpCore::run should reach a real call-graph slice"
-    );
-    // The abstract interpreter must be summarizing a real slice of the
-    // workspace (79 functions at the time of writing), not bailing out
-    // to `Top` everywhere.
-    assert!(
-        report.stats.summarized_fns > 40,
-        "value summaries collapsed: only {} functions summarized",
-        report.stats.summarized_fns
     );
 }

@@ -21,13 +21,14 @@ fn correct_two_core_protocol_is_clean_exhaustively() {
 }
 
 #[test]
-fn correct_three_core_protocol_is_clean_exhaustively() {
-    let report = ShootdownScenario::three_core(SeededBug::None).explore(&Config::exhaustive());
-    assert!(report.complete);
+fn correct_three_core_protocol_is_clean_up_to_three_preemptions() {
     // Two remotes racing their sweeps/acks against the initiator: the
-    // schedule space is orders of magnitude larger than the 2-core one.
+    // unbounded space outgrows the schedule cap, so bound the search.
+    let report =
+        ShootdownScenario::three_core(SeededBug::None).explore(&Config::with_preemption_bound(3));
+    assert!(report.complete);
     assert!(
-        report.schedules > 100,
+        report.schedules > 1_000,
         "3-core space should be large, got {}",
         report.schedules
     );

@@ -986,9 +986,7 @@ mod tests {
     fn batch_fallback_matches_scalar() {
         let events = store_heavy_trace(4000);
         // Without same-page runs every probe chunk is full, and the
-        // window serves nothing unless it goes stale. A window hit skips
-        // its probe, and on a hash-rehash L1 the rehash the scalar path
-        // charges with it, so that L1 replays only this trace.
+        // window serves nothing unless it goes stale.
         let mut distinct = events.clone();
         distinct.dedup_by_key(|e| e.va.vpn());
         fn half_stalled(l1: Box<dyn TlbDevice>, stalled: bool) -> Box<dyn TlbDevice> {
@@ -1010,7 +1008,15 @@ mod tests {
             let h = hash_rehash_hierarchy(1);
             TlbHierarchy::new("hr-1way", half_stalled(h.l1, stalled), h.l2)
         };
-        for (build, events) in [(mix, &events), (mix, &distinct), (hash_rehash, &distinct)] {
+        // A window hit skips its probe, and on a hash-rehash L1 also the
+        // rehash stall the scalar path charges with it: over same-page
+        // runs only batched `stall_cycles` may differ, and only downward.
+        for (build, events, window_skips_rehash) in [
+            (mix, &events, false),
+            (mix, &distinct, false),
+            (hash_rehash, &distinct, false),
+            (hash_rehash, &events, true),
+        ] {
             let (mut pt_a, mut frames) = small_world();
             for k in 0..48u64 {
                 pt_a.map(
@@ -1037,7 +1043,19 @@ mod tests {
                 want.faults > 0 && want.dirty_microops > 0 && want.l2_hits > 0,
                 "{name}: {want:?}"
             );
-            assert_eq!(got, want, "{name}: engine stats");
+            if window_skips_rehash {
+                assert!(
+                    got.stall_cycles < want.stall_cycles,
+                    "{name}: {got:?} vs {want:?}"
+                );
+                let got = EngineStats {
+                    stall_cycles: want.stall_cycles,
+                    ..got
+                };
+                assert_eq!(got, want, "{name}: engine stats but stalls");
+            } else {
+                assert_eq!(got, want, "{name}: engine stats");
+            }
         }
     }
 

@@ -208,15 +208,26 @@ fn implausible_payload(payload_len: u64, count: u64) -> io::Error {
     ))
 }
 
-/// Two-bit wire code for an access kind.
-// bits: 2
-fn kind_code(kind: AccessKind) -> u64 {
+/// Width of the access-kind code below the page offset in an event's
+/// packed offset/kind word.
+const KIND_BITS: u32 = 2;
+
+/// Wire code for an access kind; fits in [`KIND_BITS`].
+const fn kind_code(kind: AccessKind) -> u64 {
     match kind {
         AccessKind::Load => 0,
         AccessKind::Store => 1,
         AccessKind::Fetch => 2,
     }
 }
+
+// A code that outgrows its field would corrupt the page offset above it.
+const _: () = assert!(
+    kind_code(AccessKind::Load) >> KIND_BITS == 0
+        && kind_code(AccessKind::Store) >> KIND_BITS == 0
+        && kind_code(AccessKind::Fetch) >> KIND_BITS == 0,
+    "access-kind code overflows its wire field"
+);
 
 /// Inverse of [`kind_code`].
 fn code_kind(code: u64) -> io::Result<AccessKind> {
@@ -234,7 +245,7 @@ fn encode_event(payload: &mut Vec<u8>, ev: &TraceEvent, prev_page: u64, prev_pc:
     let page = ev.va.vpn().raw();
     let off = ev.va.page_offset(PageSize::Size4K);
     write_varint(payload, zigzag(delta(page, prev_page)));
-    write_varint(payload, (off << 2) | kind_code(ev.kind));
+    write_varint(payload, (off << KIND_BITS) | kind_code(ev.kind));
     write_varint(payload, zigzag(delta(ev.pc, prev_pc)));
     (page, ev.pc)
 }
@@ -249,8 +260,8 @@ fn decode_event(
     let dp = un_zigzag(read_varint_slice(buf, pos)?);
     let page = prev_page.wrapping_add(dp as u64);
     let meta = read_varint_slice(buf, pos)?;
-    let off = meta >> 2;
-    let kind = code_kind(meta & 0x3)?;
+    let off = meta >> KIND_BITS;
+    let kind = code_kind(meta & ((1 << KIND_BITS) - 1))?;
     if off >= PageSize::Size4K.bytes() {
         return Err(bad_page_offset(off));
     }

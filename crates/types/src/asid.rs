@@ -12,7 +12,6 @@
 /// An address-space identifier (PCID). `Asid::UNTAGGED` (zero) denotes the
 /// legacy untagged mode; real address spaces use `1..=4095` (x86 PCIDs are
 /// 12-bit).
-// bits: 12
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Asid(u16);
 

@@ -5,14 +5,28 @@
 //! `u64` per frame for that, and this module owns the packing so the
 //! bit layout lives in one audited place.
 
-use crate::{PageSize, Vpn};
+use crate::addr::VA_BITS;
+use crate::{PageSize, Vpn, PAGE_SHIFT};
 
 /// Width of the address-space field: what the word has left after the
 /// valid bit, the 2-bit size and a 36-bit (48-bit VA) page number.
 const SPACE_BITS: u32 = 25;
+const SIZE_BITS: u32 = 2;
+const VPN_BITS: u32 = VA_BITS - PAGE_SHIFT;
 const SPACE_SHIFT: u32 = 1;
 const SIZE_SHIFT: u32 = SPACE_SHIFT + SPACE_BITS;
-const VPN_SHIFT: u32 = SIZE_SHIFT + 2;
+const VPN_SHIFT: u32 = SIZE_SHIFT + SIZE_BITS;
+
+// The fields must fit the word: widening one without narrowing another
+// fails the build here instead of silently dropping high VPN bits.
+const _: () = assert!(
+    VPN_SHIFT + VPN_BITS <= u64::BITS,
+    "FrameOwner fields overflow u64"
+);
+const _: () = assert!(
+    (PageSize::Size1G.encode() as u32) < 1 << SIZE_BITS,
+    "page-size code overflows its FrameOwner field"
+);
 
 /// The owner of a mapped physical frame: the address space that maps it,
 /// at which page size, from which base VPN.
@@ -58,7 +72,7 @@ impl FrameOwner {
             return None;
         }
         let space = ((word >> SPACE_SHIFT) & ((1 << SPACE_BITS) - 1)) as usize;
-        let size = PageSize::decode(((word >> SIZE_SHIFT) & 0b11) as u8)?;
+        let size = PageSize::decode(((word >> SIZE_SHIFT) & ((1 << SIZE_BITS) - 1)) as u8)?;
         let vpn = Vpn::new(word >> VPN_SHIFT);
         Some(FrameOwner { space, size, vpn })
     }

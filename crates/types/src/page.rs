@@ -64,9 +64,7 @@ impl PageSize {
         !matches!(self, PageSize::Size4K)
     }
 
-    /// Encodes the size as the paper's 2-bit TLB entry field. (No
-    /// `// bits:` annotation: the analyzer's body-derived summary
-    /// `[0, 2]` is tighter than the declared 2-bit width.)
+    /// Encodes the size as the paper's 2-bit TLB entry field.
     #[inline]
     pub const fn encode(self) -> u8 {
         match self {

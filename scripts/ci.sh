@@ -24,9 +24,9 @@ echo "==> cargo clippy --workspace -- -D warnings"
 # #[expect(..., reason = "...")] (a stale exception) into a failure.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> mixtlb-check --analyze (structural analysis gate, 6 rules)"
-# Zero findings required across all six rules (addr-arith,
-# truncating-cast, dead-code, hot-path, bit-pack-overflow, tag-range).
+echo "==> mixtlb-check --analyze (structural analysis gate, 4 rules)"
+# Zero findings required across all four rules (addr-arith,
+# truncating-cast, dead-code, hot-path).
 # There is no baseline: any finding exits 1 and fails this stage (after
 # the log, findings included, is printed). --stats prints per-rule counts
 # and wall time into the CI log so drift is visible. The whole front end
@@ -39,23 +39,17 @@ if [[ "$analyze_status" -ne 0 ]]; then
   echo "CI: mixtlb-check --analyze exited ${analyze_status}" >&2
   exit 1
 fi
-# Workspace pin: the abstract interpreter must summarize a real slice of
-# the workspace (83 fns at the time of writing), not bail out to Top.
-summarized=$(sed -n 's/.*abstract interpretation: \([0-9][0-9]*\) value-summarized.*/\1/p' <<<"$analyze_log")
-if [[ -z "$summarized" || "$summarized" -le 40 ]]; then
-  echo "CI: value summaries collapsed (summarized=${summarized:-missing})" >&2
-  exit 1
-fi
 
 echo "==> mixtlb-check --model (time-boxed shootdown model check)"
-# Exhaustive 2-core exploration + seeded-bug self-check; the binary
-# bounds its own schedule counts, so this stays well under a minute.
+# Exhaustive 2-core exploration (364 schedules) + seeded-bug self-check;
+# the binary bounds its own schedule counts, so this takes about a second.
 timeout 300 cargo run --release -q -p mixtlb-check -- --model
 
 echo "==> model_deque (work-stealing deque under the interleaving explorer)"
 # Owner push/pop against a thief's steal on a small ChunkDeque: every
 # chunk must be taken exactly once. Builds mixtlb-smp with its model
-# feature, so the deque's atomics are schedule points.
+# feature, so the deque's atomics are schedule points. The scenarios run
+# exhaustively or at preemption bound 3: seconds once built.
 timeout 300 cargo test -q -p mixtlb-smp --features model --test model_deque
 
 if [[ "${MIXTLB_SKIP_SMP_STRESS:-0}" == "1" ]]; then
