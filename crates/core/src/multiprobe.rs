@@ -206,7 +206,7 @@ impl MultiProbeTlb {
             },
         );
         self.stats.entries_written += 1;
-        if evicted.is_some() {
+        if evicted {
             self.stats.evictions += 1;
         }
     }

@@ -171,7 +171,7 @@ impl SingleSizeTlb {
             },
         );
         self.stats.entries_written += 1;
-        if evicted.is_some() {
+        if evicted {
             self.stats.evictions += 1;
         }
     }

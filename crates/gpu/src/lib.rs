@@ -37,7 +37,7 @@ use mixtlb_os::{Kernel, SpaceId};
 use mixtlb_pagetable::{PageTable, Walker};
 use mixtlb_sim::{EngineStats, PerfReport, PolicyChoice};
 use mixtlb_trace::{TraceGenerator, WorkloadSpec};
-use mixtlb_types::{PageSize, Permissions, Vpn, PAGE_SIZE_4K};
+use mixtlb_types::{Asid, PageSize, Permissions, Vpn, PAGE_SIZE_4K};
 
 /// GPU scenario parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -256,8 +256,7 @@ impl GpuScenario {
                     stats.l2_hits += 1;
                     match run {
                         Some(run) if run.len > 1 => {
-                            let line = run.translations();
-                            l1s[sm].fill(vpn, &translation, &line);
+                            l1s[sm].fill_run_asid(Asid::UNTAGGED, vpn, &translation, &run);
                         }
                         _ => l1s[sm].fill(vpn, &translation, &[translation]),
                     }

@@ -306,8 +306,7 @@ impl SmpCore {
                     self.stats.l2_hits += 1;
                     match run {
                         Some(run) if run.len > 1 => {
-                            let line = run.translations();
-                            self.hierarchy.l1.fill_asid(self.asid, vpn, &translation, &line);
+                            self.hierarchy.l1.fill_run_asid(self.asid, vpn, &translation, &run);
                         }
                         _ => {
                             self.hierarchy
@@ -341,10 +340,9 @@ impl SmpCore {
         };
         if let Some(l2) = self.hierarchy.l2.as_mut() {
             l2.fill_asid(self.asid, vpn, &translation, &walk.line_translations);
-            if let Some(run) = l2.peek_run(vpn) {
+            if let Some(run) = l2.peek_run_asid(self.asid, vpn) {
                 if run.len as usize > walk.line_translations.len() {
-                    let line = run.translations();
-                    self.hierarchy.l1.fill_asid(self.asid, vpn, &translation, &line);
+                    self.hierarchy.l1.fill_run_asid(self.asid, vpn, &translation, &run);
                     return translation.translate(ev.va).ok();
                 }
             }
