@@ -1,7 +1,7 @@
 //! The `hot-path` rule ([`hot_path`]): walks the call graph *down* from
 //! the batched-translation entry points and the smp replay inner loop,
-//! flagging heap allocation, `clone()`, and formatting machinery in
-//! anything reachable. Resolution is name-based and over-approximate, so
+//! flagging heap allocation (constructors, `with_capacity`, `collect`),
+//! `clone()`, and formatting machinery in anything reachable. Resolution is name-based and over-approximate, so
 //! traversal is cut at constructor-shaped sinks (`new`, `default`, …) —
 //! every workspace `new` would otherwise be "hot" via `Vec::new` false
 //! edges — trading false negatives inside constructors for a signal that
@@ -200,20 +200,30 @@ fn call_path(
     names.join(" -> ")
 }
 
-/// Paired `Type::method(` patterns that allocate.
-const PATH_ALLOC: [(&str, &str); 4] = [
-    ("Box", "new"),
-    ("String", "new"),
-    ("String", "from"),
-    ("Vec", "new"),
+/// Paired `Type::method(` patterns that allocate, with how a finding
+/// names them.
+const PATH_ALLOC: [(&str, &str, &str); 9] = [
+    ("Box", "new", "Box::new"),
+    ("String", "new", "String::new"),
+    ("String", "from", "String::from"),
+    ("Vec", "new", "Vec::new"),
+    ("Vec", "with_capacity", "Vec::with_capacity"),
+    ("BTreeSet", "new", "BTreeSet::new"),
+    ("BTreeMap", "new", "BTreeMap::new"),
+    ("HashMap", "new", "HashMap::new"),
+    ("HashSet", "new", "HashSet::new"),
 ];
 
-/// `.method(` calls that allocate or format.
-const METHOD_SITES: [(&str, &str); 4] = [
-    ("clone", "clone() call"),
-    ("to_string", "formatting"),
-    ("to_owned", "heap allocation"),
-    ("to_vec", "heap allocation"),
+/// `.method(` calls that allocate or format, with how a finding names
+/// them and its category. `collect` also matches with a turbofish
+/// (`.collect::<Vec<_>>()`); the token scan cannot see the target type,
+/// so every collect counts — a hot loop has no business building one.
+const METHOD_SITES: [(&str, &str, &str); 5] = [
+    ("clone", ".clone()", "clone() call"),
+    ("to_string", ".to_string()", "formatting"),
+    ("to_owned", ".to_owned()", "heap allocation"),
+    ("to_vec", ".to_vec()", "heap allocation"),
+    ("collect", ".collect()", "heap allocation"),
 ];
 
 /// Formatting/allocating macros.
@@ -252,36 +262,26 @@ fn scan_hot_sites(toks: &[Tok], from: usize, to: usize) -> Vec<HotSite> {
         // `Type::method(` allocations.
         if next_is(1, "::") && next_is(3, "(") {
             if let Some(m) = toks.get(i + 2) {
-                if let Some((ty, me)) = PATH_ALLOC
+                if let Some(&(_, _, what)) = PATH_ALLOC
                     .iter()
-                    .find(|(ty, me)| *ty == t.text && *me == m.text)
+                    .find(|(ty, me, _)| *ty == t.text && *me == m.text)
                 {
                     out.push(HotSite {
                         line: t.line,
-                        what: match (*ty, *me) {
-                            ("Box", _) => "Box::new",
-                            ("String", "new") => "String::new",
-                            ("String", _) => "String::from",
-                            _ => "Vec::new",
-                        },
+                        what,
                         category: "heap allocation",
                     });
                     continue;
                 }
             }
         }
-        // `.method()` clones/formatters (preceded by `.`).
-        if i > 0 && toks[i - 1].is(".") && next_is(1, "(") {
-            if let Some((_, cat)) = METHOD_SITES.iter().find(|(m, _)| *m == t.text) {
+        // `.method(` / `.method::<…>(` clones, formatters and collects.
+        if i > 0 && toks[i - 1].is(".") && (next_is(1, "(") || next_is(1, "::")) {
+            if let Some(&(_, what, category)) = METHOD_SITES.iter().find(|(m, _, _)| *m == t.text) {
                 out.push(HotSite {
                     line: t.line,
-                    what: match t.text.as_str() {
-                        "clone" => ".clone()",
-                        "to_string" => ".to_string()",
-                        "to_owned" => ".to_owned()",
-                        _ => ".to_vec()",
-                    },
-                    category: cat,
+                    what,
+                    category,
                 });
             }
         }

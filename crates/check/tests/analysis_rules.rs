@@ -123,6 +123,44 @@ fn hot_path_fixture_pair() {
     assert_eq!(rules_fired(&clean), [] as [&str; 0]);
 }
 
+#[test]
+fn hot_path_collection_fixture_pair() {
+    let dirty = [lib(
+        "crates/fixture/src/lib.rs",
+        include_str!("fixtures/analysis/hot_path_collect_dirty.rs"),
+    )];
+    let report = analyze(&dirty);
+    let mut found: Vec<&str> = report
+        .findings
+        .iter()
+        .map(|f| {
+            assert!(f.message.contains("in `Tlb::fill`"), "{f:?}");
+            let what = f.message.split('`').nth(1).unwrap_or("");
+            what
+        })
+        .collect();
+    found.sort_unstable();
+    assert_eq!(
+        found,
+        [
+            ".collect()",
+            ".collect()",
+            "BTreeMap::new",
+            "BTreeSet::new",
+            "HashMap::new",
+            "HashSet::new",
+            "Vec::with_capacity",
+        ],
+        "{:?}",
+        report.findings
+    );
+    let clean = [lib(
+        "crates/fixture/src/lib.rs",
+        include_str!("fixtures/analysis/hot_path_collect_clean.rs"),
+    )];
+    assert_eq!(rules_fired(&clean), [] as [&str; 0]);
+}
+
 /// The per-file parse fans out across worker threads; findings must
 /// nevertheless come back in deterministic (file, line) order. Analyze
 /// the same multi-file, multi-rule workload repeatedly and require

@@ -13,12 +13,10 @@ pub struct Engine {
 }
 
 impl Engine {
-    fn translate_batch(&mut self, vpns: &[u64]) -> Vec<u64> {
-        let mut out = Vec::with_capacity(vpns.len());
+    fn translate_batch(&mut self, vpns: &[u64], out: &mut Vec<u64>) {
         for &vpn in vpns {
             out.push(self.resolve(vpn));
         }
-        out
     }
 
     fn resolve(&mut self, vpn: u64) -> u64 {

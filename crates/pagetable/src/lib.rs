@@ -36,10 +36,12 @@
 
 #![warn(missing_docs)]
 
+mod bounded;
 mod nested;
 mod table;
 mod walker;
 
+pub use bounded::Bounded;
 pub use nested::{NestedTranslationCache, NestedWalkResult, NestedWalker, NoNestedCache};
 pub use table::{BumpFrameSource, FrameSource, MapError, PageTable};
 pub use walker::{WalkResult, Walker};

@@ -11,7 +11,8 @@
 use mixtlb_types::{AccessKind, PageSize, PhysAddr, Translation, VirtAddr, Vpn};
 
 use crate::table::{Entry, PageTable};
-use crate::walker::Walker;
+use crate::bounded::Bounded;
+use crate::walker::{LineLeaves, Walker, NO_ADDR, NO_LEAF};
 
 /// Result of one nested walk.
 #[derive(Debug, Clone)]
@@ -26,14 +27,14 @@ pub struct NestedWalkResult {
     pub host_size: Option<PageSize>,
     /// System-physical addresses of every PTE read (guest PTE reads appear
     /// at their host-translated addresses).
-    pub pte_reads: Vec<PhysAddr>,
+    pub pte_reads: Bounded<PhysAddr, 24>,
     /// System-physical addresses of PTE writes (A/D updates in both
-    /// dimensions).
-    pub pte_writes: Vec<PhysAddr>,
+    /// dimensions: one per host walk and one for the guest leaf).
+    pub pte_writes: Bounded<PhysAddr, 8>,
     /// Leaf translations (guest-virtual → system-physical, splintered size)
     /// co-resident in the guest leaf's PTE cache line and contiguous in
     /// *both* dimensions — what nested MIX TLB coalescing can use.
-    pub line_translations: Vec<Translation>,
+    pub line_translations: Bounded<Translation, 8>,
 }
 
 impl NestedWalkResult {
@@ -98,8 +99,8 @@ impl NestedWalker {
         ncache: &mut dyn NestedTranslationCache,
     ) -> NestedWalkResult {
         let vpn = gva.vpn();
-        let mut pte_reads = Vec::with_capacity(24);
-        let mut pte_writes = Vec::with_capacity(4);
+        let mut pte_reads = Bounded::new(NO_ADDR);
+        let mut pte_writes = Bounded::new(NO_ADDR);
         let mut node = 0usize;
         for level in (0..=3u8).rev() {
             let idx = PageTable::index_at(vpn, level);
@@ -113,8 +114,8 @@ impl NestedWalker {
                 None => {
                     let host_walk =
                         Walker::walk(host, VirtAddr::new(gpa_pte.raw()), AccessKind::Load);
-                    pte_reads.extend(host_walk.pte_reads.iter().copied());
-                    pte_writes.extend(host_walk.pte_writes.iter().copied());
+                    pte_reads.extend_from_slice(&host_walk.pte_reads);
+                    pte_writes.extend_from_slice(&host_walk.pte_writes);
                     if let Some(t) = &host_walk.translation {
                         ncache.fill_gpa(gpn, t, &host_walk.line_translations);
                     }
@@ -130,14 +131,14 @@ impl NestedWalker {
                     .translate(VirtAddr::new(gpa_pte.raw()))
                     .expect("host leaf covers the guest PTE address"),
                 None => {
-                    return Self::fault(pte_reads, pte_writes);
+                    return Self::fault_result(pte_reads, pte_writes);
                 }
             };
             // The guest PTE read itself, at its system-physical address.
             pte_reads.push(PhysAddr::new(spa_pte.raw()));
             let entry = guest.nodes()[node].entries[idx];
             match entry {
-                Entry::Empty => return Self::fault(pte_reads, pte_writes),
+                Entry::Empty => return Self::fault_result(pte_reads, pte_writes),
                 Entry::Table(child) => node = child,
                 Entry::Leaf(_) => {
                     #[expect(
@@ -194,14 +195,14 @@ impl NestedWalker {
                         None => {
                             let final_walk =
                                 Walker::walk(host, VirtAddr::new(data_gpa.raw()), access);
-                            pte_reads.extend(final_walk.pte_reads.iter().copied());
-                            pte_writes.extend(final_walk.pte_writes.iter().copied());
+                            pte_reads.extend_from_slice(&final_walk.pte_reads);
+                            pte_writes.extend_from_slice(&final_walk.pte_writes);
                             match final_walk.translation {
                                 Some(t) => {
                                     ncache.fill_gpa(data_gpn, &t, &final_walk.line_translations);
                                     t
                                 }
-                                None => return Self::fault(pte_reads, pte_writes),
+                                None => return Self::fault_result(pte_reads, pte_writes),
                             }
                         }
                     };
@@ -250,11 +251,11 @@ impl NestedWalker {
         idx: usize,
         level: u8,
         vpn: Vpn,
-    ) -> Vec<Translation> {
+    ) -> LineLeaves {
         let line_start = idx & !7;
         let pages_per_entry = 1u64 << (9 * u64::from(level));
         let node_base = vpn.align_down_pages(pages_per_entry << 9);
-        let mut out = Vec::with_capacity(8);
+        let mut out = Bounded::new(NO_LEAF);
         for i in line_start..line_start + 8 {
             if let Entry::Leaf(leaf) = &guest.nodes()[node].entries[i] {
                 if let Some(gsize) = PageSize::from_level(level) {
@@ -279,14 +280,14 @@ impl NestedWalker {
     /// Builds the nested-fault result. Faults leave the replay loop for
     /// the OS fault handler, so this constructor is off the hot path.
     #[cold]
-    fn fault(pte_reads: Vec<PhysAddr>, pte_writes: Vec<PhysAddr>) -> NestedWalkResult {
+    fn fault_result(pte_reads: Bounded<PhysAddr, 24>, pte_writes: Bounded<PhysAddr, 8>) -> NestedWalkResult {
         NestedWalkResult {
             translation: None,
             guest_size: None,
             host_size: None,
             pte_reads,
             pte_writes,
-            line_translations: Vec::new(),
+            line_translations: Bounded::new(NO_LEAF),
         }
     }
 }

@@ -1,8 +1,25 @@
 //! The hardware page-table walker.
 
-use mixtlb_types::{AccessKind, PageSize, PhysAddr, Translation, VirtAddr, Vpn};
+use mixtlb_types::{AccessKind, PageSize, Permissions, Pfn, PhysAddr, Translation, VirtAddr, Vpn};
 
+use crate::bounded::Bounded;
 use crate::table::{Entry, PageTable};
+
+/// Filler for the unused slots of an address buffer.
+pub(crate) const NO_ADDR: PhysAddr = PhysAddr::new(0);
+
+/// Filler for the unused slots of a PTE-line buffer.
+pub(crate) const NO_LEAF: Translation = Translation {
+    vpn: Vpn::new(0),
+    pfn: Pfn::new(0),
+    size: PageSize::Size4K,
+    perms: Permissions::from_bits(0),
+    accessed: false,
+    dirty: false,
+};
+
+/// The leaf translations of one 64-byte PTE cache line (8 PTEs).
+pub(crate) type LineLeaves = Bounded<Translation, 8>;
 
 /// The outcome of one hardware page-table walk.
 #[derive(Debug, Clone)]
@@ -11,15 +28,15 @@ pub struct WalkResult {
     pub translation: Option<Translation>,
     /// Physical addresses of the PTEs read, in order (root first). These are
     /// the memory references that hit or miss in the cache hierarchy.
-    pub pte_reads: Vec<PhysAddr>,
+    pub pte_reads: Bounded<PhysAddr, 4>,
     /// Physical addresses of PTE *writes* performed by the walker: accessed
     /// and dirty bit updates (the paper's dirty-bit micro-ops, Sec. 4.4).
-    pub pte_writes: Vec<PhysAddr>,
+    pub pte_writes: Bounded<PhysAddr, 2>,
     /// All leaf translations residing in the same 64-byte PTE cache line as
     /// the requested leaf, in ascending virtual-address order (the requested
     /// translation included). This is the 8-PTE window the MIX TLB
     /// coalescing logic scans on a fill (paper Fig. 3).
-    pub line_translations: Vec<Translation>,
+    pub line_translations: Bounded<Translation, 8>,
 }
 
 impl WalkResult {
@@ -39,8 +56,8 @@ impl Walker {
     /// store sets the dirty bit (another PTE write if it was clear).
     pub fn walk(pt: &mut PageTable, va: VirtAddr, access: AccessKind) -> WalkResult {
         let vpn = va.vpn();
-        let mut pte_reads = Vec::with_capacity(4);
-        let mut pte_writes = Vec::with_capacity(2);
+        let mut pte_reads = Bounded::new(NO_ADDR);
+        let mut pte_writes = Bounded::new(NO_ADDR);
         let mut node = 0usize;
         for level in (0..=3u8).rev() {
             let idx = PageTable::index_at(vpn, level);
@@ -50,7 +67,7 @@ impl Walker {
             let entry = pt.nodes()[node].entries[idx];
             match entry {
                 Entry::Empty => {
-                    return Self::fault(pte_reads, pte_writes);
+                    return Self::fault_result(pte_reads, pte_writes);
                 }
                 Entry::Table(child) => {
                     node = child;
@@ -103,12 +120,12 @@ impl Walker {
     /// Builds the page-fault result. Faults leave the replay loop for the
     /// OS fault handler, so this constructor is off the hot path.
     #[cold]
-    fn fault(pte_reads: Vec<PhysAddr>, pte_writes: Vec<PhysAddr>) -> WalkResult {
+    fn fault_result(pte_reads: Bounded<PhysAddr, 4>, pte_writes: Bounded<PhysAddr, 2>) -> WalkResult {
         WalkResult {
             translation: None,
             pte_reads,
             pte_writes,
-            line_translations: Vec::new(),
+            line_translations: Bounded::new(NO_LEAF),
         }
     }
 
@@ -120,12 +137,12 @@ impl Walker {
         idx: usize,
         level: u8,
         vpn: Vpn,
-    ) -> Vec<Translation> {
+    ) -> LineLeaves {
         let line_start = idx & !7;
         let pages_per_entry = 1u64 << (9 * u64::from(level));
         // VPN of entry 0 of this node at this level's granularity.
         let node_base = vpn.align_down_pages(pages_per_entry << 9);
-        let mut out = Vec::with_capacity(8);
+        let mut out = Bounded::new(NO_LEAF);
         for i in line_start..line_start + 8 {
             if let Entry::Leaf(leaf) = &pt.nodes()[node].entries[i] {
                 if let Some(size) = PageSize::from_level(level) {
