@@ -40,9 +40,16 @@ pub(crate) const HOT_ROOT_NAMES: [&str; 6] = [
     "consume_in_order",
     "stream_sync",
 ];
-/// Root functions by qualified name: the smp replay inner loops — the
-/// per-core cadence loop and the work-stealing steal/execute loop.
-pub(crate) const HOT_ROOT_QUALS: [&str; 3] = ["SmpCore::run", "SmpCore::step", "WsWorker::run"];
+/// Root functions by qualified name: the one per-access datapath every
+/// replay resolves through (and the scalar engine entry that times it),
+/// and the smp replay inner loops — the per-core cadence loop and the
+/// work-stealing steal/execute loop.
+pub(crate) const HOT_ROOT_QUALS: [&str; 4] = [
+    "TlbHierarchy::access",
+    "TranslationEngine::access",
+    "SmpCore::run",
+    "WsWorker::run",
+];
 
 /// Callee names the downward walk does not enter. Name-based resolution
 /// links `Vec::new(…)`/`X::from(…)`/`….clone()` call tokens to every

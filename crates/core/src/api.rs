@@ -159,6 +159,30 @@ impl TlbStats {
     }
 }
 
+impl std::ops::AddAssign for TlbStats {
+    /// Sums every counter: several devices' statistics read as one.
+    fn add_assign(&mut self, other: TlbStats) {
+        self.lookups += other.lookups;
+        self.hits += other.hits;
+        self.misses += other.misses;
+        for (sum, h) in self.hits_by_size.iter_mut().zip(other.hits_by_size) {
+            *sum += h;
+        }
+        self.sets_probed += other.sets_probed;
+        self.entries_read += other.entries_read;
+        self.fills += other.fills;
+        self.entries_written += other.entries_written;
+        self.evictions += other.evictions;
+        self.dup_merges += other.dup_merges;
+        self.coalesce_merges += other.coalesce_merges;
+        self.invalidations += other.invalidations;
+        self.dirty_microops += other.dirty_microops;
+        self.serial_probes += other.serial_probes;
+        self.predictor_reads += other.predictor_reads;
+        self.predictor_misses += other.predictor_misses;
+    }
+}
+
 /// A TLB design: the single interface the translation engine, the energy
 /// model, and the differential tests drive.
 ///
@@ -388,6 +412,35 @@ mod tests {
         s.lookups = 4;
         s.hits = 3;
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn add_assign_sums_every_counter() {
+        // Every counter gets its own multiple of `k`, so a field left out
+        // of the sum, or assigned instead of added, shows. The literal
+        // names every field, so a new counter must be added here too.
+        let distinct = |k: u64| TlbStats {
+            lookups: k,
+            hits: 2 * k,
+            misses: 3 * k,
+            hits_by_size: [4 * k, 5 * k, 6 * k],
+            sets_probed: 7 * k,
+            entries_read: 8 * k,
+            fills: 9 * k,
+            entries_written: 10 * k,
+            evictions: 11 * k,
+            dup_merges: 12 * k,
+            coalesce_merges: 13 * k,
+            invalidations: 14 * k,
+            dirty_microops: 15 * k,
+            serial_probes: 16 * k,
+            predictor_reads: 17 * k,
+            predictor_misses: 18 * k,
+        };
+        let mut sum = TlbStats::default();
+        sum += distinct(1);
+        sum += distinct(2);
+        assert_eq!(sum, distinct(3));
     }
 
     #[test]

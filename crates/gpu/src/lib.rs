@@ -28,14 +28,13 @@
 
 #![warn(missing_docs)]
 
-use mixtlb_cache::{CacheHierarchy, HierarchyConfig, PageWalkCache};
 use mixtlb_core::{Lookup, MixTlb, MixTlbConfig, TlbDevice, TlbStats};
 
 use mixtlb_mem::{Memhog, MemhogConfig, MemoryConfig, PhysicalMemory};
 use mixtlb_os::scan::{ContiguityStats, PageSizeDistribution};
 use mixtlb_os::{Kernel, SpaceId};
-use mixtlb_pagetable::{PageTable, Walker};
-use mixtlb_sim::{EngineStats, PerfReport, PolicyChoice};
+use mixtlb_pagetable::PageTable;
+use mixtlb_sim::{BelowTlbs, EngineBelow, EngineStats, PerfReport, PolicyChoice, WalkBackend};
 use mixtlb_trace::{TraceGenerator, WorkloadSpec};
 use mixtlb_types::{Asid, PageSize, Permissions, Vpn, PAGE_SIZE_4K};
 
@@ -208,8 +207,8 @@ impl GpuScenario {
         refs: u64,
     ) -> PerfReport {
         let mut pt: PageTable = self.kernel.space(self.space).page_table().clone();
-        let mut caches = CacheHierarchy::new(HierarchyConfig::haswell());
-        let mut pwc = PageWalkCache::new(32); // shared walker's MMU cache
+        // The shared walker, its MMU cache and the memory hierarchy.
+        let mut below = EngineBelow::new(WalkBackend::Native(&mut pt));
         let sms = self.config.sms as usize;
         let mut l1s: Vec<Box<dyn TlbDevice>> = (0..sms).map(|_| l1_factory()).collect();
         let design = format!("{}x{}", l1s[0].name(), sms);
@@ -238,11 +237,7 @@ impl GpuScenario {
             match l1s[sm].lookup_pc(vpn, ev.kind, ev.pc) {
                 Lookup::Hit { translation, dirty_microop, .. } => {
                     if dirty_microop {
-                        stats.dirty_microops += 1;
-                        if let Some(pa) = pt.set_dirty(vpn) {
-                            caches.access(pa);
-                            stats.walk_traffic.pte_writes += 1;
-                        }
+                        below.dirty_microop(&mut stats, vpn);
                     }
                     stats.l1_hits += 1;
                     let _ = translation;
@@ -266,55 +261,17 @@ impl GpuScenario {
             }
             // Shared walker: base memory latency plus queueing that grows
             // with the number of walks already issued this sweep.
-            stats.walks += 1;
             stats.stall_cycles += sweep_walks * self.config.walk_queue_cycles;
             sweep_walks += 1;
-            let walk = Walker::walk(&mut pt, ev.va, ev.kind);
-            let last = walk.pte_reads.len().saturating_sub(1);
-            for (i, pa) in walk.pte_reads.iter().enumerate() {
-                if i != last && pwc.access(*pa) {
-                    stats.stall_cycles += 1;
-                    continue;
-                }
-                let r = caches.access(*pa);
-                stats.stall_cycles += r.cycles;
-                match r.level_hit {
-                    Some(level) => stats.walk_traffic.cache_hits[level.min(2)] += 1,
-                    None => stats.walk_traffic.dram_accesses += 1,
-                }
-            }
-            for pa in &walk.pte_writes {
-                let r = caches.access(*pa);
-                stats.stall_cycles += r.cycles;
-                stats.walk_traffic.pte_writes += 1;
-            }
-            let Some(translation) = walk.translation else {
-                stats.faults += 1;
-                continue;
-            };
-            shared_l2.fill(vpn, &translation, &walk.line_translations);
-            l1s[sm].fill(vpn, &translation, &walk.line_translations);
+            let walk = below.charged_walk(&mut stats, &ev);
+            let Some(translation) = walk.translation() else { continue };
+            shared_l2.fill(vpn, &translation, walk.line());
+            l1s[sm].fill(vpn, &translation, walk.line());
         }
         // Aggregate per-SM L1 stats.
         let mut l1_total = TlbStats::default();
         for l1 in &l1s {
-            let s = l1.stats();
-            l1_total.lookups += s.lookups;
-            l1_total.hits += s.hits;
-            l1_total.misses += s.misses;
-            l1_total.sets_probed += s.sets_probed;
-            l1_total.entries_read += s.entries_read;
-            l1_total.fills += s.fills;
-            l1_total.entries_written += s.entries_written;
-            l1_total.evictions += s.evictions;
-            l1_total.dup_merges += s.dup_merges;
-            l1_total.coalesce_merges += s.coalesce_merges;
-            l1_total.dirty_microops += s.dirty_microops;
-            l1_total.predictor_reads += s.predictor_reads;
-            l1_total.predictor_misses += s.predictor_misses;
-            for (t, h) in l1_total.hits_by_size.iter_mut().zip(s.hits_by_size.iter()) {
-                *t += h;
-            }
+            l1_total += l1.stats();
         }
         let l2_stats = shared_l2.stats();
         // Entry budget: per-SM L1s (164 split-equivalent each) + shared L2.

@@ -148,32 +148,16 @@ impl NestedWalker {
                     let gsize = PageSize::from_level(level)
                         .expect("leaf entries exist only at levels 0-2");
                     // Guest A/D update.
-                    let mut wrote = false;
                     if let Entry::Leaf(leaf) = guest.node_entry_mut(node, idx) {
-                        if !leaf.accessed {
-                            leaf.accessed = true;
-                            wrote = true;
+                        if leaf.touch(access) {
+                            pte_writes.push(PhysAddr::new(spa_pte.raw()));
                         }
-                        if access.is_store() && !leaf.dirty {
-                            leaf.dirty = true;
-                            wrote = true;
-                        }
-                    }
-                    if wrote {
-                        pte_writes.push(PhysAddr::new(spa_pte.raw()));
                     }
                     let gleaf = match &guest.nodes()[node].entries[idx] {
                         Entry::Leaf(leaf) => *leaf,
                         _ => unreachable!("guest leaf vanished mid-walk"),
                     };
-                    let gtrans = Translation {
-                        vpn: vpn.align_down(gsize),
-                        pfn: gleaf.pfn,
-                        size: gsize,
-                        perms: gleaf.perms,
-                        accessed: gleaf.accessed,
-                        dirty: gleaf.dirty,
-                    };
+                    let gtrans = gleaf.translation(vpn.align_down(gsize), gsize);
                     // Final host walk for the data's guest-physical address
                     // (through the nested TLB too). Stores must still reach
                     // the host PTE's dirty bit, so they bypass the cache.
@@ -260,14 +244,7 @@ impl NestedWalker {
             if let Entry::Leaf(leaf) = &guest.nodes()[node].entries[i] {
                 if let Some(gsize) = PageSize::from_level(level) {
                     let entry_vpn = node_base.add_4k((i as u64) * pages_per_entry);
-                    let gtrans = Translation {
-                        vpn: entry_vpn,
-                        pfn: leaf.pfn,
-                        size: gsize,
-                        perms: leaf.perms,
-                        accessed: leaf.accessed,
-                        dirty: leaf.dirty,
-                    };
+                    let gtrans = leaf.translation(entry_vpn, gsize);
                     if let Some(combined) = Self::combine(entry_vpn, &gtrans, host) {
                         out.push(combined);
                     }

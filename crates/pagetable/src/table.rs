@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use mixtlb_types::{PageSize, Permissions, Pfn, Translation, Vpn};
+use mixtlb_types::{AccessKind, PageSize, Permissions, Pfn, Translation, Vpn};
 
 /// A source of physical frames for page-table pages.
 ///
@@ -84,6 +84,30 @@ pub(crate) struct LeafData {
     pub perms: Permissions,
     pub accessed: bool,
     pub dirty: bool,
+}
+
+impl LeafData {
+    /// The translation this leaf maps: the `size` page at `vpn`.
+    pub fn translation(&self, vpn: Vpn, size: PageSize) -> Translation {
+        Translation {
+            vpn,
+            pfn: self.pfn,
+            size,
+            perms: self.perms,
+            accessed: self.accessed,
+            dirty: self.dirty,
+        }
+    }
+
+    /// A hardware walk's A/D update: sets the accessed bit, and the dirty
+    /// bit on a store. Returns whether the PTE changed (and is written).
+    pub fn touch(&mut self, access: AccessKind) -> bool {
+        let store = access.is_store();
+        let wrote = !self.accessed || (store && !self.dirty);
+        self.accessed = true;
+        self.dirty |= store;
+        wrote
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -259,14 +283,7 @@ impl PageTable {
                     self.nodes[parent].entries[entry_idx] = Entry::Empty;
                     child = parent;
                 }
-                Ok(Translation {
-                    vpn: vpn.align_down(size),
-                    pfn: leaf.pfn,
-                    size,
-                    perms: leaf.perms,
-                    accessed: leaf.accessed,
-                    dirty: leaf.dirty,
-                })
+                Ok(leaf.translation(vpn.align_down(size), size))
             }
             _ => Err(MapError::NotMapped),
         }
@@ -282,14 +299,7 @@ impl PageTable {
                 Entry::Table(child) => node = *child,
                 Entry::Leaf(leaf) => {
                     let size = PageSize::from_level(level)?;
-                    return Some(Translation {
-                        vpn: vpn.align_down(size),
-                        pfn: leaf.pfn,
-                        size,
-                        perms: leaf.perms,
-                        accessed: leaf.accessed,
-                        dirty: leaf.dirty,
-                    });
+                    return Some(leaf.translation(vpn.align_down(size), size));
                 }
                 Entry::Empty => return None,
             }
@@ -322,14 +332,7 @@ impl PageTable {
                 Entry::Table(child) => self.visit(*child, level - 1, vpn, f),
                 Entry::Leaf(leaf) => {
                     if let Some(size) = PageSize::from_level(level) {
-                        f(&Translation {
-                            vpn: Vpn::new(vpn),
-                            pfn: leaf.pfn,
-                            size,
-                            perms: leaf.perms,
-                            accessed: leaf.accessed,
-                            dirty: leaf.dirty,
-                        });
+                        f(&leaf.translation(Vpn::new(vpn), size));
                     }
                 }
             }

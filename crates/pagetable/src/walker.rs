@@ -79,19 +79,10 @@ impl Walker {
                         None => unreachable!("leaf entry at level {level}"),
                     };
                     // Update A/D bits in place.
-                    let mut wrote = false;
                     if let Entry::Leaf(leaf) = pt.node_entry_mut(node, idx) {
-                        if !leaf.accessed {
-                            leaf.accessed = true;
-                            wrote = true;
+                        if leaf.touch(access) {
+                            pte_writes.push(pte_addr);
                         }
-                        if access.is_store() && !leaf.dirty {
-                            leaf.dirty = true;
-                            wrote = true;
-                        }
-                    }
-                    if wrote {
-                        pte_writes.push(pte_addr);
                     }
                     let line_translations = Self::line_leaves(pt, node, idx, level, vpn);
                     let leaf = match &pt.nodes()[node].entries[idx] {
@@ -99,14 +90,7 @@ impl Walker {
                         _ => unreachable!("leaf vanished mid-walk"),
                     };
                     return WalkResult {
-                        translation: Some(Translation {
-                            vpn: vpn.align_down(size),
-                            pfn: leaf.pfn,
-                            size,
-                            perms: leaf.perms,
-                            accessed: leaf.accessed,
-                            dirty: leaf.dirty,
-                        }),
+                        translation: Some(leaf.translation(vpn.align_down(size), size)),
                         pte_reads,
                         pte_writes,
                         line_translations,
@@ -146,14 +130,7 @@ impl Walker {
         for i in line_start..line_start + 8 {
             if let Entry::Leaf(leaf) = &pt.nodes()[node].entries[i] {
                 if let Some(size) = PageSize::from_level(level) {
-                    out.push(Translation {
-                        vpn: node_base.add_4k((i as u64) * pages_per_entry),
-                        pfn: leaf.pfn,
-                        size,
-                        perms: leaf.perms,
-                        accessed: leaf.accessed,
-                        dirty: leaf.dirty,
-                    });
+                    out.push(leaf.translation(node_base.add_4k((i as u64) * pages_per_entry), size));
                 }
             }
         }

@@ -1,14 +1,14 @@
 //! The translation engine: trace replay against a TLB hierarchy with
 //! page-table walks through the cache hierarchy.
 
-use mixtlb_cache::{CacheHierarchy, HierarchyConfig, HierarchyStats, PageWalkCache};
+use mixtlb_cache::{AccessResult, CacheHierarchy, HierarchyConfig, HierarchyStats, PageWalkCache};
 use mixtlb_core::{BatchAccess, Lookup, MixTlb, MixTlbConfig, TlbDevice, TlbStats};
 use mixtlb_energy::WalkTraffic;
 use mixtlb_pagetable::{
     NestedTranslationCache, NestedWalkResult, NestedWalker, PageTable, WalkResult, Walker,
 };
 use mixtlb_trace::TraceEvent;
-use mixtlb_types::{Asid, PageSize, Pfn, PhysAddr, Translation, VirtAddr, Vpn};
+use mixtlb_types::{AccessKind, Asid, PageSize, Pfn, PhysAddr, Translation, VirtAddr, Vpn};
 
 /// The batched-replay reuse window: one resolved 4 KB page whose frame is
 /// precomputed, so consecutive accesses to the same page splice their
@@ -94,7 +94,7 @@ impl TlbHierarchy {
     /// Number of TLB sets a shootdown of the page at `vpn`/`size` must
     /// probe across both levels — the per-core hardware invalidation cost
     /// during an IPI (MIX hierarchies sweep every set for superpages).
-    pub fn invalidate_sets(&self, vpn: Vpn, size: mixtlb_types::PageSize) -> u64 {
+    pub fn invalidate_sets(&self, vpn: Vpn, size: PageSize) -> u64 {
         self.l1.invalidate_sets(vpn, size)
             + self.l2.as_ref().map_or(0, |t| t.invalidate_sets(vpn, size))
     }
@@ -105,10 +105,166 @@ impl TlbHierarchy {
         self.l1.flush_sets() + self.l2.as_ref().map_or(0, |t| t.flush_sets())
     }
 
+    /// Both levels' statistics (the L2's when there is one).
+    pub fn stats(&self) -> (TlbStats, Option<TlbStats>) {
+        (self.l1.stats(), self.l2.as_ref().map(|t| t.stats()))
+    }
+
     /// Whether every level honours ASID tags — only then can a context
     /// switch skip the flush (x86 PCID semantics).
     pub fn supports_asids(&self) -> bool {
         self.l1.supports_asids() && self.l2.as_ref().is_none_or(|t| t.supports_asids())
+    }
+}
+
+/// The L2 TLB's access latency in cycles (Sec. 4): charged on every L1
+/// miss that probes it, and once more per serial L2 rehash.
+const L2_HIT_CYCLES: u64 = 7;
+
+/// What sits below the TLBs on a miss: how a walk is produced, where a PTE
+/// read or write goes and what it costs, and how a dirty-bit write reaches
+/// the page table. [`TlbHierarchy::access`] sequences everything above it
+/// once, for every caller; [`EngineBelow`] is the single-core side, an SMP
+/// core supplies its private caches and the shared LLC.
+pub trait BelowTlbs {
+    /// Walks the page table for `va` (through [`WalkBackend::walk`]).
+    fn walk(&mut self, va: VirtAddr, kind: AccessKind) -> UnifiedWalk;
+    /// Whether the paging-structure cache serves the upper-level PTE read
+    /// at `pa` (always `false` without one).
+    fn pwc_hit(&mut self, pa: PhysAddr) -> bool;
+    /// One walk reference through the data caches: the stall cycles it
+    /// charges and the cache level that served it (`None`: memory).
+    fn reference(&mut self, pa: PhysAddr) -> AccessResult;
+    /// Sets the dirty bit in `vpn`'s PTE (through
+    /// [`WalkBackend::set_dirty`]) and sends the write through the caches,
+    /// off the critical path. Returns whether a PTE was written.
+    fn write_dirty_bit(&mut self, vpn: Vpn) -> bool;
+
+    /// A store hit an entry whose dirty bit is clear: write the PTE's
+    /// dirty bit (off the critical path — cache traffic and energy, not
+    /// stall cycles; Sec. 4.4).
+    #[inline]
+    fn dirty_microop(&mut self, stats: &mut EngineStats, vpn: Vpn) {
+        stats.dirty_microops += 1;
+        if self.write_dirty_bit(vpn) {
+            stats.walk_traffic.pte_writes += 1;
+        }
+    }
+
+    /// Walks for `ev` and charges the walk's references. All PTE reads but
+    /// the last are upper-level paging structures; the paging-structure
+    /// cache serves most of them in a cycle without touching the memory
+    /// hierarchy. A fault (no translation) is counted.
+    fn charged_walk(&mut self, stats: &mut EngineStats, ev: &TraceEvent) -> UnifiedWalk {
+        stats.walks += 1;
+        let walk = self.walk(ev.va, ev.kind);
+        let last = walk.pte_reads().len().saturating_sub(1);
+        for (i, pa) in walk.pte_reads().iter().enumerate() {
+            if i != last && self.pwc_hit(*pa) {
+                stats.stall_cycles += 1;
+                continue;
+            }
+            let result = self.reference(*pa);
+            stats.stall_cycles += result.cycles;
+            match result.level_hit {
+                Some(level) => stats.walk_traffic.cache_hits[level.min(2)] += 1,
+                None => stats.walk_traffic.dram_accesses += 1,
+            }
+        }
+        for pa in walk.pte_writes() {
+            stats.stall_cycles += self.reference(*pa).cycles;
+            stats.walk_traffic.pte_writes += 1;
+        }
+        stats.faults += u64::from(walk.translation().is_none());
+        walk
+    }
+}
+
+impl TlbHierarchy {
+    /// Translates one trace event under `asid`: the L1 probe, then on a
+    /// miss the L2 probe, walk and fills. Returns the physical address,
+    /// or `None` on a page fault (which is also counted). Charges no
+    /// serial-probe stalls; the caller reads those from the devices.
+    #[inline]
+    pub fn access<B: BelowTlbs>(
+        &mut self,
+        asid: Asid,
+        below: &mut B,
+        stats: &mut EngineStats,
+        ev: &TraceEvent,
+    ) -> Option<PhysAddr> {
+        stats.accesses += 1;
+        let vpn = ev.va.vpn();
+        if let Lookup::Hit {
+            translation,
+            dirty_microop: dirty,
+            ..
+        } = self.l1.lookup_asid(asid, vpn, ev.kind, ev.pc)
+        {
+            if dirty {
+                below.dirty_microop(stats, vpn);
+            }
+            stats.l1_hits += 1;
+            return translation.translate(ev.va).ok();
+        }
+        self.resolve_miss(asid, below, stats, ev)
+            .and_then(|translation| translation.translate(ev.va).ok())
+    }
+
+    /// Everything below an L1 miss: the L2 probe, the page-table walk, and
+    /// the refills, with their stall/traffic accounting. Shared verbatim by
+    /// [`TlbHierarchy::access`] and [`TranslationEngine::translate_batch`]
+    /// so the paths cannot drift. Returns the resolving translation, or
+    /// `None` on a fault.
+    fn resolve_miss<B: BelowTlbs>(
+        &mut self,
+        asid: Asid,
+        below: &mut B,
+        stats: &mut EngineStats,
+        ev: &TraceEvent,
+    ) -> Option<Translation> {
+        let vpn = ev.va.vpn();
+        if let Some(l2) = self.l2.as_mut() {
+            stats.stall_cycles += L2_HIT_CYCLES;
+            if let Lookup::Hit {
+                translation,
+                dirty_microop: dirty,
+                run,
+            } = l2.lookup_asid(asid, vpn, ev.kind, ev.pc)
+            {
+                if dirty {
+                    below.dirty_microop(stats, vpn);
+                }
+                stats.l2_hits += 1;
+                // Refill L1 from the L2 hit. A coalescing L2 entry hands
+                // its whole run down, so a MIX L1 can absorb the bundle
+                // instead of a lone translation.
+                match run {
+                    Some(run) if run.len > 1 => {
+                        self.l1.fill_run_asid(asid, vpn, &translation, &run);
+                    }
+                    _ => self.l1.fill_asid(asid, vpn, &translation, &[translation]),
+                }
+                return Some(translation);
+            }
+        }
+        let walk = below.charged_walk(stats, ev);
+        let translation = walk.translation()?;
+        if let Some(l2) = self.l2.as_mut() {
+            l2.fill_asid(asid, vpn, &translation, walk.line());
+            // A coalescing L2 may have merged this fill into an entry that
+            // already covered neighbouring translations; hand the merged
+            // run down so the L1 absorbs the full extent (same datapath
+            // as an L2-hit handdown).
+            if let Some(run) = l2.peek_run_asid(asid, vpn) {
+                if run.len as usize > walk.line().len() {
+                    self.l1.fill_run_asid(asid, vpn, &translation, &run);
+                    return Some(translation);
+                }
+            }
+        }
+        self.l1.fill_asid(asid, vpn, &translation, walk.line());
+        Some(translation)
     }
 }
 
@@ -134,12 +290,49 @@ impl std::fmt::Debug for WalkBackend<'_> {
     }
 }
 
+impl WalkBackend<'_> {
+    /// Walks `va`. A 2-D walk looks guest-physical addresses up in
+    /// `ntlb` first, when there is one.
+    pub fn walk(
+        &mut self,
+        ntlb: Option<&mut dyn TlbDevice>,
+        va: VirtAddr,
+        kind: AccessKind,
+    ) -> UnifiedWalk {
+        match self {
+            WalkBackend::Native(pt) => UnifiedWalk::Native(Walker::walk(pt, va, kind)),
+            WalkBackend::Nested { guest, host } => UnifiedWalk::Nested(match ntlb {
+                Some(ntlb) => {
+                    NestedWalker::walk_cached(guest, host, va, kind, &mut NtlbAdapter(ntlb))
+                }
+                None => NestedWalker::walk(guest, host, va, kind),
+            }),
+        }
+    }
+
+    /// Sets the dirty bit in `vpn`'s leaf PTE. Returns the PTE's
+    /// (system-)physical address, or `None` if `vpn` is unmapped.
+    pub fn set_dirty(&mut self, vpn: Vpn) -> Option<PhysAddr> {
+        match self {
+            WalkBackend::Native(pt) => pt.set_dirty(vpn),
+            WalkBackend::Nested { guest, host } => {
+                // The guest PTE's dirty bit lives at a guest-physical
+                // address; route the write through the EPT mapping.
+                guest.set_dirty(vpn).and_then(|gpa| {
+                    host.lookup(Vpn::new(gpa.pfn().raw()))
+                        .and_then(|h| h.translate(VirtAddr::new(gpa.raw())).ok())
+                })
+            }
+        }
+    }
+}
+
 /// Adapts any [`TlbDevice`] into the nested-walker's gPA→sPA cache.
 struct NtlbAdapter<'a>(&'a mut dyn TlbDevice);
 
 impl NestedTranslationCache for NtlbAdapter<'_> {
     fn lookup_gpa(&mut self, gpn: Vpn) -> Option<Translation> {
-        match self.0.lookup(gpn, mixtlb_types::AccessKind::Load) {
+        match self.0.lookup(gpn, AccessKind::Load) {
             Lookup::Hit { translation, .. } => Some(translation),
             Lookup::Miss => None,
         }
@@ -154,7 +347,7 @@ impl std::fmt::Debug for TranslationEngine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TranslationEngine")
             .field("hierarchy", &self.hierarchy)
-            .field("backend", &self.backend)
+            .field("backend", &self.below.backend)
             .finish()
     }
 }
@@ -164,34 +357,43 @@ impl std::fmt::Debug for TranslationEngine<'_> {
     clippy::large_enum_variant,
     reason = "a walk result lives on the stack for one miss; boxing the nested one would allocate per walk"
 )]
-enum UnifiedWalk {
+#[derive(Debug)]
+pub enum UnifiedWalk {
+    /// A native 4-level walk.
     Native(WalkResult),
+    /// A 2-D walk.
     Nested(NestedWalkResult),
 }
 
 impl UnifiedWalk {
-    fn translation(&self) -> Option<Translation> {
+    /// The translation found, or `None` on a fault.
+    pub fn translation(&self) -> Option<Translation> {
         match self {
             UnifiedWalk::Native(w) => w.translation,
             UnifiedWalk::Nested(w) => w.translation,
         }
     }
 
-    fn pte_reads(&self) -> &[PhysAddr] {
+    /// PTE reads, root first: all but the last are upper-level paging
+    /// structures.
+    pub fn pte_reads(&self) -> &[PhysAddr] {
         match self {
             UnifiedWalk::Native(w) => &w.pte_reads,
             UnifiedWalk::Nested(w) => &w.pte_reads,
         }
     }
 
-    fn pte_writes(&self) -> &[PhysAddr] {
+    /// PTE writes (accessed/dirty-bit updates).
+    pub fn pte_writes(&self) -> &[PhysAddr] {
         match self {
             UnifiedWalk::Native(w) => &w.pte_writes,
             UnifiedWalk::Nested(w) => &w.pte_writes,
         }
     }
 
-    fn line(&self) -> &[Translation] {
+    /// The leaf translations of the requested PTE's cache line, which a
+    /// coalescing TLB may fill together.
+    pub fn line(&self) -> &[Translation] {
         match self {
             UnifiedWalk::Native(w) => &w.line_translations,
             UnifiedWalk::Nested(w) => &w.line_translations,
@@ -221,12 +423,9 @@ pub struct EngineStats {
     pub dirty_microops: u64,
 }
 
-/// Replays trace events against a [`TlbHierarchy`], walking the configured
-/// [`WalkBackend`] on misses. PTE references go through a functional cache
-/// hierarchy; the latencies they see become translation stall cycles
-/// (paper Sec. 6.2).
-pub struct TranslationEngine<'a> {
-    hierarchy: TlbHierarchy,
+/// A single core's side below the TLBs: a walk backend, the Haswell cache
+/// hierarchy PTE references go through, and the MMU caches.
+pub struct EngineBelow<'a> {
     caches: CacheHierarchy,
     /// Paging-structure cache: upper-level PTE reads that hit here cost
     /// one cycle and no memory reference (Haswell's MMU caches). `None`
@@ -237,7 +436,50 @@ pub struct TranslationEngine<'a> {
     /// shared by every design under test. `None` disables it.
     ntlb: Option<Box<dyn TlbDevice>>,
     backend: WalkBackend<'a>,
-    l2_hit_cycles: u64,
+}
+
+impl<'a> EngineBelow<'a> {
+    /// Walks `backend` behind a 32-entry PWC, a nested TLB for 2-D walks,
+    /// and the Haswell cache hierarchy.
+    pub fn new(backend: WalkBackend<'a>) -> EngineBelow<'a> {
+        EngineBelow {
+            caches: CacheHierarchy::new(HierarchyConfig::haswell()),
+            pwc: Some(PageWalkCache::new(32)),
+            ntlb: Some(Box::new(MixTlb::new(
+                MixTlbConfig::l1(8, 4).named("nested-tlb"),
+            ))),
+            backend,
+        }
+    }
+}
+
+impl BelowTlbs for EngineBelow<'_> {
+    fn walk(&mut self, va: VirtAddr, kind: AccessKind) -> UnifiedWalk {
+        let ntlb = self.ntlb.as_deref_mut().map(|t| t as &mut dyn TlbDevice);
+        self.backend.walk(ntlb, va, kind)
+    }
+
+    fn pwc_hit(&mut self, pa: PhysAddr) -> bool {
+        self.pwc.as_mut().is_some_and(|pwc| pwc.access(pa))
+    }
+
+    fn reference(&mut self, pa: PhysAddr) -> AccessResult {
+        self.caches.access(pa)
+    }
+
+    fn write_dirty_bit(&mut self, vpn: Vpn) -> bool {
+        let pte = self.backend.set_dirty(vpn);
+        pte.map(|pa| self.caches.access(pa)).is_some()
+    }
+}
+
+/// Replays trace events against a [`TlbHierarchy`], walking the configured
+/// [`WalkBackend`] on misses. PTE references go through a functional cache
+/// hierarchy; the latencies they see become translation stall cycles
+/// (paper Sec. 6.2).
+pub struct TranslationEngine<'a> {
+    hierarchy: TlbHierarchy,
+    below: EngineBelow<'a>,
     /// The L1's and L2's serial-probe counts when the engine took them.
     serial_base: (u64, u64),
     /// Tag for lookups and fills. [`Asid::UNTAGGED`] (the default)
@@ -261,13 +503,7 @@ impl<'a> TranslationEngine<'a> {
         let serial_base = serial_probes(&hierarchy);
         TranslationEngine {
             hierarchy,
-            caches: CacheHierarchy::new(HierarchyConfig::haswell()),
-            pwc: Some(PageWalkCache::new(32)),
-            ntlb: Some(Box::new(MixTlb::new(
-                MixTlbConfig::l1(8, 4).named("nested-tlb"),
-            ))),
-            backend,
-            l2_hit_cycles: 7,
+            below: EngineBelow::new(backend),
             serial_base,
             asid: Asid::UNTAGGED,
             stats: EngineStats::default(),
@@ -296,13 +532,13 @@ impl<'a> TranslationEngine<'a> {
     /// Disables the paging-structure cache (ablation: every walk reference
     /// goes through the memory hierarchy).
     pub fn disable_pwc(&mut self) {
-        self.pwc = None;
+        self.below.pwc = None;
     }
 
     /// Disables the nested TLB (ablation: every guest-physical access of a
     /// 2-D walk pays a full host walk — the canonical 24 references).
     pub fn disable_nested_tlb(&mut self) {
-        self.ntlb = None;
+        self.below.ntlb = None;
     }
 
     /// Flushes every TLB level (a context switch on hardware without
@@ -313,10 +549,10 @@ impl<'a> TranslationEngine<'a> {
         if let Some(l2) = self.hierarchy.l2.as_mut() {
             l2.flush();
         }
-        if let Some(pwc) = self.pwc.as_mut() {
+        if let Some(pwc) = self.below.pwc.as_mut() {
             pwc.flush();
         }
-        if let Some(ntlb) = self.ntlb.as_mut() {
+        if let Some(ntlb) = self.below.ntlb.as_mut() {
             ntlb.flush();
         }
     }
@@ -325,111 +561,8 @@ impl<'a> TranslationEngine<'a> {
     /// on a page fault (which is also counted). Serial-probe stalls are
     /// charged when the stats are read ([`TranslationEngine::stats`]).
     pub fn access(&mut self, ev: &TraceEvent) -> Option<PhysAddr> {
-        self.stats.accesses += 1;
-        let vpn = ev.va.vpn();
-        match self.hierarchy.l1.lookup_asid(self.asid, vpn, ev.kind, ev.pc) {
-            Lookup::Hit {
-                translation,
-                dirty_microop,
-                ..
-            } => {
-                if dirty_microop {
-                    self.handle_dirty_microop(vpn);
-                }
-                self.stats.l1_hits += 1;
-                return translation.translate(ev.va).ok();
-            }
-            Lookup::Miss => {}
-        }
-        self.resolve_miss(ev)
-            .and_then(|translation| translation.translate(ev.va).ok())
-    }
-
-    /// Everything below an L1 miss: the L2 probe, the page-table walk, and
-    /// the refills, with their stall/traffic accounting. Shared verbatim by
-    /// [`TranslationEngine::access`] and
-    /// [`TranslationEngine::translate_batch`] so the two paths cannot
-    /// drift. Returns the resolving translation, or `None` on a fault.
-    fn resolve_miss(&mut self, ev: &TraceEvent) -> Option<Translation> {
-        let vpn = ev.va.vpn();
-        // L2.
-        if self.hierarchy.l2.is_some() {
-            self.stats.stall_cycles += self.l2_hit_cycles;
-            #[expect(
-                clippy::expect_used,
-                reason = "is_some() checked in the surrounding condition"
-            )]
-            let l2 = self.hierarchy.l2.as_mut().expect("just checked");
-            match l2.lookup_asid(self.asid, vpn, ev.kind, ev.pc) {
-                Lookup::Hit {
-                    translation,
-                    dirty_microop,
-                    run,
-                } => {
-                    if dirty_microop {
-                        self.handle_dirty_microop(vpn);
-                    }
-                    self.stats.l2_hits += 1;
-                    // Refill L1 from the L2 hit. A coalescing L2 entry
-                    // hands its whole run down, so a MIX L1 can absorb the
-                    // bundle instead of a lone translation.
-                    match run {
-                        Some(run) if run.len > 1 => {
-                            self.hierarchy.l1.fill_run_asid(self.asid, vpn, &translation, &run);
-                        }
-                        _ => {
-                            self.hierarchy
-                                .l1
-                                .fill_asid(self.asid, vpn, &translation, &[translation]);
-                        }
-                    }
-                    return Some(translation);
-                }
-                Lookup::Miss => {}
-            }
-        }
-        // Walk. All PTE reads but the last are upper-level paging
-        // structures; the paging-structure cache serves most of them in a
-        // cycle without touching the memory hierarchy.
-        self.stats.walks += 1;
-        let walk = self.walk(ev.va, ev.kind);
-        let last = walk.pte_reads().len().saturating_sub(1);
-        for (i, pa) in walk.pte_reads().iter().enumerate() {
-            if i != last && self.pwc.as_mut().is_some_and(|pwc| pwc.access(*pa)) {
-                self.stats.stall_cycles += 1;
-                continue;
-            }
-            let result = self.caches.access(*pa);
-            self.stats.stall_cycles += result.cycles;
-            match result.level_hit {
-                Some(level) => self.stats.walk_traffic.cache_hits[level.min(2)] += 1,
-                None => self.stats.walk_traffic.dram_accesses += 1,
-            }
-        }
-        for pa in walk.pte_writes() {
-            let result = self.caches.access(*pa);
-            self.stats.stall_cycles += result.cycles;
-            self.stats.walk_traffic.pte_writes += 1;
-        }
-        let Some(translation) = walk.translation() else {
-            self.stats.faults += 1;
-            return None;
-        };
-        if let Some(l2) = self.hierarchy.l2.as_mut() {
-            l2.fill_asid(self.asid, vpn, &translation, walk.line());
-            // A coalescing L2 may have merged this fill into an entry that
-            // already covered neighbouring translations; hand the merged
-            // run down so the L1 absorbs the full extent (same datapath
-            // as an L2-hit handdown).
-            if let Some(run) = l2.peek_run_asid(self.asid, vpn) {
-                if run.len as usize > walk.line().len() {
-                    self.hierarchy.l1.fill_run_asid(self.asid, vpn, &translation, &run);
-                    return Some(translation);
-                }
-            }
-        }
-        self.hierarchy.l1.fill_asid(self.asid, vpn, &translation, walk.line());
-        Some(translation)
+        self.hierarchy
+            .access(self.asid, &mut self.below, &mut self.stats, ev)
     }
 
     /// Replays a batch of events.
@@ -544,18 +677,23 @@ impl<'a> TranslationEngine<'a> {
                     match *result {
                         Lookup::Hit {
                             translation,
-                            dirty_microop,
+                            dirty_microop: dirty,
                             ..
                         } => {
-                            if dirty_microop {
-                                self.handle_dirty_microop(ev.va.vpn());
+                            if dirty {
+                                self.below.dirty_microop(&mut self.stats, ev.va.vpn());
                             }
                             self.stats.l1_hits += 1;
                             out[i + pos + k] = translation.translate(ev.va).ok();
                             window = seed_window(ev.va.vpn(), &translation, translation.dirty);
                         }
                         Lookup::Miss => {
-                            let resolved = self.resolve_miss(ev);
+                            let resolved = self.hierarchy.resolve_miss(
+                                self.asid,
+                                &mut self.below,
+                                &mut self.stats,
+                                ev,
+                            );
                             out[i + pos + k] = resolved.and_then(|t| t.translate(ev.va).ok());
                             window = resolved.and_then(|t| seed_window(ev.va.vpn(), &t, false));
                         }
@@ -569,49 +707,11 @@ impl<'a> TranslationEngine<'a> {
         self.lookup_scratch = lookups;
     }
 
-    fn walk(&mut self, va: VirtAddr, kind: mixtlb_types::AccessKind) -> UnifiedWalk {
-        match &mut self.backend {
-            WalkBackend::Native(pt) => UnifiedWalk::Native(Walker::walk(pt, va, kind)),
-            WalkBackend::Nested { guest, host } => {
-                UnifiedWalk::Nested(match self.ntlb.as_mut() {
-                    Some(ntlb) => {
-                        let mut cache = NtlbAdapter(ntlb.as_mut());
-                        NestedWalker::walk_cached(guest, host, va, kind, &mut cache)
-                    }
-                    None => NestedWalker::walk(guest, host, va, kind),
-                })
-            }
-        }
-    }
-
-    /// A store hit an entry whose dirty bit is clear: write the PTE's
-    /// dirty bit (off the critical path — cache traffic and energy, not
-    /// stall cycles; Sec. 4.4).
-    fn handle_dirty_microop(&mut self, vpn: Vpn) {
-        self.stats.dirty_microops += 1;
-        let pte_pa = match &mut self.backend {
-            WalkBackend::Native(pt) => pt.set_dirty(vpn),
-            WalkBackend::Nested { guest, host } => {
-                // The guest PTE's dirty bit lives at a guest-physical
-                // address; route the write through the EPT mapping.
-                guest.set_dirty(vpn).and_then(|gpa| {
-                    host.lookup(Vpn::new(gpa.pfn().raw()))
-                        .and_then(|h| h.translate(VirtAddr::new(gpa.raw())).ok())
-                })
-            }
-        };
-        if let Some(pa) = pte_pa {
-            self.caches.access(pa);
-            self.stats.walk_traffic.pte_writes += 1;
-        }
-    }
-
     /// Finishes the run: engine counters, per-level TLB stats, and cache
     /// statistics.
     pub fn finish(self) -> (EngineStats, TlbStats, Option<TlbStats>, HierarchyStats) {
-        let l1 = self.hierarchy.l1.stats();
-        let l2 = self.hierarchy.l2.as_ref().map(|t| t.stats());
-        (self.stats(), l1, l2, self.caches.stats())
+        let (l1, l2) = self.hierarchy.stats();
+        (self.stats(), l1, l2, self.below.caches.stats())
     }
 
     /// The running counters (without consuming the engine). Serial-probe
@@ -622,7 +722,7 @@ impl<'a> TranslationEngine<'a> {
         let (l1, l2) = serial_probes(&self.hierarchy);
         let mut stats = self.stats;
         stats.stall_cycles +=
-            2 * (l1 - self.serial_base.0) + self.l2_hit_cycles * (l2 - self.serial_base.1);
+            2 * (l1 - self.serial_base.0) + L2_HIT_CYCLES * (l2 - self.serial_base.1);
         stats
     }
 }

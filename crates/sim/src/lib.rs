@@ -44,7 +44,9 @@ mod model;
 mod scenario;
 mod vm;
 
-pub use engine::{EngineStats, TlbHierarchy, TranslationEngine, WalkBackend};
+pub use engine::{
+    BelowTlbs, EngineBelow, EngineStats, TlbHierarchy, TranslationEngine, UnifiedWalk, WalkBackend,
+};
 pub use model::{improvement_percent, PerfModel, PerfReport};
 pub use scenario::{NativeScenario, PolicyChoice, ScenarioConfig};
 pub use vm::{VirtConfig, VirtScenario};

@@ -4,7 +4,7 @@ use mixtlb_core::TlbStats;
 use mixtlb_energy::{EnergyBreakdown, EnergyModel};
 use mixtlb_trace::WorkloadSpec;
 
-use crate::engine::EngineStats;
+use crate::engine::{EngineStats, TranslationEngine};
 
 /// Converts functional-simulation stall cycles into runtime, weighting
 /// them against a workload's base CPI and memory intensity — the same
@@ -119,6 +119,15 @@ impl PerfReport {
             leakage_pj: leakage,
             total_energy_pj: dynamic.total_pj() + leakage,
         }
+    }
+
+    /// Builds a report from a finished engine: its design's name and
+    /// entry budget, its counters and its TLB statistics.
+    pub fn from_engine(spec: &WorkloadSpec, engine: TranslationEngine<'_>) -> PerfReport {
+        let design = engine.hierarchy().name().to_owned();
+        let total_entries = engine.hierarchy().total_entries();
+        let (stats, l1, l2, _caches) = engine.finish();
+        PerfReport::build(&design, spec, &stats, &l1, l2.as_ref(), total_entries)
     }
 
     /// Percent energy saved versus a baseline report (positive = better).

@@ -265,22 +265,17 @@ impl NativeScenario {
         interval: u64,
     ) -> PerfReport {
         assert!(interval > 0, "flush interval must be non-zero");
-        let mut pt = self.clone_page_table();
-        let design = hierarchy.name().to_owned();
-        let total_entries = hierarchy.total_entries();
-        let mut engine = TranslationEngine::new(hierarchy, WalkBackend::Native(&mut pt));
-        let mut generator = TraceGenerator::new(&self.spec, self.seed, self.region);
-        let mut done = 0u64;
-        while done < refs {
-            let burst = interval.min(refs - done);
-            engine.run(generator.by_ref().take(burst as usize));
-            done += burst;
-            if done < refs {
-                engine.flush_tlbs();
+        self.drive(hierarchy, |engine, generator| {
+            let mut done = 0u64;
+            while done < refs {
+                let burst = interval.min(refs - done);
+                engine.run(generator.by_ref().take(burst as usize));
+                done += burst;
+                if done < refs {
+                    engine.flush_tlbs();
+                }
             }
-        }
-        let (stats, l1, l2, _caches) = engine.finish();
-        PerfReport::build(&design, &self.spec, &stats, &l1, l2.as_ref(), total_entries)
+        })
     }
 
     /// Like [`NativeScenario::run_with_flushes`], but context switches go
@@ -302,36 +297,31 @@ impl NativeScenario {
         interval: u64,
     ) -> PerfReport {
         assert!(interval > 0, "switch interval must be non-zero");
-        let mut pt = self.clone_page_table();
-        let design = hierarchy.name().to_owned();
-        let total_entries = hierarchy.total_entries();
-        let mut engine = TranslationEngine::new(hierarchy, WalkBackend::Native(&mut pt));
-        let tagged = engine.supports_asids();
-        let workload = Asid::new(1);
-        let intruder = Asid::new(2);
-        let mut generator = TraceGenerator::new(&self.spec, self.seed, self.region);
         let mut intruder_gen =
             TraceGenerator::new(&self.spec, self.seed ^ 0xDEAD_BEEF, self.region);
-        let intruder_burst = (interval / 8).max(1);
-        let mut done = 0u64;
-        while done < refs {
-            engine.set_asid(workload);
-            let burst = interval.min(refs - done);
-            engine.run(generator.by_ref().take(burst as usize));
-            done += burst;
-            if done < refs {
-                if !tagged {
-                    engine.flush_tlbs();
-                }
-                engine.set_asid(intruder);
-                engine.run(intruder_gen.by_ref().take(intruder_burst as usize));
-                if !tagged {
-                    engine.flush_tlbs();
+        self.drive(hierarchy, |engine, generator| {
+            let tagged = engine.supports_asids();
+            let workload = Asid::new(1);
+            let intruder = Asid::new(2);
+            let intruder_burst = (interval / 8).max(1);
+            let mut done = 0u64;
+            while done < refs {
+                engine.set_asid(workload);
+                let burst = interval.min(refs - done);
+                engine.run(generator.by_ref().take(burst as usize));
+                done += burst;
+                if done < refs {
+                    if !tagged {
+                        engine.flush_tlbs();
+                    }
+                    engine.set_asid(intruder);
+                    engine.run(intruder_gen.by_ref().take(intruder_burst as usize));
+                    if !tagged {
+                        engine.flush_tlbs();
+                    }
                 }
             }
-        }
-        let (stats, l1, l2, _caches) = engine.finish();
-        PerfReport::build(&design, &self.spec, &stats, &l1, l2.as_ref(), total_entries)
+        })
     }
 
     /// Like [`NativeScenario::run`], with a hook to reconfigure the engine
@@ -343,15 +333,25 @@ impl NativeScenario {
         refs: u64,
         configure: impl FnOnce(&mut TranslationEngine<'_>),
     ) -> PerfReport {
+        self.drive(hierarchy, |engine, generator| {
+            configure(engine);
+            engine.run(generator.take(refs as usize));
+        })
+    }
+
+    /// The one driver behind every `run*`: an engine over a clone of the
+    /// page table, handed with the scenario's trace generator to `replay`,
+    /// then reported.
+    fn drive(
+        &self,
+        hierarchy: TlbHierarchy,
+        replay: impl FnOnce(&mut TranslationEngine<'_>, &mut TraceGenerator),
+    ) -> PerfReport {
         let mut pt = self.clone_page_table();
-        let design = hierarchy.name().to_owned();
-        let total_entries = hierarchy.total_entries();
         let mut engine = TranslationEngine::new(hierarchy, WalkBackend::Native(&mut pt));
-        configure(&mut engine);
-        let generator = TraceGenerator::new(&self.spec, self.seed, self.region);
-        engine.run(generator.take(refs as usize));
-        let (stats, l1, l2, _caches) = engine.finish();
-        PerfReport::build(&design, &self.spec, &stats, &l1, l2.as_ref(), total_entries)
+        let mut generator = TraceGenerator::new(&self.spec, self.seed, self.region);
+        replay(&mut engine, &mut generator);
+        PerfReport::from_engine(&self.spec, engine)
     }
 }
 

@@ -239,8 +239,6 @@ impl VirtScenario {
         let guest_vm = &self.guests[vm];
         let mut guest_pt = guest_vm.kernel.space(guest_vm.space).page_table().clone();
         let mut host_pt = self.host.space(guest_vm.ept_space).page_table().clone();
-        let design = hierarchy.name().to_owned();
-        let total_entries = hierarchy.total_entries();
         let mut engine = TranslationEngine::new(
             hierarchy,
             WalkBackend::Nested {
@@ -254,15 +252,7 @@ impl VirtScenario {
             guest_vm.region,
         );
         engine.run(generator.take(refs as usize));
-        let (stats, l1, l2, _caches) = engine.finish();
-        PerfReport::build(
-            &design,
-            &guest_vm.spec,
-            &stats,
-            &l1,
-            l2.as_ref(),
-            total_entries,
-        )
+        PerfReport::from_engine(&guest_vm.spec, engine)
     }
 }
 

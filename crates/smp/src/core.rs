@@ -5,12 +5,11 @@
 // feature, plain `std::sync::atomic` re-exports otherwise).
 use mixtlb_check::sync::{AtomicU64, Ordering};
 
-use mixtlb_cache::{CacheHierarchy, HierarchyConfig, PageWalkCache, SharedCache};
-use mixtlb_core::{Lookup, TlbStats};
-use mixtlb_pagetable::{PageTable, Walker};
-use mixtlb_sim::TlbHierarchy;
+use mixtlb_cache::{AccessResult, CacheHierarchy, HierarchyConfig, PageWalkCache, SharedCache};
+use mixtlb_pagetable::PageTable;
+use mixtlb_sim::{BelowTlbs, EngineStats, TlbHierarchy, UnifiedWalk, WalkBackend};
 use mixtlb_trace::{TraceEvent, TraceGenerator};
-use mixtlb_types::{Asid, PhysAddr, Pfn, Vpn};
+use mixtlb_types::{AccessKind, Asid, PhysAddr, Pfn, VirtAddr, Vpn};
 
 use crate::shootdown::{ShootdownModel, SweepWidths};
 
@@ -22,21 +21,11 @@ use crate::shootdown::{ShootdownModel, SweepWidths};
 /// accesses interleave in the shared LLC and is reported separately.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
-    /// Trace events replayed.
-    pub accesses: u64,
-    /// L1 TLB hits.
-    pub l1_hits: u64,
-    /// L2 TLB hits (on L1 misses).
-    pub l2_hits: u64,
-    /// Page-table walks.
-    pub walks: u64,
-    /// Faulting walks (zero after pre-faulting).
-    pub faults: u64,
-    /// Dirty-bit update micro-ops on store hits.
-    pub dirty_microops: u64,
-    /// Deterministic stall cycles: L2 TLB probe latency plus private-cache
-    /// latency of walk references.
-    pub local_stall_cycles: u64,
+    /// The datapath's counters, read through this struct too. Their
+    /// `stall_cycles` are the deterministic ones: L2 TLB probe latency
+    /// plus private-cache latency of walk references. Walk traffic counts
+    /// a shared-LLC hit as a third-level cache hit.
+    pub engine: EngineStats,
     /// Stall cycles from shared-LLC/DRAM walk references
     /// (interleaving-dependent; excluded from determinism comparisons).
     pub llc_stall_cycles: u64,
@@ -64,6 +53,14 @@ pub struct CoreStats {
     /// Machine-wide TLB sets swept under the epoch-batched model for
     /// epochs this core closed (eager counterpart: `sets_swept_global`).
     pub sets_swept_global_epoch: u64,
+}
+
+impl std::ops::Deref for CoreStats {
+    type Target = EngineStats;
+
+    fn deref(&self) -> &EngineStats {
+        &self.engine
+    }
 }
 
 /// What one core must know about one *remote* core to charge shootdown
@@ -144,7 +141,6 @@ pub struct SmpCore {
     pending_invalidations: [u64; 3],
     pub(crate) sweep: SweepWidths,
     pub(crate) tables: ShootdownTables,
-    l2_hit_cycles: u64,
     stats: CoreStats,
 }
 
@@ -191,7 +187,6 @@ impl SmpCore {
             pending_invalidations: [0; 3],
             sweep: SweepWidths::default(),
             tables: ShootdownTables::default(),
-            l2_hit_cycles: 7,
             stats: CoreStats::default(),
         }
     }
@@ -228,21 +223,6 @@ impl SmpCore {
         self.stats
     }
 
-    /// Mutable access for the machine's quiesced shootdown path.
-    pub(crate) fn stats_mut(&mut self) -> &mut CoreStats {
-        &mut self.stats
-    }
-
-    /// The L1 TLB statistics.
-    pub fn l1_stats(&self) -> TlbStats {
-        self.hierarchy.l1.stats()
-    }
-
-    /// The L2 TLB statistics, if an L2 is configured.
-    pub fn l2_stats(&self) -> Option<TlbStats> {
-        self.hierarchy.l2.as_ref().map(|t| t.stats())
-    }
-
     /// Replays `refs` events, initiating shootdowns on the configured
     /// cadence. Remote shootdown costs are published into `absorbed`
     /// (one counter per core per pricing model) — the only cross-core
@@ -271,111 +251,15 @@ impl SmpCore {
     /// Translates one event through TLBs, walks, private caches, and the
     /// shared LLC. Returns the physical address (`None` on a fault).
     pub(crate) fn step(&mut self, ev: &TraceEvent, llc: &SharedCache) -> Option<PhysAddr> {
-        self.stats.accesses += 1;
-        let vpn = ev.va.vpn();
-        match self.hierarchy.l1.lookup_asid(self.asid, vpn, ev.kind, ev.pc) {
-            Lookup::Hit {
-                translation,
-                dirty_microop,
-                ..
-            } => {
-                if dirty_microop {
-                    self.handle_dirty_microop(vpn, llc);
-                }
-                self.stats.l1_hits += 1;
-                return translation.translate(ev.va).ok();
-            }
-            Lookup::Miss => {}
-        }
-        if self.hierarchy.l2.is_some() {
-            self.stats.local_stall_cycles += self.l2_hit_cycles;
-            #[expect(
-                clippy::expect_used,
-                reason = "is_some() checked in the surrounding condition"
-            )]
-            let l2 = self.hierarchy.l2.as_mut().expect("just checked");
-            match l2.lookup_asid(self.asid, vpn, ev.kind, ev.pc) {
-                Lookup::Hit {
-                    translation,
-                    dirty_microop,
-                    run,
-                } => {
-                    if dirty_microop {
-                        self.handle_dirty_microop(vpn, llc);
-                    }
-                    self.stats.l2_hits += 1;
-                    match run {
-                        Some(run) if run.len > 1 => {
-                            self.hierarchy.l1.fill_run_asid(self.asid, vpn, &translation, &run);
-                        }
-                        _ => {
-                            self.hierarchy
-                                .l1
-                                .fill_asid(self.asid, vpn, &translation, &[translation]);
-                        }
-                    }
-                    return translation.translate(ev.va).ok();
-                }
-                Lookup::Miss => {}
-            }
-        }
-        // Walk the core's page table; PTE references go through the
-        // private caches, then the shared LLC.
-        self.stats.walks += 1;
-        let walk = Walker::walk(&mut self.pt, ev.va, ev.kind);
-        let last = walk.pte_reads.len().saturating_sub(1);
-        for (i, pa) in walk.pte_reads.iter().enumerate() {
-            if i != last && self.pwc.access(*pa) {
-                self.stats.local_stall_cycles += 1;
-                continue;
-            }
-            self.memory_reference(*pa, llc);
-        }
-        for pa in &walk.pte_writes {
-            self.memory_reference(*pa, llc);
-        }
-        let Some(translation) = walk.translation else {
-            self.stats.faults += 1;
-            return None;
+        let mut below = CoreBelow {
+            table: WalkBackend::Native(&mut self.pt),
+            caches: &mut self.caches,
+            pwc: &mut self.pwc,
+            llc,
+            llc_stall_cycles: &mut self.stats.llc_stall_cycles,
         };
-        if let Some(l2) = self.hierarchy.l2.as_mut() {
-            l2.fill_asid(self.asid, vpn, &translation, &walk.line_translations);
-            if let Some(run) = l2.peek_run_asid(self.asid, vpn) {
-                if run.len as usize > walk.line_translations.len() {
-                    self.hierarchy.l1.fill_run_asid(self.asid, vpn, &translation, &run);
-                    return translation.translate(ev.va).ok();
-                }
-            }
-        }
         self.hierarchy
-            .l1
-            .fill_asid(self.asid, vpn, &translation, &walk.line_translations);
-        translation.translate(ev.va).ok()
-    }
-
-    /// A memory reference on the walk path: private L1D/L2, and the
-    /// shared LLC behind a private miss. Private latency is deterministic;
-    /// LLC latency is booked separately.
-    fn memory_reference(&mut self, pa: PhysAddr, llc: &SharedCache) {
-        let private = self.caches.access(pa);
-        self.stats.local_stall_cycles += private.cycles;
-        if private.dram {
-            // The private hierarchy missed everywhere; `dram` here means
-            // "left the core" — the LLC answers (or DRAM behind it).
-            let shared = llc.access(pa);
-            self.stats.llc_stall_cycles += shared.cycles;
-        }
-    }
-
-    fn handle_dirty_microop(&mut self, vpn: Vpn, llc: &SharedCache) {
-        self.stats.dirty_microops += 1;
-        if let Some(pa) = self.pt.set_dirty(vpn) {
-            // Off the critical path (Sec. 4.4): traffic, not stall cycles.
-            let private = self.caches.access(pa);
-            if private.dram {
-                llc.access(pa);
-            }
-        }
+            .access(self.asid, &mut below, &mut self.stats.engine, ev)
     }
 
     /// Initiates one shootdown: deterministically pick a mapped page of
@@ -404,11 +288,18 @@ impl SmpCore {
             .expect("page was just looked up");
         self.apply_local_invalidation(t.vpn, t.size);
         let code = t.size.encode() as usize;
+        self.charge_initiated(code, absorbed);
+        self.pending_invalidations[code] += 1;
+    }
+
+    /// Charges one shootdown of a page of size `code` that this core
+    /// initiated, under the eager model: its own counters, and every
+    /// remote's absorbed cycles.
+    pub(crate) fn charge_initiated(&mut self, code: usize, absorbed: &AbsorbedLedger) {
         self.stats.shootdowns_initiated += 1;
         self.stats.sets_swept_local += self.sweep.by_size[code];
         self.stats.sets_swept_global += self.tables.global_sets_by_size[code];
         self.stats.shootdown_cycles_initiated += self.tables.initiated_cost_by_size[code];
-        self.pending_invalidations[code] += 1;
         for remote in &self.tables.remotes {
             // Relaxed: commutative cost tally into
             // another core's absorbed counter. Nothing reads these during
@@ -468,5 +359,54 @@ impl SmpCore {
             l2.invalidate(vpn, size);
         }
         self.pwc.flush();
+    }
+}
+
+/// A core's side below its TLBs for one access: its own page table, its
+/// private caches and PWC, and the shared LLC behind them.
+struct CoreBelow<'a> {
+    table: WalkBackend<'a>,
+    caches: &'a mut CacheHierarchy,
+    pwc: &'a mut PageWalkCache,
+    llc: &'a SharedCache,
+    /// Where LLC latency is booked: it depends on how the cores'
+    /// accesses interleave, so it stays out of the datapath's stalls.
+    llc_stall_cycles: &'a mut u64,
+}
+
+impl BelowTlbs for CoreBelow<'_> {
+    fn walk(&mut self, va: VirtAddr, kind: AccessKind) -> UnifiedWalk {
+        self.table.walk(None, va, kind)
+    }
+
+    fn pwc_hit(&mut self, pa: PhysAddr) -> bool {
+        self.pwc.access(pa)
+    }
+
+    fn reference(&mut self, pa: PhysAddr) -> AccessResult {
+        let private = self.caches.access(pa);
+        if !private.dram {
+            return private;
+        }
+        // The private hierarchy missed everywhere; `dram` here means
+        // "left the core" — the LLC answers (or DRAM behind it).
+        let shared = self.llc.access(pa);
+        *self.llc_stall_cycles += shared.cycles;
+        AccessResult {
+            // The LLC is the level after the two private ones.
+            level_hit: (!shared.dram).then_some(2),
+            dram: shared.dram,
+            cycles: private.cycles,
+        }
+    }
+
+    fn write_dirty_bit(&mut self, vpn: Vpn) -> bool {
+        let Some(pa) = self.table.set_dirty(vpn) else {
+            return false;
+        };
+        if self.caches.access(pa).dram {
+            self.llc.access(pa);
+        }
+        true
     }
 }

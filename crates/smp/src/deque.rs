@@ -164,6 +164,49 @@ impl ChunkDeque {
     }
 }
 
+/// One deque per worker, seeded with the items `0..items` round-robin:
+/// item `i` goes to deque `i % workers`, pushed in reverse so each owner
+/// pops its own items in ascending order while thieves take the tail.
+pub(crate) fn seed_round_robin(workers: usize, items: u64) -> Vec<ChunkDeque> {
+    let per_deque = (items as usize).div_ceil(workers).max(1);
+    let deques: Vec<ChunkDeque> = (0..workers)
+        .map(|_| ChunkDeque::with_capacity(per_deque))
+        .collect();
+    for item in (0..items).rev() {
+        let seeded = deques[(item as usize) % workers].push(item);
+        assert!(seeded, "deques are sized for every item");
+    }
+    deques
+}
+
+/// Worker `id`'s next item: the newest of its own deque, else the oldest
+/// of the first non-empty victim in ring order after `id`. The flag says
+/// whether it was stolen. `None` is final: nothing is pushed once
+/// workers run, so an empty deque stays empty.
+pub(crate) fn claim(deques: &[ChunkDeque], id: usize) -> Option<(u64, bool)> {
+    if let Some(item) = deques[id].pop() {
+        return Some((item, false));
+    }
+    let n = deques.len();
+    (1..n)
+        .find_map(|k| deques[(id + k) % n].steal())
+        .map(|item| (item, true))
+}
+
+/// Runs `work(id)` for every worker `0..workers`, each on its own scoped
+/// thread, and returns the results in worker order. A worker's panic is
+/// a simulator bug; it propagates.
+pub(crate) fn run_workers<T: Send>(workers: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|s| {
+        let work = &work;
+        let handles: Vec<_> = (0..workers).map(|id| s.spawn(move || work(id))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

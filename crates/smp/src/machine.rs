@@ -275,19 +275,22 @@ impl SmpMachine {
             .cores
             .iter()
             .enumerate()
-            .map(|(i, c)| CoreReport {
-                id: c.id(),
-                asid: c.asid(),
-                stats: c.stats(),
-                l1: c.l1_stats(),
-                l2: c.l2_stats(),
-                // Relaxed: statistics read taken
-                // while the machine is quiesced: `report` runs after
-                // `thread::scope` joined every worker, and the join edge
-                // orders all absorbed-counter increments before this load.
-                shootdown_cycles_absorbed: self.absorbed.eager[i].load(Ordering::Relaxed),
-                // Relaxed: same quiesced read as above.
-                shootdown_cycles_absorbed_epoch: self.absorbed.epoch[i].load(Ordering::Relaxed),
+            .map(|(i, c)| {
+                let (l1, l2) = c.hierarchy.stats();
+                CoreReport {
+                    id: c.id(),
+                    asid: c.asid(),
+                    stats: c.stats(),
+                    l1,
+                    l2,
+                    // Relaxed: statistics read taken
+                    // while the machine is quiesced: `report` runs after
+                    // `thread::scope` joined every worker, and the join edge
+                    // orders all absorbed-counter increments before this load.
+                    shootdown_cycles_absorbed: self.absorbed.eager[i].load(Ordering::Relaxed),
+                    // Relaxed: same quiesced read as above.
+                    shootdown_cycles_absorbed_epoch: self.absorbed.epoch[i].load(Ordering::Relaxed),
+                }
             })
             .collect();
         SmpReport {
@@ -334,27 +337,7 @@ impl SmpMachine {
             }
         }
         // Charge the initiator's precomputed machine-wide cost.
-        let tables = &self.cores[initiator].tables;
-        let initiated = tables.initiated_cost_by_size[code];
-        let global_sets = tables.global_sets_by_size[code];
-        let contribs: Vec<(usize, u64)> = tables
-            .remotes
-            .iter()
-            .map(|r| (r.core, r.eager_cycles_by_size[code]))
-            .collect();
-        for (j, cycles) in contribs {
-            // Relaxed: commutative cost tally: adds
-            // from different initiators never race with a decision-making
-            // read (reports load after join), so only atomicity matters
-            // and the totals are interleaving-independent by construction.
-            self.absorbed.eager[j].fetch_add(cycles, Ordering::Relaxed);
-        }
-        let stats = self.cores[initiator].stats_mut();
-        stats.shootdowns_initiated += 1;
-        stats.shootdown_cycles_initiated += initiated;
-        stats.sets_swept_global += global_sets;
-        let own = self.cores[initiator].sweep.by_size[code];
-        self.cores[initiator].stats_mut().sets_swept_local += own;
+        self.cores[initiator].charge_initiated(code, &self.absorbed);
         Some(t.size)
     }
 }

@@ -32,7 +32,7 @@ use mixtlb_check::sync::Mutex;
 use mixtlb_sim::TlbHierarchy;
 use mixtlb_types::{AccessKind, Asid, AsidAllocator, Permissions, Pfn, Translation, Vpn};
 
-use crate::deque::ChunkDeque;
+use crate::deque::{claim, run_workers, seed_round_robin, ChunkDeque};
 
 /// Virtual base every space maps (1 GB-aligned, like the SMP scenarios).
 const REGION_BASE: u64 = 1 << 18;
@@ -184,23 +184,8 @@ fn run_stress_core(
         ..StressCoreStats::default()
     };
     let mut flushed_generation = 0u64;
-    let n = deques.len();
-    loop {
-        let mut space = deques[id].pop();
-        if space.is_none() {
-            let mut k = 1;
-            while k < n {
-                space = deques[(id + k) % n].steal();
-                if space.is_some() {
-                    break;
-                }
-                k += 1;
-            }
-            if space.is_some() {
-                stats.spaces_stolen += 1;
-            }
-        }
-        let Some(space) = space else { break };
+    while let Some((space, stolen)) = claim(deques, id) {
+        stats.spaces_stolen += u64::from(stolen);
         stats.spaces_run += 1;
         let allocation = {
             #[expect(
@@ -286,29 +271,10 @@ fn run_slice(
 pub fn run_asid_stress(factory: fn() -> TlbHierarchy, cfg: &StressConfig) -> StressReport {
     let cfg = *cfg;
     let start = Instant::now();
-    let per_deque = (cfg.spaces as usize).div_ceil(cfg.cores).max(1);
-    let deques: Vec<ChunkDeque> = (0..cfg.cores)
-        .map(|_| ChunkDeque::with_capacity(per_deque))
-        .collect();
-    for s in (0..cfg.spaces).rev() {
-        let seeded = deques[(s as usize) % cfg.cores].push(s);
-        assert!(seeded, "deques are sized for every space");
-    }
+    let deques = seed_round_robin(cfg.cores, cfg.spaces);
     let allocator = Mutex::new(AsidAllocator::with_capacity(cfg.asid_capacity));
-    let mut cores = Vec::with_capacity(cfg.cores);
-    std::thread::scope(|s| {
-        let deques = &deques;
-        let allocator = &allocator;
-        let handles: Vec<_> = (0..cfg.cores)
-            .map(|id| s.spawn(move || run_stress_core(id, cfg, factory, deques, allocator)))
-            .collect();
-        for h in handles {
-            #[expect(
-                clippy::expect_used,
-                reason = "a worker panic is a simulator bug; propagate it"
-            )]
-            cores.push(h.join().expect("stress worker panicked"));
-        }
+    let cores = run_workers(cfg.cores, |id| {
+        run_stress_core(id, cfg, factory, &deques, &allocator)
     });
     #[expect(
         clippy::expect_used,

@@ -32,7 +32,7 @@ use mixtlb_sim::{EngineStats, TlbHierarchy, TranslationEngine, WalkBackend};
 use mixtlb_trace::TraceEvent;
 use mixtlb_types::{Asid, PhysAddr};
 
-use crate::deque::ChunkDeque;
+use crate::deque::{claim, run_workers, seed_round_robin, ChunkDeque};
 
 /// Shape of a work-stealing replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,21 +150,7 @@ impl WsWorker<'_> {
     /// ring order. Termination is stable because owners never push once
     /// workers run — an empty deque stays empty.
     fn run(&mut self, deques: &[ChunkDeque]) {
-        let n = deques.len();
-        loop {
-            let mut chunk = deques[self.id].pop();
-            if chunk.is_none() {
-                let mut k = 1;
-                while k < n {
-                    let victim = (self.id + k) % n;
-                    chunk = deques[victim].steal();
-                    if chunk.is_some() {
-                        break;
-                    }
-                    k += 1;
-                }
-            }
-            let Some(chunk) = chunk else { break };
+        while let Some((chunk, _)) = claim(deques, self.id) {
             self.execute(chunk);
         }
     }
@@ -218,8 +204,7 @@ fn run_core(
         Work::Stealing(deques) => worker.run(deques),
         Work::Fixed(chunks) => worker.run_fixed(chunks),
     }
-    let l1 = worker.engine.hierarchy().l1.stats();
-    let l2 = worker.engine.hierarchy().l2.as_ref().map(|t| t.stats());
+    let (l1, l2) = worker.engine.hierarchy().stats();
     WsCoreReport {
         core: id,
         asid,
@@ -245,29 +230,9 @@ pub fn replay_parallel(
     let cfg = *cfg;
     let start = Instant::now();
     let chunk_count = events.len().div_ceil(cfg.chunk_events);
-    let per_deque = chunk_count.div_ceil(cfg.cores).max(1);
-    let deques: Vec<ChunkDeque> = (0..cfg.cores)
-        .map(|_| ChunkDeque::with_capacity(per_deque))
-        .collect();
-    for c in (0..chunk_count as u64).rev() {
-        let seeded = deques[cfg.owner_of(c)].push(c);
-        assert!(seeded, "deques are sized for the whole run");
-    }
-    let mut cores = Vec::with_capacity(cfg.cores);
-    std::thread::scope(|s| {
-        let deques = &deques;
-        let handles: Vec<_> = (0..cfg.cores)
-            .map(|id| {
-                s.spawn(move || run_core(id, events, cfg, pt.clone(), factory, Work::Stealing(deques)))
-            })
-            .collect();
-        for h in handles {
-            #[expect(
-                clippy::expect_used,
-                reason = "a worker panic is a simulator bug; propagate it"
-            )]
-            cores.push(h.join().expect("work-stealing worker panicked"));
-        }
+    let deques = seed_round_robin(cfg.cores, chunk_count as u64);
+    let cores = run_workers(cfg.cores, |id| {
+        run_core(id, events, cfg, pt.clone(), factory, Work::Stealing(&deques))
     });
     debug_assert!(deques.iter().all(ChunkDeque::is_empty));
     WsReport {
