@@ -3,7 +3,6 @@
 //! GPUs.
 
 use mixtlb_bench::{banner, pct, Scale, Table};
-use mixtlb_gpu::GpuScenario;
 use mixtlb_sim::{NativeScenario, PolicyChoice};
 use mixtlb_trace::{WorkloadClass, WorkloadSpec};
 
@@ -29,29 +28,17 @@ fn main() {
             let mut sum = 0.0;
             let mut n = 0.0;
             for (i, spec) in specs.iter().enumerate() {
-                let frac = match class {
-                    WorkloadClass::Gpu => {
-                        if hog > 0.6 {
-                            // The paper's GPU sweep stops at 60%.
-                            continue;
-                        }
-                        let cfg = scale
-                            .gpu_cfg(PolicyChoice::Ths, hog);
-                        let mut cfg = cfg;
-                        cfg.seed = 42 + i as u64;
-                        GpuScenario::prepare(spec, &cfg)
-                            .distribution()
-                            .superpage_fraction()
-                    }
-                    _ => {
-                        let mut cfg = scale.alloc_cfg(PolicyChoice::Ths, hog);
-                        cfg.seed = 42 + i as u64;
-                        NativeScenario::prepare(spec, &cfg)
-                            .distribution()
-                            .superpage_fraction()
-                    }
+                // A GPU's set-up is a native one on the GPU's machine.
+                let mut cfg = match class {
+                    // The paper's GPU sweep stops at 60%.
+                    WorkloadClass::Gpu if hog > 0.6 => continue,
+                    WorkloadClass::Gpu => scale.gpu_cfg(PolicyChoice::Ths, hog).scenario,
+                    _ => scale.alloc_cfg(PolicyChoice::Ths, hog),
                 };
-                sum += frac;
+                cfg.seed = 42 + i as u64;
+                sum += NativeScenario::prepare(spec, &cfg)
+                    .distribution()
+                    .superpage_fraction();
                 n += 1.0;
             }
             if n > 0.0 {

@@ -2,8 +2,7 @@
 //! (effective, nested) and GPU workloads, as memhog varies.
 
 use mixtlb_bench::{banner, Scale, Table};
-use mixtlb_gpu::GpuScenario;
-use mixtlb_sim::{PolicyChoice, VirtScenario};
+use mixtlb_sim::{NativeScenario, PolicyChoice, VirtScenario};
 use mixtlb_trace::{WorkloadClass, WorkloadSpec};
 use mixtlb_types::PageSize;
 
@@ -69,8 +68,9 @@ fn main() {
     for hog in [0.2, 0.4, 0.6] {
         let mut runs = Vec::new();
         for spec in scale.gpu_workloads() {
-            let cfg = scale.gpu_cfg(PolicyChoice::Ths, hog);
-            let scenario = GpuScenario::prepare(&spec, &cfg);
+            // A GPU's set-up is a native one on the GPU's machine.
+            let cfg = scale.gpu_cfg(PolicyChoice::Ths, hog).scenario;
+            let scenario = NativeScenario::prepare(&spec, &cfg);
             runs.extend(scenario.contiguity(PageSize::Size2M).runs.iter().copied());
         }
         let cdf = cdf_at(&runs, &points);

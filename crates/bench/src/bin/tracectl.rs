@@ -15,10 +15,10 @@
 use std::collections::HashSet;
 use std::process::exit;
 
+use mixtlb_sim::REGION;
 use mixtlb_trace::{
     decode_block, BlockReader, RawBlock, TraceEvent, TraceFileV2, TraceGenerator, WorkloadSpec,
 };
-use mixtlb_types::Vpn;
 
 fn usage() -> ! {
     eprintln!(
@@ -50,7 +50,7 @@ fn generator(args: &[String]) -> (TraceGenerator, u64) {
         .map(|s| s.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(42);
     let spec = spec.with_footprint(footprint_mb << 20);
-    (TraceGenerator::new(&spec, seed, Vpn::new(1 << 18)), events)
+    (TraceGenerator::new(&spec, seed, REGION), events)
 }
 
 /// Stream statistics reported by `info`.

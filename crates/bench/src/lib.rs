@@ -126,13 +126,13 @@ impl Scale {
             Scale::Quick => GpuConfig::quick(),
             _ => GpuConfig::standard(),
         };
-        cfg.mem_bytes = match self {
+        cfg.scenario.mem_bytes = match self {
             Scale::Quick => 512 << 20,
             Scale::Std => 2 << 30,
             Scale::Full => 8 << 30,
         };
-        cfg.policy = policy;
-        cfg.memhog_fraction = memhog;
+        cfg.scenario.policy = policy;
+        cfg.scenario.memhog_fraction = memhog;
         cfg
     }
 }

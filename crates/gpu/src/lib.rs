@@ -5,12 +5,18 @@
 //! each shader core (SM) has its own L1 TLBs (128-entry 4-way for 4 KB
 //! pages plus split superpage TLBs — or an area-equivalent MIX TLB), all
 //! SMs share an L2 TLB and the walker, and hundreds of concurrent threads
-//! make TLB misses both frequent and expensive. This crate reproduces
-//! that functionally: per-SM Rodinia-like access streams are interleaved
-//! round-robin, misses contend for the shared L2/walker, and walker
-//! serialization is charged as a queueing penalty proportional to miss
-//! concurrency (a functional stand-in for gem5-gpu's cycle-level port
-//! model; see DESIGN.md substitution 5).
+//! make TLB misses both frequent and expensive.
+//!
+//! A [`GpuScenario`] is a [`NativeScenario`] with SMs: the GPU shares the
+//! process' virtual address space, so the machine set-up is the native
+//! one (figures that only inspect the set-up prepare a `NativeScenario`
+//! from [`GpuConfig::scenario`]). Per-SM Rodinia-like access streams are
+//! interleaved round-robin through one [`TlbHierarchy`] whose L2 is the
+//! shared TLB and whose L1 is the running SM's, so every miss takes the
+//! engine's datapath ([`TlbHierarchy::access`]). Walker serialization is
+//! charged as a queueing penalty proportional to miss concurrency (a
+//! functional stand-in for gem5-gpu's cycle-level port model; see
+//! DESIGN.md substitution 5).
 //!
 //! # Examples
 //!
@@ -28,31 +34,24 @@
 
 #![warn(missing_docs)]
 
-use mixtlb_core::{Lookup, MixTlb, MixTlbConfig, TlbDevice, TlbStats};
+use std::collections::VecDeque;
 
-use mixtlb_mem::{Memhog, MemhogConfig, MemoryConfig, PhysicalMemory};
-use mixtlb_os::scan::{ContiguityStats, PageSizeDistribution};
-use mixtlb_os::{Kernel, SpaceId};
-use mixtlb_pagetable::PageTable;
-use mixtlb_sim::{BelowTlbs, EngineBelow, EngineStats, PerfReport, PolicyChoice, WalkBackend};
-use mixtlb_trace::{TraceGenerator, WorkloadSpec};
-use mixtlb_types::{Asid, PageSize, Permissions, Vpn, PAGE_SIZE_4K};
+use mixtlb_cache::AccessResult;
+use mixtlb_core::{TlbDevice, TlbStats};
+use mixtlb_sim::{
+    designs, BelowTlbs, EngineBelow, EngineStats, NativeScenario, PerfReport, ScenarioConfig,
+    TlbHierarchy, UnifiedWalk, WalkBackend,
+};
+use mixtlb_trace::{TraceEvent, TraceGenerator, WorkloadSpec};
+use mixtlb_types::{AccessKind, Asid, PhysAddr, VirtAddr, Vpn};
 
-/// GPU scenario parameters.
+/// GPU scenario parameters: the machine's, plus the SMs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuConfig {
+    /// The machine and its OS set-up (the paper's GPU studies use 24 GB).
+    pub scenario: ScenarioConfig,
     /// Shader cores (SMs). The evaluation uses 16.
     pub sms: u32,
-    /// Device-visible memory in bytes (the paper's GPU studies use 24 GB).
-    pub mem_bytes: u64,
-    /// memhog fragmentation fraction.
-    pub memhog_fraction: f64,
-    /// OS paging policy backing the shared virtual address space.
-    pub policy: PolicyChoice,
-    /// Cap on the workload footprint.
-    pub footprint_cap: Option<u64>,
-    /// RNG seed.
-    pub seed: u64,
     /// Extra walker-queueing cycles charged per walk per concurrent SM
     /// (the shared-walker serialization penalty).
     pub walk_queue_cycles: u64,
@@ -62,12 +61,12 @@ impl GpuConfig {
     /// A tiny configuration for tests (256 MB, 4 SMs).
     pub fn quick() -> GpuConfig {
         GpuConfig {
+            scenario: ScenarioConfig {
+                mem_bytes: 256 << 20,
+                footprint_cap: Some(128 << 20),
+                ..ScenarioConfig::quick()
+            },
             sms: 4,
-            mem_bytes: 256 << 20,
-            memhog_fraction: 0.0,
-            policy: PolicyChoice::Ths,
-            footprint_cap: Some(128 << 20),
-            seed: 42,
             walk_queue_cycles: 4,
         }
     }
@@ -75,215 +74,146 @@ impl GpuConfig {
     /// The benchmark default: 16 SMs over 4 GB (scaled from 24 GB).
     pub fn standard() -> GpuConfig {
         GpuConfig {
+            scenario: ScenarioConfig {
+                mem_bytes: 4 << 30,
+                ..ScenarioConfig::standard()
+            },
             sms: 16,
-            mem_bytes: 4 << 30,
-            memhog_fraction: 0.0,
-            policy: PolicyChoice::Ths,
-            footprint_cap: None,
-            seed: 42,
             walk_queue_cycles: 4,
         }
     }
-
-    /// Sets the memhog fraction.
-    pub fn with_memhog(mut self, fraction: f64) -> GpuConfig {
-        self.memhog_fraction = fraction;
-        self
-    }
-
-    /// Sets the policy.
-    pub fn with_policy(mut self, policy: PolicyChoice) -> GpuConfig {
-        self.policy = policy;
-        self
-    }
 }
 
-/// A prepared GPU scenario: OS state and a faulted footprint shared by all
-/// SMs.
+/// A prepared GPU scenario: a native scenario whose faulted footprint all
+/// SMs share.
+#[derive(Debug)]
 pub struct GpuScenario {
-    kernel: Kernel,
-    space: SpaceId,
-    spec: WorkloadSpec,
-    region: Vpn,
-    config: GpuConfig,
-}
-
-impl std::fmt::Debug for GpuScenario {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GpuScenario")
-            .field("workload", &self.spec.name)
-            .field("sms", &self.config.sms)
-            .finish()
-    }
+    native: NativeScenario,
+    sms: u32,
+    walk_queue_cycles: u64,
 }
 
 impl GpuScenario {
-    /// Builds the scenario (same OS pipeline as a native CPU scenario: the
-    /// GPU shares the process' virtual address space).
+    /// Builds the scenario with [`NativeScenario::prepare`]: the GPU
+    /// shares the process' virtual address space.
     pub fn prepare(spec: &WorkloadSpec, cfg: &GpuConfig) -> GpuScenario {
-        let mem = PhysicalMemory::new(MemoryConfig::with_bytes(cfg.mem_bytes));
-        let mut kernel = Kernel::new(mem);
-        if cfg.memhog_fraction > 0.0 {
-            let _hog = Memhog::fragment(
-                kernel.mem_mut(),
-                MemhogConfig::with_fraction(cfg.memhog_fraction).seed(cfg.seed),
-            );
-        }
-        let free_bytes = kernel.mem().free_frames() * PAGE_SIZE_4K;
-        let mut footprint = spec.footprint_bytes.min(free_bytes * 85 / 100);
-        if let Some(cap) = cfg.footprint_cap {
-            footprint = footprint.min(cap);
-        }
-        footprint = footprint.max(PAGE_SIZE_4K);
-        let spec = spec.clone().with_footprint(footprint);
-        let policy = match cfg.policy {
-            PolicyChoice::SmallOnly => mixtlb_os::PagingPolicy::SmallOnly,
-            PolicyChoice::Huge2M => mixtlb_os::PagingPolicy::Hugetlbfs {
-                size: PageSize::Size2M,
-                pool_bytes: footprint,
-            },
-            PolicyChoice::Huge1G => mixtlb_os::PagingPolicy::Hugetlbfs {
-                size: PageSize::Size1G,
-                pool_bytes: footprint,
-            },
-            PolicyChoice::Ths => {
-                mixtlb_os::PagingPolicy::TransparentHuge(mixtlb_os::ThsConfig::default())
-            }
-            PolicyChoice::Mixed => mixtlb_os::PagingPolicy::Mixed {
-                gb_pool_bytes: footprint / 2,
-                ths: mixtlb_os::ThsConfig::default(),
-            },
-        };
-        let space = kernel.create_space(policy);
-        let region = Vpn::new(1 << 18);
-        #[expect(
-            clippy::expect_used,
-            reason = "a freshly created address space has no VMAs to overlap"
-        )]
-        kernel
-            .mmap(space, region, spec.footprint_pages(), Permissions::rw_user())
-            .expect("fresh address space");
-        kernel.fault_all(space);
         GpuScenario {
-            kernel,
-            space,
-            spec,
-            region,
-            config: *cfg,
+            native: NativeScenario::prepare(spec, &cfg.scenario),
+            sms: cfg.sms,
+            walk_queue_cycles: cfg.walk_queue_cycles,
         }
     }
 
     /// The workload (with its final footprint).
     pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
-
-    /// Page-size distribution (the GPU series of Figure 9).
-    pub fn distribution(&self) -> PageSizeDistribution {
-        PageSizeDistribution::of(self.kernel.space(self.space).page_table())
-    }
-
-    /// Superpage contiguity (GPU series of Figures 11, 13).
-    pub fn contiguity(&self, size: PageSize) -> ContiguityStats {
-        ContiguityStats::of(self.kernel.space(self.space).page_table(), size)
+        self.native.spec()
     }
 
     /// Replays `refs` references (interleaved round-robin over the SMs)
-    /// against per-SM L1 TLBs from `l1_factory` and a shared MIX-geometry
-    /// L2 (512 entries, matching the paper's shared L2 assumption).
+    /// against per-SM L1 TLBs from `l1_factory` and the shared L2
+    /// ([`designs::gpu_shared_l2`]).
     pub fn run(&mut self, l1_factory: fn() -> Box<dyn TlbDevice>, refs: u64) -> PerfReport {
-        let shared_l2: Box<dyn TlbDevice> = Box::new(MixTlb::new(MixTlbConfig {
-            kind: mixtlb_core::CoalesceKind::Bitmap,
-            ..MixTlbConfig::l2(64, 8)
-        }));
-        self.run_with_l2(l1_factory, shared_l2, refs)
+        let (hierarchy, stats, l1) = self.replay(l1_factory, refs);
+        let l2 = hierarchy.stats().1;
+        PerfReport::build(
+            hierarchy.name(),
+            self.spec(),
+            &stats,
+            &l1,
+            l2.as_ref(),
+            hierarchy.total_entries(),
+        )
     }
 
-    /// Like [`GpuScenario::run`] with an explicit shared L2 TLB.
-    pub fn run_with_l2(
-        &mut self,
+    /// The replay behind [`GpuScenario::run`]: the hierarchy (shared L2,
+    /// one SM's L1), the counters with serial-probe stalls charged, and
+    /// the L1 statistics summed over the SMs.
+    fn replay(
+        &self,
         l1_factory: fn() -> Box<dyn TlbDevice>,
-        mut shared_l2: Box<dyn TlbDevice>,
         refs: u64,
-    ) -> PerfReport {
-        let mut pt: PageTable = self.kernel.space(self.space).page_table().clone();
-        // The shared walker, its MMU cache and the memory hierarchy.
-        let mut below = EngineBelow::new(WalkBackend::Native(&mut pt));
-        let sms = self.config.sms as usize;
-        let mut l1s: Vec<Box<dyn TlbDevice>> = (0..sms).map(|_| l1_factory()).collect();
-        let design = format!("{}x{}", l1s[0].name(), sms);
+    ) -> (TlbHierarchy, EngineStats, TlbStats) {
+        let mut pt = self.native.clone_page_table();
+        let mut below = SharedWalker {
+            engine: EngineBelow::new(WalkBackend::Native(&mut pt)),
+            queue_cycles: self.walk_queue_cycles,
+            sweep_walks: 0,
+        };
+        let sms = self.sms as usize;
+        let first = l1_factory();
+        let name = format!("{}x{}", first.name(), sms);
+        // Entry budget: per-SM L1s (164 split-equivalent each) + shared L2.
+        let mut hierarchy = TlbHierarchy::new(&name, first, Some(designs::gpu_shared_l2()))
+            .with_entries(sms * 164 + 512);
+        // The other SMs' L1s, in the order they run next.
+        let mut parked: VecDeque<Box<dyn TlbDevice>> = (1..sms).map(|_| l1_factory()).collect();
+        let seed = |sm: usize| self.native.seed().wrapping_add(sm as u64 * 0x9E37);
         let mut generators: Vec<TraceGenerator> = (0..sms)
-            .map(|sm| {
-                TraceGenerator::new(
-                    &self.spec,
-                    self.config.seed.wrapping_add(sm as u64 * 0x9E37),
-                    self.region,
-                )
-            })
+            .map(|sm| TraceGenerator::new(self.spec(), seed(sm), self.native.region()))
             .collect();
         let mut stats = EngineStats::default();
-        // Misses outstanding in the current round-robin sweep approximate
-        // walker queue depth.
-        let mut sweep_walks = 0u64;
         for i in 0..refs {
             let sm = (i % sms as u64) as usize;
+            // Walks outstanding in the current round-robin sweep
+            // approximate walker queue depth.
             if sm == 0 {
-                sweep_walks = 0;
+                below.sweep_walks = 0;
             }
             #[expect(clippy::expect_used, reason = "access generators are infinite iterators")]
             let ev = generators[sm].next().expect("generators are infinite");
-            stats.accesses += 1;
-            let vpn = ev.va.vpn();
-            match l1s[sm].lookup_pc(vpn, ev.kind, ev.pc) {
-                Lookup::Hit { translation, dirty_microop, .. } => {
-                    if dirty_microop {
-                        below.dirty_microop(&mut stats, vpn);
-                    }
-                    stats.l1_hits += 1;
-                    let _ = translation;
-                    continue;
-                }
-                Lookup::Miss => {}
+            hierarchy.access(Asid::UNTAGGED, &mut below, &mut stats, &ev);
+            // Swap the next SM's L1 in.
+            if let Some(next) = parked.pop_front() {
+                parked.push_back(std::mem::replace(&mut hierarchy.l1, next));
             }
-            stats.stall_cycles += 7; // shared L2 probe
-            match shared_l2.lookup_pc(vpn, ev.kind, ev.pc) {
-                Lookup::Hit { translation, run, .. } => {
-                    stats.l2_hits += 1;
-                    match run {
-                        Some(run) if run.len > 1 => {
-                            l1s[sm].fill_run_asid(Asid::UNTAGGED, vpn, &translation, &run);
-                        }
-                        _ => l1s[sm].fill(vpn, &translation, &[translation]),
-                    }
-                    continue;
-                }
-                Lookup::Miss => {}
-            }
-            // Shared walker: base memory latency plus queueing that grows
-            // with the number of walks already issued this sweep.
-            stats.stall_cycles += sweep_walks * self.config.walk_queue_cycles;
-            sweep_walks += 1;
-            let walk = below.charged_walk(&mut stats, &ev);
-            let Some(translation) = walk.translation() else { continue };
-            shared_l2.fill(vpn, &translation, walk.line());
-            l1s[sm].fill(vpn, &translation, walk.line());
         }
-        // Aggregate per-SM L1 stats.
-        let mut l1_total = TlbStats::default();
-        for l1 in &l1s {
-            l1_total += l1.stats();
+        let mut l1 = hierarchy.l1.stats();
+        for parked in &parked {
+            l1 += parked.stats();
         }
-        let l2_stats = shared_l2.stats();
-        // Entry budget: per-SM L1s (164 split-equivalent each) + shared L2.
-        let entries = sms * 164 + 512;
-        PerfReport::build(&design, &self.spec, &stats, &l1_total, Some(&l2_stats), entries)
+        let l2 = hierarchy.stats().1;
+        stats.stall_cycles += TlbHierarchy::serial_stall_cycles(&l1, l2.as_ref());
+        (hierarchy, stats, l1)
+    }
+}
+
+/// The shared walker below every SM's TLBs: the engine's walk, MMU caches
+/// and cache hierarchy, plus queueing that grows with the number of walks
+/// already issued this sweep.
+struct SharedWalker<'a> {
+    engine: EngineBelow<'a>,
+    queue_cycles: u64,
+    sweep_walks: u64,
+}
+
+impl BelowTlbs for SharedWalker<'_> {
+    fn walk(&mut self, va: VirtAddr, kind: AccessKind) -> UnifiedWalk {
+        self.engine.walk(va, kind)
+    }
+
+    fn pwc_hit(&mut self, pa: PhysAddr) -> bool {
+        self.engine.pwc_hit(pa)
+    }
+
+    fn reference(&mut self, pa: PhysAddr) -> AccessResult {
+        self.engine.reference(pa)
+    }
+
+    fn write_dirty_bit(&mut self, vpn: Vpn) -> bool {
+        self.engine.write_dirty_bit(vpn)
+    }
+
+    fn charged_walk(&mut self, stats: &mut EngineStats, ev: &TraceEvent) -> UnifiedWalk {
+        stats.stall_cycles += self.sweep_walks * self.queue_cycles;
+        self.sweep_walks += 1;
+        self.engine.charged_walk(stats, ev)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mixtlb_sim::designs;
+    use mixtlb_sim::{PolicyChoice, TranslationEngine};
 
     fn spec(name: &str) -> WorkloadSpec {
         WorkloadSpec::by_name(name).unwrap()
@@ -292,10 +222,40 @@ mod tests {
     #[test]
     fn gpu_scenario_prepares_and_runs() {
         let mut s = GpuScenario::prepare(&spec("bfs"), &GpuConfig::quick());
-        assert!(s.distribution().superpage_fraction() > 0.9);
+        assert!(s.native.distribution().superpage_fraction() > 0.9);
         let r = s.run(designs::gpu_split_l1, 10_000);
         assert_eq!(r.accesses, 10_000);
         assert_eq!(r.design, "split-gpu-l1x4");
+    }
+
+    #[test]
+    fn one_sm_replays_exactly_like_the_engine() {
+        // One SM and no walker queueing leave nothing GPU-specific: the
+        // replay must be the engine's, counter for counter. memhog mixes
+        // 4 KB pages in, so the stream walks.
+        let mut cfg = GpuConfig::quick();
+        cfg.sms = 1;
+        cfg.walk_queue_cycles = 0;
+        cfg.scenario.memhog_fraction = 0.45;
+        let s = GpuScenario::prepare(&spec("bfs"), &cfg);
+        for l1_factory in [designs::gpu_split_l1, designs::gpu_mix_l1] {
+            let (hierarchy, stats, l1) = s.replay(l1_factory, 20_000);
+            let mut pt = s.native.clone_page_table();
+            let reference =
+                TlbHierarchy::new("engine", l1_factory(), Some(designs::gpu_shared_l2()));
+            let mut engine = TranslationEngine::new(reference, WalkBackend::Native(&mut pt));
+            let generator = TraceGenerator::new(s.spec(), s.native.seed(), s.native.region());
+            engine.run(generator.take(20_000));
+            let (want, want_l1, want_l2, _) = engine.finish();
+            // Walks, L2 hits, and stores that dirty an L2 entry: every
+            // step the old GPU loop sequenced differently is exercised.
+            assert!(want.walks > 100 && want.l2_hits > 100, "{want:?}");
+            assert!(want_l2.is_some_and(|t| t.dirty_microops > 0), "{want_l2:?}");
+            let name = hierarchy.name();
+            assert_eq!(stats, want, "{name}: EngineStats");
+            assert_eq!(l1, want_l1, "{name}: L1 TlbStats");
+            assert_eq!(hierarchy.stats().1, want_l2, "{name}: L2 TlbStats");
+        }
     }
 
     #[test]
@@ -314,21 +274,21 @@ mod tests {
     #[test]
     fn fragmentation_reduces_gpu_superpages() {
         let clean = GpuScenario::prepare(&spec("bfs"), &GpuConfig::quick());
-        let fragged =
-            GpuScenario::prepare(&spec("bfs"), &GpuConfig::quick().with_memhog(0.7));
+        let mut cfg = GpuConfig::quick();
+        cfg.scenario.memhog_fraction = 0.7;
+        let fragged = GpuScenario::prepare(&spec("bfs"), &cfg);
         assert!(
-            fragged.distribution().superpage_fraction()
-                < clean.distribution().superpage_fraction()
+            fragged.native.distribution().superpage_fraction()
+                < clean.native.distribution().superpage_fraction()
         );
     }
 
     #[test]
     fn small_only_policy_applies() {
-        let s = GpuScenario::prepare(
-            &spec("kmeans"),
-            &GpuConfig::quick().with_policy(PolicyChoice::SmallOnly),
-        );
-        assert_eq!(s.distribution().superpage_fraction(), 0.0);
+        let mut cfg = GpuConfig::quick();
+        cfg.scenario.policy = PolicyChoice::SmallOnly;
+        let s = GpuScenario::prepare(&spec("kmeans"), &cfg);
+        assert_eq!(s.native.distribution().superpage_fraction(), 0.0);
     }
 
     #[test]
@@ -343,11 +303,10 @@ mod tests {
 
     #[test]
     fn hugetlbfs_pools_apply_to_gpu_scenarios() {
-        let s = GpuScenario::prepare(
-            &spec("backprop"),
-            &GpuConfig::quick().with_policy(PolicyChoice::Huge2M),
-        );
-        let d = s.distribution();
+        let mut cfg = GpuConfig::quick();
+        cfg.scenario.policy = PolicyChoice::Huge2M;
+        let s = GpuScenario::prepare(&spec("backprop"), &cfg);
+        let d = s.native.distribution();
         assert!(d.superpage_fraction() > 0.9, "{d:?}");
         assert_eq!(d.pages_1g, 0);
     }

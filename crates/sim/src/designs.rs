@@ -165,6 +165,16 @@ pub fn gpu_mix_l1() -> Box<dyn mixtlb_core::TlbDevice> {
     Box::new(MixTlb::new(MixTlbConfig::l1(32, 5).named("mix-gpu-l1")))
 }
 
+/// The GPU's shared L2: a MIX geometry of 64 sets × 8 ways = 512 entries
+/// with bitmap coalescing (the paper's shared-L2 assumption), behind
+/// every SM's L1.
+pub fn gpu_shared_l2() -> Box<dyn mixtlb_core::TlbDevice> {
+    Box::new(MixTlb::new(MixTlbConfig {
+        kind: CoalesceKind::Bitmap,
+        ..MixTlbConfig::l2(64, 8)
+    }))
+}
+
 /// A design constructor, as stored in the sweep tables.
 pub type DesignFactory = fn() -> TlbHierarchy;
 
@@ -196,6 +206,7 @@ mod tests {
         let _ = mix_scaled(512);
         let _ = gpu_split_l1();
         let _ = gpu_mix_l1();
+        let _ = gpu_shared_l2();
     }
 
     #[test]

@@ -110,6 +110,20 @@ impl TlbHierarchy {
         (self.l1.stats(), self.l2.as_ref().map(|t| t.stats()))
     }
 
+    /// The stall cycles of the serial probes an L1 and an L2 counted: 2
+    /// cycles per L1 rehash, an L2 access per L2 rehash. Callers charge
+    /// them when their stats are read, never per access.
+    pub fn serial_stall_cycles(l1: &TlbStats, l2: Option<&TlbStats>) -> u64 {
+        2 * l1.serial_probes + L2_HIT_CYCLES * l2.map_or(0, |t| t.serial_probes)
+    }
+
+    /// [`TlbHierarchy::serial_stall_cycles`] of both levels' counts so
+    /// far. It only grows.
+    pub fn serial_stalls(&self) -> u64 {
+        let (l1, l2) = self.stats();
+        TlbHierarchy::serial_stall_cycles(&l1, l2.as_ref())
+    }
+
     /// Whether every level honours ASID tags — only then can a context
     /// switch skip the flush (x86 PCID semantics).
     pub fn supports_asids(&self) -> bool {
@@ -184,7 +198,8 @@ impl TlbHierarchy {
     /// Translates one trace event under `asid`: the L1 probe, then on a
     /// miss the L2 probe, walk and fills. Returns the physical address,
     /// or `None` on a page fault (which is also counted). Charges no
-    /// serial-probe stalls; the caller reads those from the devices.
+    /// serial-probe stalls; the caller reads those from the devices
+    /// ([`TlbHierarchy::serial_stall_cycles`]).
     #[inline]
     pub fn access<B: BelowTlbs>(
         &mut self,
@@ -480,8 +495,8 @@ impl BelowTlbs for EngineBelow<'_> {
 pub struct TranslationEngine<'a> {
     hierarchy: TlbHierarchy,
     below: EngineBelow<'a>,
-    /// The L1's and L2's serial-probe counts when the engine took them.
-    serial_base: (u64, u64),
+    /// The devices' serial-probe stalls when the engine took them.
+    serial_base: u64,
     /// Tag for lookups and fills. [`Asid::UNTAGGED`] (the default)
     /// reproduces untagged hardware exactly.
     asid: Asid,
@@ -500,7 +515,7 @@ impl<'a> TranslationEngine<'a> {
     /// Creates an engine over a hierarchy and a walk backend, with the
     /// Haswell cache hierarchy and a 7-cycle L2 TLB latency (Sec. 4).
     pub fn new(hierarchy: TlbHierarchy, backend: WalkBackend<'a>) -> TranslationEngine<'a> {
-        let serial_base = serial_probes(&hierarchy);
+        let serial_base = hierarchy.serial_stalls();
         TranslationEngine {
             hierarchy,
             below: EngineBelow::new(backend),
@@ -716,20 +731,12 @@ impl<'a> TranslationEngine<'a> {
 
     /// The running counters (without consuming the engine). Serial-probe
     /// stalls are charged here, from the probes the devices counted since
-    /// the engine took them: 2 cycles per L1 rehash, an L2 access per L2
-    /// rehash. The counts only grow while the engine owns the devices.
+    /// the engine took them ([`TlbHierarchy::serial_stalls`]).
     pub fn stats(&self) -> EngineStats {
-        let (l1, l2) = serial_probes(&self.hierarchy);
         let mut stats = self.stats;
-        stats.stall_cycles +=
-            2 * (l1 - self.serial_base.0) + L2_HIT_CYCLES * (l2 - self.serial_base.1);
+        stats.stall_cycles += self.hierarchy.serial_stalls() - self.serial_base;
         stats
     }
-}
-
-/// The hierarchy's L1 and L2 serial-probe counts.
-fn serial_probes(h: &TlbHierarchy) -> (u64, u64) {
-    (h.l1.stats().serial_probes, h.l2.as_ref().map_or(0, |t| t.stats().serial_probes))
 }
 
 #[cfg(test)]

@@ -48,5 +48,5 @@ pub use engine::{
     BelowTlbs, EngineBelow, EngineStats, TlbHierarchy, TranslationEngine, UnifiedWalk, WalkBackend,
 };
 pub use model::{improvement_percent, PerfModel, PerfReport};
-pub use scenario::{NativeScenario, PolicyChoice, ScenarioConfig};
+pub use scenario::{fit_footprint, prefault, NativeScenario, PolicyChoice, ScenarioConfig, REGION};
 pub use vm::{VirtConfig, VirtScenario};

@@ -118,13 +118,51 @@ impl ScenarioConfig {
     }
 }
 
+/// The 1 GB-aligned virtual base every scenario maps its footprint at,
+/// so every page size is usable.
+pub const REGION: Vpn = Vpn::new(1 << 18);
+
+/// Sizes a workload's footprint to a machine with `free_bytes` free: the
+/// workload's own footprint, held to an even share of 85% of free memory
+/// over `shares` footprints (the rest is headroom for the kernel and the
+/// page tables) and to `cap`, and at least one 4 KB page. The result need
+/// not be a page multiple.
+pub fn fit_footprint(spec_bytes: u64, free_bytes: u64, shares: u64, cap: Option<u64>) -> u64 {
+    spec_bytes
+        .min(free_bytes * 85 / 100 / shares)
+        .min(cap.unwrap_or(u64::MAX))
+        .max(PAGE_SIZE_4K)
+}
+
+/// Maps `footprint` bytes of `spec` at [`REGION`] in the fresh `space`
+/// and pre-faults every page in ascending order (the paper measures steady
+/// state, after the OS has made its page-size decisions). Returns the
+/// workload with its final footprint.
+pub fn prefault(
+    kernel: &mut Kernel,
+    space: SpaceId,
+    spec: &WorkloadSpec,
+    footprint: u64,
+) -> WorkloadSpec {
+    let spec = spec.clone().with_footprint(footprint);
+    let pages = spec.footprint_pages();
+    #[expect(
+        clippy::expect_used,
+        reason = "a freshly created address space has no VMAs to overlap"
+    )]
+    kernel
+        .mmap(space, REGION, pages, Permissions::rw_user())
+        .expect("fresh address space has no overlapping VMAs");
+    kernel.fault_all(space);
+    spec
+}
+
 /// A prepared native scenario: fragmented memory, OS state, and a fully
 /// faulted footprint, ready to replay traces against any design.
 pub struct NativeScenario {
     kernel: Kernel,
     space: SpaceId,
     spec: WorkloadSpec,
-    region: Vpn,
     seed: u64,
 }
 
@@ -139,12 +177,9 @@ impl std::fmt::Debug for NativeScenario {
 
 impl NativeScenario {
     /// Builds the scenario: fragment with memhog, create the address space
-    /// under the configured policy, and pre-fault the whole footprint in
-    /// ascending order (the paper measures steady state, after the OS has
-    /// made its page-size decisions).
-    ///
-    /// The footprint is the workload's, capped to what fits in the machine
-    /// (≈ 85% of post-memhog free memory).
+    /// under the configured policy, and pre-fault the whole footprint
+    /// ([`prefault`]), sized by [`fit_footprint`] to post-memhog free
+    /// memory.
     pub fn prepare(spec: &WorkloadSpec, cfg: &ScenarioConfig) -> NativeScenario {
         let mem = PhysicalMemory::new(MemoryConfig::with_bytes(cfg.mem_bytes));
         let mut kernel = Kernel::new(mem);
@@ -152,10 +187,7 @@ impl NativeScenario {
         // pristine (`hugepagesz=1G` is a kernel parameter precisely
         // because 1 GB regions cannot be assembled after fragmentation).
         let est_free = (cfg.mem_bytes as f64 * (1.0 - cfg.memhog_fraction)) as u64;
-        let mut est_footprint = spec.footprint_bytes.min(est_free * 85 / 100);
-        if let Some(cap) = cfg.footprint_cap {
-            est_footprint = est_footprint.min(cap);
-        }
+        let est_footprint = fit_footprint(spec.footprint_bytes, est_free, 1, cfg.footprint_cap);
         let boot_pool = match cfg.policy {
             PolicyChoice::Huge1G => {
                 Some(kernel.reserve_boot_pool(PageSize::Size1G, est_footprint))
@@ -176,12 +208,7 @@ impl NativeScenario {
             + boot_pool
                 .as_ref()
                 .map_or(0, |p| p.len() as u64 * PageSize::Size1G.bytes());
-        let mut footprint = spec.footprint_bytes.min(free_bytes * 85 / 100);
-        if let Some(cap) = cfg.footprint_cap {
-            footprint = footprint.min(cap);
-        }
-        footprint = footprint.max(PAGE_SIZE_4K);
-        let spec = spec.clone().with_footprint(footprint);
+        let footprint = fit_footprint(spec.footprint_bytes, free_bytes, 1, cfg.footprint_cap);
         let space = match boot_pool {
             Some(pool) => kernel.create_space_with_pool(
                 cfg.policy.to_policy(footprint),
@@ -190,21 +217,11 @@ impl NativeScenario {
             ),
             None => kernel.create_space(cfg.policy.to_policy(footprint)),
         };
-        // 1 GB-aligned virtual base so every page size is usable.
-        let region = Vpn::new(1 << 18);
-        #[expect(
-            clippy::expect_used,
-            reason = "a freshly created address space has no VMAs to overlap"
-        )]
-        kernel
-            .mmap(space, region, spec.footprint_pages(), Permissions::rw_user())
-            .expect("fresh address space has no overlapping VMAs");
-        kernel.fault_all(space);
+        let spec = prefault(&mut kernel, space, spec, footprint);
         NativeScenario {
             kernel,
             space,
             spec,
-            region,
             seed: cfg.seed,
         }
     }
@@ -218,12 +235,17 @@ impl NativeScenario {
     /// replay state (the SMP engine clones one per core so every core
     /// sees identical A/D state).
     pub fn clone_page_table(&self) -> mixtlb_pagetable::PageTable {
-        self.kernel.space(self.space).page_table().clone()
+        self.page_table().clone()
+    }
+
+    /// The faulted page table.
+    pub(crate) fn page_table(&self) -> &mixtlb_pagetable::PageTable {
+        self.kernel.space(self.space).page_table()
     }
 
     /// First 4 KB page of the mapped footprint.
     pub fn region(&self) -> Vpn {
-        self.region
+        REGION
     }
 
     /// The scenario's RNG seed (trace streams derive from it).
@@ -233,12 +255,12 @@ impl NativeScenario {
 
     /// The page-size distribution the OS produced (Figures 1, 9).
     pub fn distribution(&self) -> PageSizeDistribution {
-        PageSizeDistribution::of(self.kernel.space(self.space).page_table())
+        PageSizeDistribution::of(self.page_table())
     }
 
     /// Superpage contiguity for one size (Figures 11-13).
     pub fn contiguity(&self, size: PageSize) -> ContiguityStats {
-        ContiguityStats::of(self.kernel.space(self.space).page_table(), size)
+        ContiguityStats::of(self.page_table(), size)
     }
 
     /// Fault statistics (THS fallbacks, compactions, pool hits).
@@ -297,8 +319,7 @@ impl NativeScenario {
         interval: u64,
     ) -> PerfReport {
         assert!(interval > 0, "switch interval must be non-zero");
-        let mut intruder_gen =
-            TraceGenerator::new(&self.spec, self.seed ^ 0xDEAD_BEEF, self.region);
+        let mut intruder_gen = TraceGenerator::new(&self.spec, self.seed ^ 0xDEAD_BEEF, REGION);
         self.drive(hierarchy, |engine, generator| {
             let tagged = engine.supports_asids();
             let workload = Asid::new(1);
@@ -349,7 +370,7 @@ impl NativeScenario {
     ) -> PerfReport {
         let mut pt = self.clone_page_table();
         let mut engine = TranslationEngine::new(hierarchy, WalkBackend::Native(&mut pt));
-        let mut generator = TraceGenerator::new(&self.spec, self.seed, self.region);
+        let mut generator = TraceGenerator::new(&self.spec, self.seed, REGION);
         replay(&mut engine, &mut generator);
         PerfReport::from_engine(&self.spec, engine)
     }

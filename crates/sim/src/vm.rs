@@ -1,7 +1,7 @@
 //! Virtualized scenarios: guest OSes over a hypervisor, nested page
 //! tables, and 2-D walks (paper Secs. 2, 7.1-7.2).
 
-use mixtlb_mem::{Memhog, MemhogConfig, MemoryConfig, PhysicalMemory};
+use mixtlb_mem::{MemoryConfig, PhysicalMemory};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use mixtlb_os::scan::{self, ContiguityStats, PageSizeDistribution};
@@ -11,6 +11,7 @@ use mixtlb_types::{PageSize, Permissions, Vpn, PAGE_SIZE_4K};
 
 use crate::engine::{TlbHierarchy, TranslationEngine, WalkBackend};
 use crate::model::PerfReport;
+use crate::scenario::{NativeScenario, PolicyChoice, ScenarioConfig};
 
 /// Virtualized-scenario parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,13 +56,10 @@ impl VirtConfig {
 }
 
 struct GuestVm {
-    /// The guest OS managing guest-physical memory.
-    kernel: Kernel,
-    space: SpaceId,
+    /// The guest OS managing guest-physical memory: a native scenario.
+    os: NativeScenario,
     /// The EPT for this VM inside the host kernel.
     ept_space: SpaceId,
-    spec: WorkloadSpec,
-    region: Vpn,
 }
 
 /// A prepared virtualized scenario: a host kernel whose memory backs `N`
@@ -74,7 +72,6 @@ struct GuestVm {
 pub struct VirtScenario {
     host: Kernel,
     guests: Vec<GuestVm>,
-    seed: u64,
 }
 
 impl std::fmt::Debug for VirtScenario {
@@ -105,36 +102,22 @@ impl VirtScenario {
         let guest_mem = guest_mem - guest_mem % PAGE_SIZE_4K;
         let mut guests = Vec::with_capacity(cfg.vms as usize);
         for vm in 0..cfg.vms {
-            let mut kernel =
-                Kernel::new(PhysicalMemory::new(MemoryConfig::with_bytes(guest_mem)));
-            if cfg.memhog_in_vm > 0.0 {
-                let _hog = Memhog::fragment(
-                    kernel.mem_mut(),
-                    MemhogConfig::with_fraction(cfg.memhog_in_vm)
-                        .seed(cfg.seed.wrapping_add(u64::from(vm))),
-                );
-            }
-            let free_bytes = kernel.mem().free_frames() * PAGE_SIZE_4K;
-            let mut footprint = spec.footprint_bytes.min(free_bytes * 85 / 100);
-            if let Some(cap) = cfg.footprint_cap {
-                footprint = footprint.min(cap);
-            }
-            footprint = footprint.max(PAGE_SIZE_4K);
-            let vm_spec = spec.clone().with_footprint(footprint);
-            let space = kernel.create_space(PagingPolicy::TransparentHuge(ThsConfig::default()));
-            let region = Vpn::new(1 << 18);
-            #[expect(
-                clippy::expect_used,
-                reason = "a freshly created guest address space has no VMAs to overlap"
-            )]
-            kernel
-                .mmap(space, region, vm_spec.footprint_pages(), Permissions::rw_user())
-                .expect("fresh guest address space");
-            kernel.fault_all(space);
+            // Each guest is a native machine under THS, its memhog and
+            // trace seeded per VM.
+            let os = NativeScenario::prepare(
+                spec,
+                &ScenarioConfig {
+                    mem_bytes: guest_mem,
+                    memhog_fraction: cfg.memhog_in_vm,
+                    policy: PolicyChoice::Ths,
+                    footprint_cap: cfg.footprint_cap,
+                    seed: cfg.seed.wrapping_add(u64::from(vm)),
+                },
+            );
             // EPT: back the whole guest-physical space through host THS.
             let ept_space =
                 host.create_space(PagingPolicy::TransparentHuge(ThsConfig::default()));
-            let guest_frames = kernel.mem().total_frames();
+            let guest_frames = guest_mem / PAGE_SIZE_4K;
             #[expect(
                 clippy::expect_used,
                 reason = "the EPT space was created empty two lines above"
@@ -175,19 +158,9 @@ impl VirtScenario {
                     }
                 }
             }
-            guests.push(GuestVm {
-                kernel,
-                space,
-                ept_space,
-                spec: vm_spec,
-                region,
-            });
+            guests.push(GuestVm { os, ept_space });
         }
-        VirtScenario {
-            host,
-            guests,
-            seed: cfg.seed,
-        }
+        VirtScenario { host, guests }
     }
 
     /// Number of VMs.
@@ -197,7 +170,7 @@ impl VirtScenario {
 
     /// The workload of VM `vm` (with its final footprint).
     pub fn spec(&self, vm: usize) -> &WorkloadSpec {
-        &self.guests[vm].spec
+        self.guests[vm].os.spec()
     }
 
     /// The *effective* (splintered) page-size distribution seen by nested
@@ -205,7 +178,7 @@ impl VirtScenario {
     pub fn effective_distribution(&self, vm: usize) -> PageSizeDistribution {
         let guest = &self.guests[vm];
         scan::effective_distribution(
-            guest.kernel.space(guest.space).page_table(),
+            guest.os.page_table(),
             self.host.space(guest.ept_space).page_table(),
         )
     }
@@ -214,7 +187,7 @@ impl VirtScenario {
     pub fn effective_contiguity(&self, vm: usize, size: PageSize) -> ContiguityStats {
         let guest = &self.guests[vm];
         scan::effective_contiguity(
-            guest.kernel.space(guest.space).page_table(),
+            guest.os.page_table(),
             self.host.space(guest.ept_space).page_table(),
             size,
         )
@@ -228,7 +201,7 @@ impl VirtScenario {
     ) -> (ContiguityStats, ContiguityStats) {
         let guest = &self.guests[vm];
         (
-            ContiguityStats::of(guest.kernel.space(guest.space).page_table(), size),
+            ContiguityStats::of(guest.os.page_table(), size),
             ContiguityStats::of(self.host.space(guest.ept_space).page_table(), size),
         )
     }
@@ -236,9 +209,9 @@ impl VirtScenario {
     /// Replays `refs` events of VM `vm`'s workload through 2-D translation
     /// against a design.
     pub fn run(&mut self, vm: usize, hierarchy: TlbHierarchy, refs: u64) -> PerfReport {
-        let guest_vm = &self.guests[vm];
-        let mut guest_pt = guest_vm.kernel.space(guest_vm.space).page_table().clone();
-        let mut host_pt = self.host.space(guest_vm.ept_space).page_table().clone();
+        let (guest, ept_space) = (&self.guests[vm].os, self.guests[vm].ept_space);
+        let mut guest_pt = guest.clone_page_table();
+        let mut host_pt = self.host.space(ept_space).page_table().clone();
         let mut engine = TranslationEngine::new(
             hierarchy,
             WalkBackend::Nested {
@@ -246,13 +219,9 @@ impl VirtScenario {
                 host: &mut host_pt,
             },
         );
-        let generator = TraceGenerator::new(
-            &guest_vm.spec,
-            self.seed.wrapping_add(vm as u64),
-            guest_vm.region,
-        );
+        let generator = TraceGenerator::new(guest.spec(), guest.seed(), guest.region());
         engine.run(generator.take(refs as usize));
-        PerfReport::from_engine(&guest_vm.spec, engine)
+        PerfReport::from_engine(guest.spec(), engine)
     }
 }
 

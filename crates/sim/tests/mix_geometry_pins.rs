@@ -10,7 +10,8 @@
 //! Covered: `mix` and `mix+colt` (bitmap L2s; COLT's 4 KB bundles take
 //! the partial-mirror path), `mix_scaled(512)` (length-kind L2 with 512
 //! bundle positions), the superpage-indexed strawman, the GPU per-SM MIX
-//! L1 geometry, and the nested-TLB MIX that 2-D walks consult.
+//! L1 geometry alone and over the GPU's shared L2, and the nested-TLB MIX
+//! that 2-D walks consult.
 
 use mixtlb_core::TlbStats;
 use mixtlb_sim::{
@@ -69,7 +70,7 @@ fn check(name: &str, got: (u64, EngineStats, TlbStats, Option<TlbStats>), want: 
 fn mix_geometries_replay_exactly_as_pinned() {
     let s = scenario();
     let events = trace(&s);
-    let designs: [(&str, TlbHierarchy, &str); 5] = [
+    let designs: [(&str, TlbHierarchy, &str); 6] = [
         ("mix", designs::mix(), MIX),
         ("mix+colt", designs::mix_colt(), MIX_COLT),
         ("mix_scaled(512)", designs::mix_scaled(512), MIX_SCALED_512),
@@ -78,6 +79,15 @@ fn mix_geometries_replay_exactly_as_pinned() {
             "gpu-mix-l1",
             TlbHierarchy::new("gpu-mix-l1", designs::gpu_mix_l1(), None),
             GPU_MIX_L1,
+        ),
+        (
+            "gpu-shared-l2",
+            TlbHierarchy::new(
+                "gpu-shared-l2",
+                designs::gpu_mix_l1(),
+                Some(designs::gpu_shared_l2()),
+            ),
+            GPU_SHARED_L2,
         ),
     ];
     for (name, hierarchy, want) in designs {
@@ -168,6 +178,20 @@ const GPU_MIX_L1: &str = concat!(
     "dup_merges: 13208, coalesce_merges: 605, invalidations: 0, dirty_microops: 38, ",
     "serial_probes: 0, predictor_reads: 0, predictor_misses: 0 } ",
     "L2 None",
+);
+const GPU_SHARED_L2: &str = concat!(
+    "0xf1fe747bc4110f44 EngineStats { accesses: 20000, l1_hits: 5363, l2_hits: 769, walks: 13868, faults: 0, stall_cycles: 1065208, ",
+    "walk_traffic: WalkTraffic { cache_hits: [7134, 8037, 326], dram_accesses: 2820, pte_writes: 5725 }, dirty_microops: 611 } ",
+    "L1 TlbStats { lookups: 20000, hits: 5363, misses: 14637, ",
+    "hits_by_size: [22, 5341, 0], sets_probed: 20000, entries_read: 100000, ",
+    "fills: 14637, entries_written: 51062, evictions: 41930, ",
+    "dup_merges: 8765, coalesce_merges: 207, invalidations: 0, dirty_microops: 508, ",
+    "serial_probes: 0, predictor_reads: 0, predictor_misses: 0 } ",
+    "L2 Some(TlbStats { lookups: 14637, hits: 769, misses: 13868, ",
+    "hits_by_size: [220, 549, 0], sets_probed: 14637, entries_read: 117096, ",
+    "fills: 13868, entries_written: 31131, evictions: 13654, ",
+    "dup_merges: 0, coalesce_merges: 411, invalidations: 0, dirty_microops: 103, ",
+    "serial_probes: 0, predictor_reads: 0, predictor_misses: 0 })",
 );
 const NESTED_MIX: &str = concat!(
     "PerfReport { design: \"mix\", accesses: 20000, base_cycles: 355555.55555555556, stall_cycles: 44182.0, total_cycles: 399737.55555555556, ",

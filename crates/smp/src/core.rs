@@ -7,7 +7,7 @@ use mixtlb_check::sync::{AtomicU64, Ordering};
 
 use mixtlb_cache::{AccessResult, CacheHierarchy, HierarchyConfig, PageWalkCache, SharedCache};
 use mixtlb_pagetable::PageTable;
-use mixtlb_sim::{BelowTlbs, EngineStats, TlbHierarchy, UnifiedWalk, WalkBackend};
+use mixtlb_sim::{BelowTlbs, EngineStats, TlbHierarchy, UnifiedWalk, WalkBackend, REGION};
 use mixtlb_trace::{TraceEvent, TraceGenerator};
 use mixtlb_types::{AccessKind, Asid, PhysAddr, Pfn, VirtAddr, Vpn};
 
@@ -22,9 +22,10 @@ use crate::shootdown::{ShootdownModel, SweepWidths};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// The datapath's counters, read through this struct too. Their
-    /// `stall_cycles` are the deterministic ones: L2 TLB probe latency
-    /// plus private-cache latency of walk references. Walk traffic counts
-    /// a shared-LLC hit as a third-level cache hit.
+    /// `stall_cycles` are the deterministic ones: L2 TLB probe latency,
+    /// serial-probe stalls (charged as the engine charges them) and
+    /// private-cache latency of walk references. Walk traffic counts a
+    /// shared-LLC hit as a third-level cache hit.
     pub engine: EngineStats,
     /// Stall cycles from shared-LLC/DRAM walk references
     /// (interleaving-dependent; excluded from determinism comparisons).
@@ -128,7 +129,6 @@ pub struct SmpCore {
     pwc: PageWalkCache,
     pub(crate) pt: PageTable,
     generator: TraceGenerator,
-    region: Vpn,
     footprint_pages: u64,
     /// Initiate a shootdown every this many accesses (0 = never).
     shootdown_interval: u64,
@@ -141,6 +141,8 @@ pub struct SmpCore {
     pending_invalidations: [u64; 3],
     pub(crate) sweep: SweepWidths,
     pub(crate) tables: ShootdownTables,
+    /// The TLBs' serial-probe stalls when the core took them.
+    serial_base: u64,
     stats: CoreStats,
 }
 
@@ -163,7 +165,6 @@ impl SmpCore {
         hierarchy: TlbHierarchy,
         pt: PageTable,
         generator: TraceGenerator,
-        region: Vpn,
         footprint_pages: u64,
     ) -> SmpCore {
         SmpCore {
@@ -174,12 +175,12 @@ impl SmpCore {
             // are harmless here because each core's TLBs are private and
             // run exactly one space.
             asid: Asid::for_index(id),
+            serial_base: hierarchy.serial_stalls(),
             hierarchy,
             caches: CacheHierarchy::new(HierarchyConfig::haswell_private()),
             pwc: PageWalkCache::new(32),
             pt,
             generator,
-            region,
             footprint_pages: footprint_pages.max(1),
             shootdown_interval: 0,
             shootdown_count: 0,
@@ -218,9 +219,13 @@ impl SmpCore {
         self.asid
     }
 
-    /// The running counters.
+    /// The running counters. Serial-probe stalls are charged here, from
+    /// the probes the TLBs counted since the core took them
+    /// ([`TlbHierarchy::serial_stalls`]).
     pub fn stats(&self) -> CoreStats {
-        self.stats
+        let mut stats = self.stats;
+        stats.engine.stall_cycles += self.hierarchy.serial_stalls() - self.serial_base;
+        stats
     }
 
     /// Replays `refs` events, initiating shootdowns on the configured
@@ -274,7 +279,7 @@ impl SmpCore {
             .shootdown_count
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             >> 11;
-        let vpn = Vpn::new(self.region.raw() + idx % self.footprint_pages);
+        let vpn = Vpn::new(REGION.raw() + idx % self.footprint_pages);
         let Some(t) = self.pt.lookup(vpn) else { return };
         // Migrate to a different frame (functional model: the new frame
         // only needs to be distinct).

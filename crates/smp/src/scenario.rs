@@ -6,10 +6,10 @@
 use mixtlb_mem::{MemoryConfig, PhysicalMemory};
 use mixtlb_os::{Kernel, PagingPolicy, SpaceId, ThsConfig};
 use mixtlb_trace::{TraceGenerator, WorkloadSpec};
-use mixtlb_types::{Permissions, Vpn, PAGE_SIZE_4K};
+use mixtlb_types::{Vpn, PAGE_SIZE_4K};
 
 use mixtlb_cache::SharedCacheConfig;
-use mixtlb_sim::TlbHierarchy;
+use mixtlb_sim::{fit_footprint, prefault, TlbHierarchy, REGION};
 
 use crate::core::SmpCore;
 use crate::machine::SmpMachine;
@@ -93,7 +93,6 @@ pub struct MultiProgrammedScenario {
     kernel: Kernel,
     spaces: Vec<SpaceId>,
     specs: Vec<WorkloadSpec>,
-    region: Vpn,
     cfg: SmpScenarioConfig,
 }
 
@@ -109,9 +108,9 @@ impl std::fmt::Debug for MultiProgrammedScenario {
 }
 
 impl MultiProgrammedScenario {
-    /// Prepares one address space per named workload, splitting ~85% of
-    /// physical memory fairly between them and pre-faulting every
-    /// footprint (the paper measures steady state).
+    /// Prepares one address space per named workload, sharing free
+    /// memory fairly between them ([`fit_footprint`]) and pre-faulting
+    /// every footprint (the paper measures steady state).
     ///
     /// # Panics
     ///
@@ -121,10 +120,9 @@ impl MultiProgrammedScenario {
         let mem = PhysicalMemory::new(MemoryConfig::with_bytes(cfg.mem_bytes));
         let mut kernel = Kernel::new(mem);
         let free_bytes = kernel.mem().free_frames() * PAGE_SIZE_4K;
-        let fair_share = free_bytes * 85 / 100 / workloads.len() as u64;
-        // 1 GB-aligned virtual base; every space maps the same virtual
-        // region (separate address spaces — this is what the ASIDs tag).
-        let region = Vpn::new(1 << 18);
+        let shares = workloads.len() as u64;
+        // Every space maps the same virtual region (separate address
+        // spaces — this is what the ASIDs tag).
         let mut spaces = Vec::new();
         let mut specs = Vec::new();
         for name in workloads {
@@ -134,20 +132,10 @@ impl MultiProgrammedScenario {
             )]
             let base = WorkloadSpec::by_name(name)
                 .unwrap_or_else(|| panic!("unknown workload {name:?}"));
-            let mut footprint = base.footprint_bytes.min(fair_share);
-            if let Some(cap) = cfg.per_core_cap {
-                footprint = footprint.min(cap);
-            }
-            let spec = base.with_footprint(footprint.max(PAGE_SIZE_4K));
+            let footprint =
+                fit_footprint(base.footprint_bytes, free_bytes, shares, cfg.per_core_cap);
             let space = kernel.create_space(PagingPolicy::TransparentHuge(ThsConfig::default()));
-            #[expect(
-                clippy::expect_used,
-                reason = "a freshly created address space has no VMAs to overlap"
-            )]
-            kernel
-                .mmap(space, region, spec.footprint_pages(), Permissions::rw_user())
-                .expect("fresh address space has no overlapping VMAs");
-            kernel.fault_all(space);
+            let spec = prefault(&mut kernel, space, &base, footprint);
             spaces.push(space);
             specs.push(spec);
         }
@@ -155,7 +143,6 @@ impl MultiProgrammedScenario {
             kernel,
             spaces,
             specs,
-            region,
             cfg: *cfg,
         }
     }
@@ -185,7 +172,7 @@ impl MultiProgrammedScenario {
 
     /// First page of the shared virtual region every space maps.
     pub fn region(&self) -> Vpn {
-        self.region
+        REGION
     }
 
     /// A clone of core `index`'s faulted page table — what the
@@ -197,7 +184,7 @@ impl MultiProgrammedScenario {
     /// Core `index`'s trace generator, seeded exactly as
     /// [`MultiProgrammedScenario::build_machine`] seeds it.
     pub fn generator(&self, index: usize) -> TraceGenerator {
-        TraceGenerator::new(&self.specs[index], core_seed(self.cfg.seed, index), self.region)
+        TraceGenerator::new(&self.specs[index], core_seed(self.cfg.seed, index), REGION)
     }
 
     /// Builds an [`SmpMachine`] whose cores all run `factory`'s TLB
@@ -216,9 +203,7 @@ impl MultiProgrammedScenario {
             .enumerate()
             .map(|(i, (spec, space))| {
                 let pt = self.kernel.space(*space).page_table().clone();
-                let generator =
-                    TraceGenerator::new(spec, core_seed(self.cfg.seed, i), self.region);
-                SmpCore::new(i, factory(), pt, generator, self.region, spec.footprint_pages())
+                SmpCore::new(i, factory(), pt, self.generator(i), spec.footprint_pages())
                     .with_shootdown_interval(self.cfg.shootdown_interval)
                     .with_epoch_interval(self.cfg.epoch_interval)
             })

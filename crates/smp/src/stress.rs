@@ -29,13 +29,10 @@
 use std::time::{Duration, Instant};
 
 use mixtlb_check::sync::Mutex;
-use mixtlb_sim::TlbHierarchy;
+use mixtlb_sim::{TlbHierarchy, REGION};
 use mixtlb_types::{AccessKind, Asid, AsidAllocator, Permissions, Pfn, Translation, Vpn};
 
 use crate::deque::{claim, run_workers, seed_round_robin, ChunkDeque};
-
-/// Virtual base every space maps (1 GB-aligned, like the SMP scenarios).
-const REGION_BASE: u64 = 1 << 18;
 
 /// Frames encode `(space, page)` so stale entries self-identify: the
 /// physical region is carved into footprint-sized chunks and space `s`
@@ -227,7 +224,7 @@ fn run_slice(
     use mixtlb_core::Lookup;
     for k in 0..cfg.accesses_per_space {
         let page = scramble(cfg.seed, space, k) % cfg.footprint_pages;
-        let vpn = Vpn::new(REGION_BASE + page);
+        let vpn = Vpn::new(REGION.raw() + page);
         stats.lookups += 1;
         let hit = match hierarchy.l1.lookup_asid(asid, vpn, AccessKind::Load, 0) {
             Lookup::Hit { translation, .. } => Some(translation),

@@ -1,13 +1,14 @@
 //! An SMP core resolves an access exactly like the single-core engine:
-//! the same L1 probe, L2 probe with run hand-down, walk and fills. The
-//! two differ only below the TLBs — an SMP core's walk references go to
-//! private caches backed by a shared LLC, and it charges no serial-probe
-//! stalls — so every translation, every event counter but the stall
-//! cycles, and every TLB statistic must agree on one core.
+//! the same L1 probe, L2 probe with run hand-down, walk and fills, and
+//! the same serial-probe stalls. The two differ only below the TLBs — an
+//! SMP core's walk references go to private caches backed by a shared
+//! LLC, whose latency it books apart. With one LLC slice the size of the
+//! engine's LLC, every translation, every counter (the core's two stall
+//! counts summed) and every TLB statistic must agree on one core.
 
 use mixtlb_cache::SharedCacheConfig;
 use mixtlb_sim::designs::all_cpu_designs;
-use mixtlb_sim::{TranslationEngine, WalkBackend};
+use mixtlb_sim::{EngineStats, TranslationEngine, WalkBackend};
 use mixtlb_smp::{MultiProgrammedScenario, ShootdownModel, SmpScenarioConfig};
 use mixtlb_trace::TraceEvent;
 use mixtlb_types::Asid;
@@ -32,7 +33,10 @@ fn assert_agreement(workload: &str) {
     for (name, factory) in all_cpu_designs() {
         let mut machine = scenario.build_machine(
             factory,
-            SharedCacheConfig::tiny(),
+            SharedCacheConfig {
+                shards: 1,
+                ..SharedCacheConfig::haswell_llc()
+            },
             ShootdownModel::default(),
         );
         let mut pt = scenario.clone_page_table(0);
@@ -48,31 +52,16 @@ fn assert_agreement(workload: &str) {
         let (want, l1, l2, _) = engine.finish();
         let report = machine.run_serial(0);
         let core = &report.cores[0];
-        let got = core.stats;
+        let got = EngineStats {
+            stall_cycles: core.stats.stall_cycles + core.stats.llc_stall_cycles,
+            ..core.stats.engine
+        };
         assert!(
             want.walks > 50,
             "{workload}/{name}: only {} walks",
             want.walks
         );
-        assert_eq!(
-            (
-                got.accesses,
-                got.l1_hits,
-                got.l2_hits,
-                got.walks,
-                got.faults,
-                got.dirty_microops
-            ),
-            (
-                want.accesses,
-                want.l1_hits,
-                want.l2_hits,
-                want.walks,
-                want.faults,
-                want.dirty_microops
-            ),
-            "{workload}/{name}: event counters"
-        );
+        assert_eq!(got, want, "{workload}/{name}: EngineStats");
         assert_eq!(core.l1, l1, "{workload}/{name}: L1 TlbStats");
         assert_eq!(core.l2, l2, "{workload}/{name}: L2 TlbStats");
     }

@@ -11,7 +11,7 @@ use mixtlb::trace::{WorkloadClass, WorkloadSpec};
 
 fn main() {
     let mut cfg = GpuConfig::standard();
-    cfg.mem_bytes = 1 << 30;
+    cfg.scenario.mem_bytes = 1 << 30;
     println!(
         "{} SMs | per-SM L1 TLBs | shared L2 TLB + walker | THS\n",
         cfg.sms

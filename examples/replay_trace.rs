@@ -7,11 +7,8 @@
 //! cargo run --release --example replay_trace [workload]
 //! ```
 
-use mixtlb::os::{Kernel, PagingPolicy, ThsConfig};
-use mixtlb::mem::{MemoryConfig, PhysicalMemory};
-use mixtlb::sim::{designs, TranslationEngine, WalkBackend};
+use mixtlb::sim::{designs, NativeScenario, ScenarioConfig, TranslationEngine, WalkBackend};
 use mixtlb::trace::{TraceFileV2, TraceGenerator, WorkloadSpec};
-use mixtlb::types::{Permissions, Vpn, PAGE_SIZE_4K};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "redis".to_owned());
@@ -22,21 +19,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .with_footprint(192 << 20);
 
-    // Build the OS state the trace will run against.
-    let mut kernel = Kernel::new(PhysicalMemory::new(MemoryConfig::with_bytes(256 << 20)));
-    let space = kernel.create_space(PagingPolicy::TransparentHuge(ThsConfig::default()));
-    let region = Vpn::new(1 << 18);
-    kernel.mmap(space, region, spec.footprint_bytes / PAGE_SIZE_4K, Permissions::rw_user())?;
-    kernel.fault_all(space);
+    // Build the OS state the trace will run against: a 256 MB THS machine.
+    let cfg = ScenarioConfig {
+        mem_bytes: 256 << 20,
+        ..ScenarioConfig::quick()
+    };
+    let scenario = NativeScenario::prepare(&spec, &cfg);
 
     // Record once...
     let path = std::env::temp_dir().join("mixtlb-replay-example.mtc2");
-    let events = TraceFileV2::record(&path, TraceGenerator::new(&spec, 7, region).take(150_000))?;
+    let events = TraceFileV2::record(
+        &path,
+        TraceGenerator::new(&spec, 7, scenario.region()).take(150_000),
+    )?;
     println!("recorded {events} events of '{}' to {}\n", spec.name, path.display());
 
     // ...replay many times, one engine per design, byte-identical input.
     for hierarchy in [designs::haswell_split(), designs::mix()] {
-        let mut pt = kernel.space(space).page_table().clone();
+        let mut pt = scenario.clone_page_table();
         let design = hierarchy.name().to_owned();
         let mut engine = TranslationEngine::new(hierarchy, WalkBackend::Native(&mut pt));
         for event in TraceFileV2::open(&path)? {

@@ -24,6 +24,13 @@ echo "==> cargo clippy --workspace -- -D warnings"
 # #[expect(..., reason = "...")] (a stale exception) into a failure.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> reproduce at quick scale vs the committed reproduce_quick.out"
+# Every figure and in-text experiment, at quick scale (seconds). The
+# output carries no timings and is deterministic, so it must match the
+# golden byte for byte: a change that moves a figure row shows up here
+# as a diff, and is committed with the regenerated golden.
+MIXTLB_SCALE=quick timeout 300 ./target/release/reproduce | diff -u reproduce_quick.out -
+
 echo "==> mixtlb-check --analyze (structural analysis gate, 4 rules)"
 # Zero findings required across all four rules (addr-arith,
 # truncating-cast, dead-code, hot-path).

@@ -169,15 +169,15 @@ fn index_bits_experiment_shape() {
 
 #[test]
 fn recorded_traces_replay_identically_through_the_engine() {
+    use mixtlb::sim::REGION;
     use mixtlb::trace::{TraceFileV2, TraceGenerator};
-    use mixtlb::types::Vpn;
     // Record a trace, then drive two fresh engines — one from the live
     // generator, one from the file — and require identical reports.
     let spec = WorkloadSpec::by_name("memcached")
         .unwrap()
         .with_footprint(32 << 20);
     let path = std::env::temp_dir().join(format!("mixtlb-e2e-{}.mtc2", std::process::id()));
-    let gen = || TraceGenerator::new(&spec, 99, Vpn::new(1 << 18));
+    let gen = || TraceGenerator::new(&spec, 99, REGION);
     TraceFileV2::record(&path, gen().take(10_000)).unwrap();
 
     let cfg = ScenarioConfig::quick();
