@@ -7,7 +7,7 @@
 
 use mixtlb_bench::{banner, pct, Scale, Table};
 use mixtlb_core::{CoalesceKind, Lookup, MixTlb, MixTlbConfig, TlbDevice};
-use mixtlb_sim::designs;
+use mixtlb_sim::{designs, REGION};
 use mixtlb_types::{AccessKind, PageSize, Permissions, Pfn, Translation, Vpn};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -19,7 +19,7 @@ fn fill_run(tlb: &mut dyn TlbDevice, n: u64) -> Vec<Translation> {
     let run: Vec<Translation> = (0..n)
         .map(|i| {
             Translation::new(
-                Vpn::new((1 << 18) + i * 512),
+                Vpn::new(REGION.raw() + i * 512),
                 Pfn::new((2 << 18) + i * 512),
                 PageSize::Size2M,
                 rw,
