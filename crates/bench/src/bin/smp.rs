@@ -258,6 +258,7 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
 
 fn parse_args() -> Option<StressArgs> {
     let mut args = std::env::args().skip(1);
+    let mut cores = None;
     let mut out = StressArgs {
         cores: 0,
         spaces: 100_000,
@@ -268,7 +269,7 @@ fn parse_args() -> Option<StressArgs> {
     };
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--cores" => out.cores = parse_num(&flag, args.next()),
+            "--cores" => cores = Some(parse_num(&flag, args.next())),
             "--spaces" => out.spaces = parse_num(&flag, args.next()),
             "--accesses-per-space" => out.accesses_per_space = parse_num(&flag, args.next()),
             "--asid-capacity" => out.asid_capacity = parse_num(&flag, args.next()),
@@ -280,17 +281,18 @@ fn parse_args() -> Option<StressArgs> {
             }
         }
     }
-    if out.spaces == 0
+    if cores == Some(0)
+        || out.spaces == 0
         || out.chunk_events == 0
         || !(2..=Asid::CAPACITY).contains(&out.asid_capacity)
     {
         eprintln!(
-            "smp: --spaces and --chunk-events must be positive, --asid-capacity 2..={}",
+            "smp: --cores, --spaces and --chunk-events must be positive, --asid-capacity 2..={}",
             Asid::CAPACITY
         );
         usage();
     }
-    (out.cores > 0).then_some(out)
+    cores.map(|cores| StressArgs { cores, ..out })
 }
 
 fn main() {

@@ -19,6 +19,7 @@ use mixtlb_sim::REGION;
 use mixtlb_trace::{
     decode_block, BlockReader, RawBlock, TraceEvent, TraceFileV2, TraceGenerator, WorkloadSpec,
 };
+use mixtlb_types::VirtAddr;
 
 fn usage() -> ! {
     eprintln!(
@@ -49,7 +50,23 @@ fn generator(args: &[String]) -> (TraceGenerator, u64) {
         .get(4)
         .map(|s| s.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(42);
-    let spec = spec.with_footprint(footprint_mb << 20);
+    // Every address of the footprint must fit the modeled address space.
+    let base = VirtAddr::from_page(REGION, 0).raw();
+    let fits = |bytes: u64| {
+        base.checked_add(bytes - 1)
+            .is_some_and(|last| VirtAddr::new(last).is_canonical())
+    };
+    let Some(footprint) = footprint_mb
+        .checked_mul(1 << 20)
+        .filter(|&bytes| bytes > 0 && fits(bytes))
+    else {
+        eprintln!(
+            "tracectl: footprint_mb must be at least 1, and the footprint must fit the \
+             48-bit address space above {base:#x}"
+        );
+        usage();
+    };
+    let spec = spec.with_footprint(footprint);
     (TraceGenerator::new(&spec, seed, REGION), events)
 }
 

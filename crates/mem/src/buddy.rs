@@ -8,6 +8,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Largest supported block order: `2^18` frames = 1 GB.
 pub const MAX_ORDER: u8 = 18;
@@ -36,6 +37,31 @@ impl fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
+/// Hashes frame numbers with one folded multiply (the 64×64→128-bit
+/// product's halves XORed) instead of SipHash. The free-block map is only
+/// probed, never iterated, and its keys are our own frame numbers, so
+/// neither flooding resistance nor a stable order matters. Folding the
+/// high half in keeps aligned bases (low bits all zero) apart.
+#[derive(Default)]
+struct FrameHasher(u64);
+
+impl Hasher for FrameHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
 /// A buddy allocator managing `total_frames` 4 KB frames.
 ///
 /// # Examples
@@ -58,7 +84,7 @@ pub struct BuddyAllocator {
     free_lists: Vec<BTreeSet<u64>>,
     /// base → order for every free block; the membership test that buddy
     /// merging needs.
-    free_blocks: HashMap<u64, u8>,
+    free_blocks: HashMap<u64, u8, BuildHasherDefault<FrameHasher>>,
     free_frames: u64,
 }
 
@@ -73,7 +99,7 @@ impl BuddyAllocator {
         let mut buddy = BuddyAllocator {
             total_frames,
             free_lists: vec![BTreeSet::new(); MAX_ORDER as usize + 1],
-            free_blocks: HashMap::new(),
+            free_blocks: HashMap::default(),
             free_frames: 0,
         };
         // Greedy decomposition of [0, total_frames) into aligned blocks.

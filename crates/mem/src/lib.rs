@@ -42,4 +42,4 @@ pub use buddy::{AllocError, BuddyAllocator, MAX_ORDER};
 pub use config::MemoryConfig;
 pub use frame::FrameKind;
 pub use memhog::{Memhog, MemhogConfig};
-pub use physmem::{CompactionOutcome, MemoryStats, PhysicalMemory};
+pub use physmem::{CompactionOutcome, MemoryStats, PhysicalMemory, DIRECT_COMPACTION_BUDGET};

@@ -1,13 +1,66 @@
 //! Physical memory: buddy allocation plus frame-ownership tracking and
 //! compaction.
 
-use std::collections::BTreeMap;
-
 use mixtlb_types::{PageSize, Pfn};
 
 use crate::buddy::{AllocError, BuddyAllocator, MAX_ORDER};
 use crate::config::MemoryConfig;
 use crate::frame::FrameKind;
+
+/// Maximum movable frames direct compaction may migrate to free one 2 MB
+/// window during a fault (Linux's bounded direct-compaction effort). A
+/// window is a compaction candidate
+/// ([`PhysicalMemory::next_compaction_candidate`]) when it holds no pinned
+/// frame and between 1 and this many movable ones.
+pub const DIRECT_COMPACTION_BUDGET: u64 = 160;
+
+/// Frames per 2 MB window, the unit of the per-window counters.
+const WINDOW_FRAMES: u64 = 512;
+
+/// One frame's state, packed in a byte: its [`FrameKind`] in the low two
+/// bits and, at the base frame of an allocated block, the block's order
+/// plus one above them (0 on every other frame).
+#[derive(Debug, Clone, Copy)]
+struct FrameCell(u8);
+
+impl FrameCell {
+    const FREE: FrameCell = FrameCell(0);
+
+    const fn body(kind: FrameKind) -> FrameCell {
+        FrameCell(match kind {
+            FrameKind::Free => 0,
+            FrameKind::Movable => 1,
+            FrameKind::Unmovable => 2,
+            FrameKind::PageTable => 3,
+        })
+    }
+
+    const fn head(kind: FrameKind, order: u8) -> FrameCell {
+        FrameCell(FrameCell::body(kind).0 | ((order + 1) << 2))
+    }
+
+    const fn kind(self) -> FrameKind {
+        match self.0 & 3 {
+            0 => FrameKind::Free,
+            1 => FrameKind::Movable,
+            2 => FrameKind::Unmovable,
+            _ => FrameKind::PageTable,
+        }
+    }
+
+    /// The order of the block this frame is the base of, if any.
+    const fn head_order(self) -> Option<u8> {
+        match self.0 >> 2 {
+            0 => None,
+            n => Some(n - 1),
+        }
+    }
+}
+
+const _: () = assert!(
+    FrameCell::head(FrameKind::PageTable, MAX_ORDER).0 >> 2 == MAX_ORDER + 1,
+    "the largest block order must fit above the kind bits"
+);
 
 /// Aggregate occupancy statistics for a [`PhysicalMemory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,15 +127,21 @@ impl CompactionOutcome {
 pub struct PhysicalMemory {
     config: MemoryConfig,
     buddy: BuddyAllocator,
-    kinds: Vec<FrameKind>,
-    /// Allocated blocks, base → (order, kind); supports the range scans
-    /// compaction needs.
-    allocated: BTreeMap<u64, (u8, FrameKind)>,
+    /// Per-frame kind and block-head order. Blocks are buddy-aligned, so
+    /// walking a window's frames in ascending order finds its blocks in
+    /// address order.
+    frames: Vec<FrameCell>,
     /// Cached per-2MB-window occupancy, indexed by `pfn / 512`: movable
-    /// frame count and pinned (unmovable + page-table) frame count. These
-    /// make the THS compaction scanner O(1) per candidate window.
+    /// frame count and pinned (unmovable + page-table) frame count. Only
+    /// `mark` and `unmark` change them.
     window_movable: Vec<u32>,
     window_pinned: Vec<u32>,
+    /// Bitset over the full 2 MB windows, refreshed with the counters:
+    /// bit `w` is set when window `w` is a direct-compaction candidate
+    /// (no pinned frame, 1..=[`DIRECT_COMPACTION_BUDGET`] movable ones).
+    /// The fault path's scanner walks set bits, so a search costs what it
+    /// finds rather than the size of memory.
+    candidates: Vec<u64>,
     movable_frames: u64,
     unmovable_frames: u64,
     page_table_frames: u64,
@@ -96,10 +155,10 @@ impl PhysicalMemory {
         PhysicalMemory {
             config,
             buddy: BuddyAllocator::new(total),
-            kinds: vec![FrameKind::Free; total as usize],
-            allocated: BTreeMap::new(),
+            frames: vec![FrameCell::FREE; total as usize],
             window_movable: vec![0; windows],
             window_pinned: vec![0; windows],
+            candidates: vec![0; windows.div_ceil(64)],
             movable_frames: 0,
             unmovable_frames: 0,
             page_table_frames: 0,
@@ -127,7 +186,17 @@ impl PhysicalMemory {
     ///
     /// Panics if `pfn` is out of bounds.
     pub fn kind_of(&self, pfn: Pfn) -> FrameKind {
-        self.kinds[pfn.raw() as usize]
+        self.frames[pfn.raw() as usize].kind()
+    }
+
+    /// The order of the allocated block whose base frame is `pfn`, or
+    /// `None` when no allocated block starts there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pfn` is out of bounds.
+    pub fn block_order(&self, pfn: Pfn) -> Option<u8> {
+        self.frames[pfn.raw() as usize].head_order()
     }
 
     /// Allocates one page of the given size (order 0 / 9 / 18).
@@ -188,10 +257,8 @@ impl PhysicalMemory {
             clippy::panic,
             reason = "freeing an untracked block is a simulator bug; failing loudly is the allocator's contract"
         )]
-        let (recorded_order, _) = self
-            .allocated
-            .get(&base.raw())
-            .copied()
+        let recorded_order = self
+            .block_order(base)
             .unwrap_or_else(|| panic!("freeing unallocated block at {base}"));
         assert_eq!(recorded_order, order, "free order mismatch at {base}");
         self.unmark(base.raw(), order);
@@ -206,8 +273,10 @@ impl PhysicalMemory {
 
     /// Counts `(movable, pinned)` frames within an aligned window.
     ///
-    /// For windows of 2 MB and larger this reads cached per-window counters
-    /// and is O(window / 2 MB); smaller windows scan frame states directly.
+    /// For windows of 2 MB and larger this reads the cached per-window
+    /// counters (`window_movable` and `window_pinned`, which only block
+    /// allocation and release change) and is O(window / 2 MB); smaller
+    /// windows scan frame states directly.
     pub fn window_occupancy(&self, base: Pfn, order: u8) -> (u64, u64) {
         if order >= 9 && base.raw().is_multiple_of(512) {
             let first = base.page_number(PageSize::Size2M) as usize;
@@ -225,8 +294,8 @@ impl PhysicalMemory {
         let end = (base.raw() + (1u64 << order)).min(self.total_frames()) as usize;
         let mut movable = 0;
         let mut pinned = 0;
-        for kind in &self.kinds[start..end] {
-            match kind {
+        for cell in &self.frames[start..end] {
+            match cell.kind() {
                 FrameKind::Free => {}
                 FrameKind::Movable => movable += 1,
                 FrameKind::Unmovable | FrameKind::PageTable => pinned += 1,
@@ -274,18 +343,22 @@ impl PhysicalMemory {
         // buddy-aligned, so any block not larger than the window is either
         // fully inside or fully outside; a larger containing block means an
         // in-use superpage we will not split.
-        let block_count = self.allocated.range(window_start..window_end).count();
-        let mut inside: Vec<(u64, u8, FrameKind)> = Vec::with_capacity(block_count);
-        for (&b, &(o, k)) in self.allocated.range(window_start..window_end) {
-            if o > order {
-                return CompactionOutcome::Pinned;
-            }
-            inside.push((b, o, k));
+        if self.covered_from_below(window_start, order) {
+            return CompactionOutcome::Pinned;
         }
-        // A containing block would have a base below the window start.
-        if let Some((&b, &(o, _))) = self.allocated.range(..window_start).next_back() {
-            if b + (1u64 << o) > window_start {
-                return CompactionOutcome::Pinned;
+        // Ascending address order: relocation order decides where
+        // `alloc_from_top` puts each block.
+        let mut inside: Vec<(u64, u8, FrameKind)> = Vec::new();
+        let mut frame = window_start;
+        while frame < window_end {
+            let cell = self.frames[frame as usize];
+            match cell.head_order() {
+                Some(o) if o > order => return CompactionOutcome::Pinned,
+                Some(o) => {
+                    inside.push((frame, o, cell.kind()));
+                    frame += 1u64 << o;
+                }
+                None => frame += 1,
             }
         }
         // Phase 1: release every block inside the window.
@@ -365,55 +438,107 @@ impl PhysicalMemory {
         }
     }
 
+    /// The first direct-compaction candidate window (see
+    /// [`DIRECT_COMPACTION_BUDGET`]) with index in `[from, to)`, or `None`.
+    /// Window `w` covers frames `[w * 512, (w + 1) * 512)`; a partial last
+    /// window is never a candidate.
+    pub fn next_compaction_candidate(&self, from: u64, to: u64) -> Option<u64> {
+        let to = to.min(self.total_frames() / WINDOW_FRAMES);
+        let mut w = from;
+        while w < to {
+            let word = (w / 64) as usize;
+            let bits = self.candidates[word] & (u64::MAX << (w % 64));
+            if bits != 0 {
+                let found = (w & !63) + u64::from(bits.trailing_zeros());
+                return (found < to).then_some(found);
+            }
+            w = (w | 63) + 1;
+        }
+        None
+    }
+
     fn order_for(size: PageSize) -> u8 {
         size.buddy_order()
+    }
+
+    /// Returns `true` if an allocated block that starts below `frame`
+    /// covers it. Such a block is larger than `2^order` frames when
+    /// `frame` is `2^order`-aligned, so its base is `frame` aligned down
+    /// to one of the orders above.
+    fn covered_from_below(&self, frame: u64, order: u8) -> bool {
+        (order + 1..=MAX_ORDER).any(|k| {
+            let base = frame & !((1u64 << k) - 1);
+            base < frame
+                && self.frames[base as usize]
+                    .head_order()
+                    .is_some_and(|o| base + (1u64 << o) > frame)
+        })
     }
 
     fn mark(&mut self, base: u64, order: u8, kind: FrameKind) {
         debug_assert!(kind.is_allocated());
         let n = 1u64 << order;
-        for f in base..base + n {
-            self.kinds[f as usize] = kind;
-            let w = (f / 512) as usize;
-            if kind.is_movable() {
-                self.window_movable[w] += 1;
-            } else {
-                self.window_pinned[w] += 1;
-            }
-        }
+        self.frames[base as usize..(base + n) as usize].fill(FrameCell::body(kind));
+        self.frames[base as usize] = FrameCell::head(kind, order);
+        self.count_in_windows(base, n, kind, true);
         match kind {
             FrameKind::Movable => self.movable_frames += n,
             FrameKind::Unmovable => self.unmovable_frames += n,
             FrameKind::PageTable => self.page_table_frames += n,
             FrameKind::Free => {}
         }
-        self.allocated.insert(base, (order, kind));
     }
 
     fn unmark(&mut self, base: u64, order: u8) {
+        let head = self.frames[base as usize];
         #[expect(
             clippy::panic,
             reason = "unmarking an untracked block is a simulator bug surfaced immediately"
         )]
-        let (_, kind) = self
-            .allocated
-            .remove(&base)
-            .unwrap_or_else(|| panic!("unmark of untracked block {base:#x}"));
-        let n = 1u64 << order;
-        for f in base..base + n {
-            self.kinds[f as usize] = FrameKind::Free;
-            let w = (f / 512) as usize;
-            if kind.is_movable() {
-                self.window_movable[w] -= 1;
-            } else {
-                self.window_pinned[w] -= 1;
-            }
+        if head.head_order().is_none() {
+            panic!("unmark of untracked block {base:#x}");
         }
+        let kind = head.kind();
+        let n = 1u64 << order;
+        self.frames[base as usize..(base + n) as usize].fill(FrameCell::FREE);
+        self.count_in_windows(base, n, kind, false);
         match kind {
             FrameKind::Movable => self.movable_frames -= n,
             FrameKind::Unmovable => self.unmovable_frames -= n,
             FrameKind::PageTable => self.page_table_frames -= n,
             FrameKind::Free => {}
+        }
+    }
+
+    /// Adds (or removes) the block `[base, base + n)` of `kind` to the
+    /// per-window counters and refreshes the candidate bit of every window
+    /// it touches. A buddy-aligned block lies inside one window or covers
+    /// whole windows.
+    fn count_in_windows(&mut self, base: u64, n: u64, kind: FrameKind, add: bool) {
+        let per_window = n.min(WINDOW_FRAMES) as u32;
+        let first = base / WINDOW_FRAMES;
+        let last = (base + n - 1) / WINDOW_FRAMES;
+        for w in first..=last {
+            let w = w as usize;
+            let counter = if kind.is_movable() {
+                &mut self.window_movable[w]
+            } else {
+                &mut self.window_pinned[w]
+            };
+            if add {
+                *counter += per_window;
+            } else {
+                *counter -= per_window;
+            }
+            let candidate = self.window_pinned[w] == 0
+                && (1..=DIRECT_COMPACTION_BUDGET).contains(&u64::from(self.window_movable[w]))
+                && (w as u64) < self.total_frames() / WINDOW_FRAMES;
+            let bit = 1u64 << (w % 64);
+            if candidate {
+                self.candidates[w / 64] |= bit;
+            } else {
+                self.candidates[w / 64] &= !bit;
+            }
         }
     }
 }

@@ -3,12 +3,16 @@
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
-use mixtlb_mem::{CompactionOutcome, FrameKind, PhysicalMemory};
+use mixtlb_mem::{CompactionOutcome, FrameKind, PhysicalMemory, DIRECT_COMPACTION_BUDGET};
 use mixtlb_pagetable::{FrameSource, PageTable};
 use mixtlb_types::{FrameOwner, PageSize, Permissions, Pfn, Translation, Vpn};
 
-use crate::policy::{PagingPolicy, ThsConfig};
+use crate::policy::PagingPolicy;
 use crate::vma::{VmaError, VmaSet};
+
+/// Candidate windows the fault path's compaction scanner examines per
+/// fault before giving up.
+const COMPACTION_SCAN_LIMIT: u32 = 64;
 
 /// Identifier of an [`AddressSpace`] within a [`Kernel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -396,13 +400,13 @@ impl Kernel {
             }
         }
         // 2. transparent hugepages (2 MB).
-        if let Some(ths) = self.spaces[sid].policy.ths() {
+        if self.spaces[sid].policy.ths().is_some() {
             let region = vpn.align_down(PageSize::Size2M);
             if vma.covers_aligned_region(vpn, PageSize::Size2M)
                 && !self.spaces[sid].ths_attempted.contains(&region.raw())
             {
                 self.spaces[sid].ths_attempted.insert(region.raw());
-                if let Some((pfn, compacted)) = self.alloc_2m_with_compaction(sid, ths) {
+                if let Some((pfn, compacted)) = self.alloc_2m_with_compaction(sid) {
                     let t = Translation::new(region, pfn, PageSize::Size2M, vma.perms);
                     self.install(sid, t)?;
                     let space = &mut self.spaces[sid];
@@ -566,7 +570,16 @@ impl Kernel {
 
     /// Allocates a 2 MB block, trying the buddy allocator first and then a
     /// bounded compaction scan. Returns `(pfn, used_compaction)`.
-    fn alloc_2m_with_compaction(&mut self, sid: usize, ths: ThsConfig) -> Option<(Pfn, bool)> {
+    ///
+    /// The scan resumes at the space's `scan_cursor` and walks the 2 MB
+    /// windows cyclically, examining only compaction candidates (no pinned
+    /// frame, 1..=[`DIRECT_COMPACTION_BUDGET`] movable frames) and at most
+    /// [`COMPACTION_SCAN_LIMIT`] of them. It reads the candidates from
+    /// [`PhysicalMemory::next_compaction_candidate`], so a search costs
+    /// O(candidates), not O(memory). The cursor ends one past the last
+    /// window examined, or where it started when the walk went all the way
+    /// round.
+    fn alloc_2m_with_compaction(&mut self, sid: usize) -> Option<(Pfn, bool)> {
         // Sequential-fault fast path: continue right after the previous
         // 2 MB allocation, skipping over scattered small fragment blocks
         // the buddy allocator would otherwise hand out first.
@@ -584,14 +597,15 @@ impl Kernel {
                 // jumping elsewhere (Linux compaction works near the
                 // allocation scanner, which is what keeps sequential
                 // faults physically sequential through mixed terrain).
-                let (movable, pinned) = self.mem.window_occupancy(Pfn::new(hint), 9);
-                if hint % 512 == 0 && pinned == 0 && movable > 0 && movable <= ths.compaction_budget
+                let window = hint / 512;
+                if hint % 512 == 0
+                    && self.mem.next_compaction_candidate(window, window + 1) == Some(window)
                 {
                     if let CompactionOutcome::Freed { relocations } = self.mem.compact_window(
                         Pfn::new(hint),
                         9,
                         FrameKind::Movable,
-                        ths.compaction_budget,
+                        DIRECT_COMPACTION_BUDGET,
                     ) {
                         self.apply_relocations(&relocations);
                         self.spaces[sid].hint_2m = Some(hint + 512);
@@ -609,33 +623,32 @@ impl Kernel {
         if windows == 0 {
             return None;
         }
-        let mut cursor = self.spaces[sid].scan_cursor % windows;
+        let start = self.spaces[sid].scan_cursor % windows;
         let mut examined = 0u32;
-        let mut scanned = 0u64;
-        while examined < ths.scan_limit && scanned < windows {
-            let base = Pfn::new(cursor * 512);
-            cursor = (cursor + 1) % windows;
-            scanned += 1;
-            let (movable, pinned) = self.mem.window_occupancy(base, 9);
-            if pinned > 0 || movable == 0 || movable > ths.compaction_budget {
-                continue;
-            }
-            examined += 1;
-            match self
-                .mem
-                .compact_window(base, 9, FrameKind::Movable, ths.compaction_budget)
-            {
-                CompactionOutcome::Freed { relocations } => {
-                    self.apply_relocations(&relocations);
-                    self.spaces[sid].scan_cursor = cursor;
-                    self.spaces[sid].hint_2m = Some(base.raw() + 512);
-                    return Some((base, true));
+        // Cyclic order from `start`: up to the last window, then round.
+        for (from, to) in [(start, windows), (0, start)] {
+            let mut next = from;
+            while let Some(window) = self.mem.next_compaction_candidate(next, to) {
+                next = window + 1;
+                examined += 1;
+                let base = Pfn::new(window * 512);
+                self.spaces[sid].scan_cursor = next % windows;
+                match self
+                    .mem
+                    .compact_window(base, 9, FrameKind::Movable, DIRECT_COMPACTION_BUDGET)
+                {
+                    CompactionOutcome::Freed { relocations } => {
+                        self.apply_relocations(&relocations);
+                        self.spaces[sid].hint_2m = Some(base.raw() + 512);
+                        return Some((base, true));
+                    }
+                    CompactionOutcome::NoSpace => return None,
+                    _ if examined == COMPACTION_SCAN_LIMIT => return None,
+                    _ => {}
                 }
-                CompactionOutcome::NoSpace => break,
-                _ => continue,
             }
         }
-        self.spaces[sid].scan_cursor = cursor;
+        self.spaces[sid].scan_cursor = start;
         None
     }
 
@@ -664,6 +677,7 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::ThsConfig;
     use mixtlb_mem::{Memhog, MemhogConfig, MemoryConfig};
 
     fn kernel_mb(mb: u64) -> Kernel {
@@ -804,7 +818,6 @@ mod tests {
         // the one exercised).
         let b = k.create_space(PagingPolicy::TransparentHuge(ThsConfig {
             daemon_budget_share: 0.0,
-            ..ThsConfig::default()
         }));
         k.mmap(b, Vpn::new(0x8000), 512, rw()).unwrap();
         k.fault_all(b);
@@ -825,6 +838,43 @@ mod tests {
             }
         });
         assert_eq!(count, 512);
+    }
+
+    #[test]
+    fn fallback_scan_walks_candidates_cyclically_from_the_cursor() {
+        let mut k = kernel_mb(64); // 32 windows of 2 MB
+        let s = k.create_space(PagingPolicy::TransparentHuge(ThsConfig {
+            daemon_budget_share: 0.0,
+        }));
+        k.mmap(s, Vpn::new(0), 4 * 512, rw()).unwrap();
+        // No window is free: each holds one pinned frame, except the
+        // candidates 3, 10 and 20, which hold one movable frame.
+        for w in 0..32u64 {
+            let kind = if [3, 10, 20].contains(&w) {
+                FrameKind::Movable
+            } else {
+                FrameKind::Unmovable
+            };
+            k.mem_mut()
+                .alloc_block_at(Pfn::new(w * 512), 0, kind)
+                .unwrap();
+        }
+        let fault_window = |k: &mut Kernel, region: u64| {
+            let t = k.fault(s, Vpn::new(region * 512)).unwrap();
+            assert_eq!(t.size, PageSize::Size2M);
+            t.pfn.raw() / 512
+        };
+        assert_eq!(fault_window(&mut k, 0), 3);
+        assert_eq!(fault_window(&mut k, 1), 10);
+        // Window 5 turns into a candidate behind the cursor: the scan
+        // still continues forward to 20, then wraps round to 5.
+        k.mem_mut().free_block(Pfn::new(5 * 512), 0);
+        k.mem_mut()
+            .alloc_block_at(Pfn::new(5 * 512), 0, FrameKind::Movable)
+            .unwrap();
+        assert_eq!(fault_window(&mut k, 2), 20);
+        assert_eq!(fault_window(&mut k, 3), 5);
+        assert_eq!(k.space(s).stats().compactions, 4);
     }
 
     #[test]

@@ -4,17 +4,13 @@ use mixtlb_types::PageSize;
 
 /// Transparent-hugepage tuning knobs.
 ///
-/// These (together with `memhog`'s chunk geometry in `mixtlb-mem`) are the
-/// calibration constants that reproduce the paper's Figure 9 regimes.
+/// Together with `memhog`'s chunk geometry in `mixtlb-mem`, the direct
+/// compaction budget ([`mixtlb_mem::DIRECT_COMPACTION_BUDGET`], 160
+/// frames) and the fault-path scanner's limit (64 candidate windows per
+/// fault), these are the calibration constants that reproduce the paper's
+/// Figure 9 regimes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThsConfig {
-    /// Maximum movable frames direct compaction may migrate to free one
-    /// 2 MB window during a fault (Linux's bounded direct-compaction
-    /// effort).
-    pub compaction_budget: u64,
-    /// Candidate windows the compaction scanner examines per fault before
-    /// giving up.
-    pub scan_limit: u32,
     /// Background-compaction (khugepaged-style) migration budget, as a
     /// share of the free frames at address-space creation. The daemon
     /// consolidates ascending windows until the budget runs out, which is
@@ -27,8 +23,6 @@ pub struct ThsConfig {
 impl Default for ThsConfig {
     fn default() -> ThsConfig {
         ThsConfig {
-            compaction_budget: 160,
-            scan_limit: 64,
             daemon_budget_share: 0.15,
         }
     }
