@@ -1,17 +1,21 @@
-//! Exact-count pins for every MIX geometry the simulator ships.
+//! Exact-count pins for every MIX geometry and every split-family
+//! hierarchy the simulator ships.
 //!
 //! A fixed seeded trace over a fragmented THS address space (a mix of
-//! 4 KB and 2 MB pages) replays through each MIX configuration. For each
+//! 4 KB and 2 MB pages) replays through each configuration. For each
 //! the test pins the digest of every physical address the engine
 //! returned, the [`EngineStats`] and both levels' [`TlbStats`] — so a
-//! change to the MIX fill or probe datapath that moves a single
-//! translation, counter, LRU stamp or eviction choice fails here.
+//! change to a MIX, split or COLT fill or probe datapath that moves a
+//! single translation, counter, LRU stamp or eviction choice fails here.
 //!
 //! Covered: `mix` and `mix+colt` (bitmap L2s; COLT's 4 KB bundles take
 //! the partial-mirror path), `mix_scaled(512)` (length-kind L2 with 512
 //! bundle positions), the superpage-indexed strawman, the GPU per-SM MIX
 //! L1 geometry alone and over the GPU's shared L2, and the nested-TLB MIX
-//! that 2-D walks consult.
+//! that 2-D walks consult. The split family: `split` (the Haswell split
+//! L1 over the partly split L2), `colt` and `colt++` (coalescing split
+//! L1s over the same L2, which also pins the split TLB's stats merge), and
+//! the GPU per-SM split L1 alone.
 
 use mixtlb_core::TlbStats;
 use mixtlb_sim::{
@@ -70,7 +74,7 @@ fn check(name: &str, got: (u64, EngineStats, TlbStats, Option<TlbStats>), want: 
 fn mix_geometries_replay_exactly_as_pinned() {
     let s = scenario();
     let events = trace(&s);
-    let designs: [(&str, TlbHierarchy, &str); 6] = [
+    let designs: [(&str, TlbHierarchy, &str); 10] = [
         ("mix", designs::mix(), MIX),
         ("mix+colt", designs::mix_colt(), MIX_COLT),
         ("mix_scaled(512)", designs::mix_scaled(512), MIX_SCALED_512),
@@ -88,6 +92,14 @@ fn mix_geometries_replay_exactly_as_pinned() {
                 Some(designs::gpu_shared_l2()),
             ),
             GPU_SHARED_L2,
+        ),
+        ("split", designs::haswell_split(), SPLIT),
+        ("colt", designs::colt(), COLT),
+        ("colt++", designs::colt_plus_plus(), COLT_PLUS_PLUS),
+        (
+            "gpu-split-l1",
+            TlbHierarchy::new("gpu-split-l1", designs::gpu_split_l1(), None),
+            GPU_SPLIT_L1,
         ),
     ];
     for (name, hierarchy, want) in designs {
@@ -192,6 +204,58 @@ const GPU_SHARED_L2: &str = concat!(
     "fills: 13868, entries_written: 31131, evictions: 13654, ",
     "dup_merges: 0, coalesce_merges: 411, invalidations: 0, dirty_microops: 103, ",
     "serial_probes: 0, predictor_reads: 0, predictor_misses: 0 })",
+);
+const SPLIT: &str = concat!(
+    "0xf1fe747bc4110f44 EngineStats { accesses: 20000, l1_hits: 6528, l2_hits: 269, walks: 13203, faults: 0, stall_cycles: 1144844, ",
+    "walk_traffic: WalkTraffic { cache_hits: [6482, 7996, 326], dram_accesses: 2820, pte_writes: 5725 }, dirty_microops: 70 } ",
+    "L1 TlbStats { lookups: 20000, hits: 6528, misses: 13472, ",
+    "hits_by_size: [33, 6495, 0], sets_probed: 60000, entries_read: 240000, ",
+    "fills: 13472, entries_written: 13472, evictions: 13387, ",
+    "dup_merges: 0, coalesce_merges: 0, invalidations: 0, dirty_microops: 13, ",
+    "serial_probes: 0, predictor_reads: 0, predictor_misses: 0 } ",
+    "L2 Some(TlbStats { lookups: 13472, hits: 269, misses: 13203, ",
+    "hits_by_size: [269, 0, 0], sets_probed: 40147, entries_read: 160588, ",
+    "fills: 13203, entries_written: 13203, evictions: 12691, ",
+    "dup_merges: 0, coalesce_merges: 0, invalidations: 0, dirty_microops: 57, ",
+    "serial_probes: 13203, predictor_reads: 0, predictor_misses: 0 })",
+);
+const COLT: &str = concat!(
+    "0xf1fe747bc4110f44 EngineStats { accesses: 20000, l1_hits: 6641, l2_hits: 267, walks: 13092, faults: 0, stall_cycles: 1142216, ",
+    "walk_traffic: WalkTraffic { cache_hits: [6352, 7994, 326], dram_accesses: 2820, pte_writes: 5725 }, dirty_microops: 133 } ",
+    "L1 TlbStats { lookups: 20000, hits: 6641, misses: 13359, ",
+    "hits_by_size: [146, 6495, 0], sets_probed: 60000, entries_read: 240000, ",
+    "fills: 13359, entries_written: 13359, evictions: 13271, ",
+    "dup_merges: 0, coalesce_merges: 0, invalidations: 0, dirty_microops: 75, ",
+    "serial_probes: 0, predictor_reads: 0, predictor_misses: 0 } ",
+    "L2 Some(TlbStats { lookups: 13359, hits: 267, misses: 13092, ",
+    "hits_by_size: [267, 0, 0], sets_probed: 39810, entries_read: 159240, ",
+    "fills: 13092, entries_written: 13092, evictions: 12580, ",
+    "dup_merges: 0, coalesce_merges: 0, invalidations: 0, dirty_microops: 58, ",
+    "serial_probes: 13092, predictor_reads: 0, predictor_misses: 0 })",
+);
+const COLT_PLUS_PLUS: &str = concat!(
+    "0xf1fe747bc4110f44 EngineStats { accesses: 20000, l1_hits: 4950, l2_hits: 1953, walks: 13097, faults: 0, stall_cycles: 1166047, ",
+    "walk_traffic: WalkTraffic { cache_hits: [6355, 8001, 326], dram_accesses: 2820, pte_writes: 5725 }, dirty_microops: 1996 } ",
+    "L1 TlbStats { lookups: 20000, hits: 4950, misses: 15050, ",
+    "hits_by_size: [146, 4804, 0], sets_probed: 60000, entries_read: 240000, ",
+    "fills: 15050, entries_written: 15050, evictions: 13271, ",
+    "dup_merges: 0, coalesce_merges: 318, invalidations: 0, dirty_microops: 1937, ",
+    "serial_probes: 0, predictor_reads: 0, predictor_misses: 0 } ",
+    "L2 Some(TlbStats { lookups: 15050, hits: 1953, misses: 13097, ",
+    "hits_by_size: [261, 1692, 0], sets_probed: 44889, entries_read: 179556, ",
+    "fills: 13097, entries_written: 13097, evictions: 12585, ",
+    "dup_merges: 0, coalesce_merges: 0, invalidations: 0, dirty_microops: 59, ",
+    "serial_probes: 14789, predictor_reads: 0, predictor_misses: 0 })",
+);
+const GPU_SPLIT_L1: &str = concat!(
+    "0xf1fe747bc4110f44 EngineStats { accesses: 20000, l1_hits: 6567, l2_hits: 0, walks: 13433, faults: 0, stall_cycles: 960585, ",
+    "walk_traffic: WalkTraffic { cache_hits: [6752, 8032, 326], dram_accesses: 2820, pte_writes: 5725 }, dirty_microops: 21 } ",
+    "L1 TlbStats { lookups: 20000, hits: 6567, misses: 13433, ",
+    "hits_by_size: [72, 6495, 0], sets_probed: 60000, entries_read: 240000, ",
+    "fills: 13433, entries_written: 13433, evictions: 13284, ",
+    "dup_merges: 0, coalesce_merges: 0, invalidations: 0, dirty_microops: 21, ",
+    "serial_probes: 0, predictor_reads: 0, predictor_misses: 0 } ",
+    "L2 None",
 );
 const NESTED_MIX: &str = concat!(
     "PerfReport { design: \"mix\", accesses: 20000, base_cycles: 355555.55555555556, stall_cycles: 44182.0, total_cycles: 399737.55555555556, ",
