@@ -352,7 +352,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use core::ops::{Range, RangeInclusive};
 
-    /// Element-count specification for [`vec`].
+    /// Element-count specification for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         /// Inclusive minimum length.

@@ -1,7 +1,8 @@
 //! Comparator TLB designs from the MIX TLB paper's Sec. 5: multi-indexing
 //! schemes (hash-rehash, skew-associative, and their prediction-enhanced
-//! variants), the COLT family, and the rejected superpage-index-bits
-//! alternative.
+//! variants) and the rejected superpage-index-bits alternative. The split
+//! designs — the Haswell baseline, COLT and COLT++ — are
+//! [`SplitTlb`](mixtlb_core::SplitTlb) presets in `mixtlb-core`.
 //!
 //! Everything here implements the same [`TlbDevice`] interface as the
 //! designs in `mixtlb-core`, so the translation engine, energy model, and
@@ -15,11 +16,6 @@
 //!   (Papadopoulou et al., HPCA 2014).
 //! * [`PredictiveHashRehash`] / [`PredictiveSkew`] — probe the predicted
 //!   size first, paying extra probes only on mispredictions.
-//! * [`CoalescedSizeTlb`] — a per-size COLT array (coalesces up to 4
-//!   contiguous pages of one size into an entry).
-//! * [`HeteroSplitTlb`] with constructors [`colt_split`] and
-//!   [`colt_plus_plus_split`] — split hierarchies whose parts coalesce
-//!   (COLT and the paper's COLT++ extension, Sec. 7.2).
 //! * [`superpage_indexed_mix`] — the Sec. 3 strawman that indexes with
 //!   2 MB bits, mapping 512 adjacent small pages to one set.
 //!
@@ -39,13 +35,11 @@
 
 #![warn(missing_docs)]
 
-mod colt;
 mod predictive;
 mod predictor;
 mod skew;
 mod spindex;
 
-pub use colt::{colt_plus_plus_split, colt_split, CoalescedSizeTlb, CoalescedSizeTlbConfig, HeteroSplitTlb};
 pub use predictive::{PredictiveHashRehash, PredictiveSkew};
 pub use predictor::SizePredictor;
 pub use skew::{SkewTlb, SkewTlbConfig};

@@ -14,6 +14,8 @@
 use std::process::Command;
 
 fn main() {
+    // Reject an unknown MIXTLB_SCALE before the first figure starts.
+    mixtlb_bench::Scale::from_env();
     let figures = [
         "fig01", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
         "fig17", "fig18", "index_bits", "scaling", "ablations", "invalidations",

@@ -8,6 +8,9 @@
 //! * `std` (default) — minutes; 4-8 GB machines, representative traces.
 //! * `full` — the paper's machine scale (80 GB allocation studies); slow.
 //!
+//! Any other value is a usage error: the binary names the three scales on
+//! stderr and exits with code 2 instead of silently running `std`.
+//!
 //! Absolute numbers differ from the paper (synthetic workloads, functional
 //! simulation); the *shapes* — who wins, by roughly what factor, where the
 //! crossovers fall — are the reproduction target. See EXPERIMENTS.md.
@@ -31,13 +34,29 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment (default `std`).
-    pub fn from_env() -> Scale {
-        match std::env::var("MIXTLB_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            Ok("full") => Scale::Full,
-            _ => Scale::Std,
+    /// Parses a `MIXTLB_SCALE` value; `None` (the variable is unset)
+    /// means `std`.
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("std") => Ok(Scale::Std),
+            Some("quick") => Ok(Scale::Quick),
+            Some("full") => Ok(Scale::Full),
+            Some(other) => Err(format!(
+                "MIXTLB_SCALE={other:?} is not a scale; expected quick|std|full"
+            )),
         }
+    }
+
+    /// Reads the scale from the environment (default `std`). An unknown
+    /// value prints the accepted ones and exits the process with code 2.
+    pub fn from_env() -> Scale {
+        let value = std::env::var_os("MIXTLB_SCALE");
+        let value = value.as_deref().map(std::ffi::OsStr::to_string_lossy);
+        let parsed = Scale::parse(value.as_deref());
+        parsed.unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
     }
 
     /// Machine memory for trace-driven performance experiments.
@@ -213,8 +232,16 @@ mod tests {
 
     #[test]
     fn scale_parsing_defaults_to_std() {
-        // Cannot portably set env in parallel tests; check the default
-        // logic by value.
+        // Cannot portably set env in parallel tests; check the parser and
+        // the default logic by value.
+        assert_eq!(Scale::parse(None), Ok(Scale::Std));
+        assert_eq!(Scale::parse(Some("std")), Ok(Scale::Std));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        for typo in ["quik", "", "Quick", "std "] {
+            let err = Scale::parse(Some(typo)).unwrap_err();
+            assert!(err.contains("quick|std|full"), "{err}");
+        }
         assert_eq!(Scale::Std.refs(), 400_000);
         assert!(Scale::Quick.refs() < Scale::Std.refs());
         assert!(Scale::Full.alloc_mem_bytes() == 80 << 30);

@@ -1,8 +1,8 @@
 //! Degenerate command-line arguments get a usage error, not a panic.
 //!
-//! Each row runs a binary with arguments it must reject and asserts exit
-//! code 2 (the binaries' usage-error code), a message on stderr and no
-//! panic text.
+//! Each row runs a binary with arguments (or a `MIXTLB_SCALE`) it must
+//! reject and asserts exit code 2 (the binaries' usage-error code), a
+//! message on stderr and no panic text.
 
 use std::path::Path;
 use std::process::Command;
@@ -10,11 +10,16 @@ use std::process::Command;
 /// Runs `exe` with `args` and checks the clean usage-error contract,
 /// describing the first breach.
 fn usage_error(exe: &str, args: &[&str]) -> Result<(), String> {
+    usage_error_in(Command::new(exe), exe, args)
+}
+
+/// [`usage_error`] for a prepared command (environment already set).
+fn usage_error_in(mut cmd: Command, exe: &str, args: &[&str]) -> Result<(), String> {
     let name = Path::new(exe)
         .file_name()
         .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
     let call = format!("{name} {}", args.join(" "));
-    let out = Command::new(exe)
+    let out = cmd
         .args(args)
         .output()
         .map_err(|e| format!("{call}: cannot run: {e}"))?;
@@ -71,4 +76,17 @@ fn smp_rejects_zero_cores() {
         usage_error(exe, &["--cores", "0", "--spaces", "1000"]),
         Ok(())
     );
+}
+
+#[test]
+fn unknown_scale_is_a_usage_error() {
+    // A typo must not fall back to the default scale: `reproduce` would
+    // otherwise spend minutes on a std run nobody asked for.
+    for exe in [env!("CARGO_BIN_EXE_reproduce"), env!("CARGO_BIN_EXE_fig14")] {
+        for scale in ["quik", "", "STD"] {
+            let mut cmd = Command::new(exe);
+            cmd.env("MIXTLB_SCALE", scale);
+            assert_eq!(usage_error_in(cmd, exe, &[]), Ok(()), "MIXTLB_SCALE={scale:?}");
+        }
+    }
 }

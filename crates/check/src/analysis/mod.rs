@@ -3,10 +3,10 @@
 //! Project rules that `rustc`/`clippy` cannot express (the unsafe and
 //! panic policy is theirs, via `[workspace.lints]`) run on a small
 //! hand-rolled *front end*: the masked token stream
-//! ([`lexer`]) feeds an item/expression outline parser ([`outline`]),
-//! whose output builds a workspace symbol table ([`symbols`]) and a
-//! crate-level call graph ([`callgraph`]). The call graph feeds the
-//! hot-path reachability walk ([`dataflow`]). Four semantic rules run on
+//! (`lexer`) feeds an item/expression outline parser (`outline`),
+//! whose output builds a workspace symbol table (`symbols`) and a
+//! crate-level call graph (`callgraph`). The call graph feeds the
+//! hot-path reachability walk (`dataflow`). Four semantic rules run on
 //! top, each kept because it fixed a real finding (the evidence table is
 //! in DESIGN.md §8):
 //!
@@ -15,7 +15,7 @@
 //! | `addr-arith` | no shift/mask/divide on `.raw()` address bits outside typed helpers | lib, except `mixtlb-types` |
 //! | `truncating-cast` | no `as u8`/`u16`/`u32` on raw address values | lib, except `mixtlb-types` |
 //! | `dead-code` | every exported symbol is referenced somewhere in the workspace | lib |
-//! | `hot-path` | no allocation/clone/formatting reachable from the hot loops ([`dataflow::hot_path`]) | lib, except `crates/check` |
+//! | `hot-path` | no allocation/clone/formatting reachable from the hot loops (`dataflow::hot_path`) | lib, except `crates/check` |
 //!
 //! There are **no suppressions**: no inline markers and no baseline
 //! file. A finding is fixed in code, and CI fails on any finding. Bit

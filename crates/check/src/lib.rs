@@ -1,7 +1,7 @@
 //! # mixtlb-check — concurrency model checker and structural analyzer
 //!
 //! PR 1 made the simulator genuinely parallel: a sharded, thread-safe
-//! shared LLC ([`mixtlb-cache`]'s `shared` module), per-core ASID-tagged
+//! shared LLC (`mixtlb-cache`'s `shared` module), per-core ASID-tagged
 //! TLBs, and an atomic shootdown-absorption cost model in `mixtlb-smp`.
 //! The paper's central correctness claim — MIX's mirrored superpage
 //! entries stay coherent across sets and cores after invalidation sweeps

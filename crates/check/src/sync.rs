@@ -16,7 +16,7 @@
 //!
 //! The wrappers are *dormant* outside an exploration: when the calling
 //! thread is not managed by a running explorer (no
-//! [`crate::sched::current`] context), they pass straight through to `std`.
+//! `crate::sched::current` context), they pass straight through to `std`.
 //! That makes a `model`-enabled test binary safe to run ordinary
 //! (non-model-check) tests in.
 

@@ -25,11 +25,18 @@
 //! * [`MixTlb`] — the contribution; L1 flavour ([`CoalesceKind::Bitmap`])
 //!   and L2 flavour ([`CoalesceKind::Length`]), optional small-page (COLT)
 //!   coalescing for the MIX+COLT design of Sec. 7.2.
-//! * [`SingleSizeTlb`] — a conventional set-associative (or
-//!   fully-associative) TLB for one page size.
-//! * [`SplitTlb`] — the commercial baseline: parallel per-size TLBs.
-//! * [`MultiProbeTlb`] — a hash-rehash array (used by the Haswell-style
-//!   partly-split L2 and by the multi-indexing baselines).
+//! * [`MultiProbeTlb`] — one set-associative array probed once per page
+//!   size it caches: with one size ([`MultiProbeConfig::one_size`],
+//!   [`MultiProbeConfig::fully_associative`]) the conventional TLB split
+//!   designs are built from; with several, a hash-rehash array (the
+//!   Haswell-style partly-split L2 and the multi-indexing baselines).
+//! * [`CoalescedSizeTlb`] — a per-size COLT array that coalesces a bundle
+//!   of contiguous pages of one size (4 in the shipped designs) into an
+//!   entry (Pham et al., MICRO 2012).
+//! * [`SplitTlb`] — parts probed in parallel, each caching its own sizes:
+//!   the commercial baseline's L1 and partly split L2
+//!   ([`SplitTlb::haswell_l1`], [`SplitTlb::haswell_l2`]), the GPU L1, and
+//!   the COLT and COLT++ L1s of Sec. 7.2, whose parts coalesce.
 //! * [`OracleUnifiedTlb`] — the hypothetical ideal of the paper's Figure 1:
 //!   one set-associative array that magically indexes with the correct page
 //!   size.
@@ -58,18 +65,18 @@
 #![warn(missing_docs)]
 
 mod api;
+mod colt;
 mod mix;
 mod multiprobe;
 mod oracle;
-mod single;
 mod split;
 mod storage;
 
 pub use api::{BatchAccess, CoalescedRun, Lookup, TlbDevice, TlbStats};
+pub use colt::{CoalescedSizeTlb, CoalescedSizeTlbConfig};
 pub use mix::{
     CoalesceKind, DirtyPolicy, FillMerge, InvariantViolation, MirrorPolicy, MixTlb, MixTlbConfig,
 };
 pub use multiprobe::{MultiProbeConfig, MultiProbeTlb};
 pub use oracle::OracleUnifiedTlb;
-pub use single::{SingleSizeTlb, SingleSizeTlbConfig};
-pub use split::{SplitTlb, SplitTlbConfig};
+pub use split::SplitTlb;

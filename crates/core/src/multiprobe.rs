@@ -3,9 +3,10 @@
 //! One set-associative array holds translations of several page sizes, each
 //! indexed with its own size's index bits. Lookup probes once per supported
 //! size, in a configurable order, until a probe hits (paper Sec. 5.1). Used
-//! both as the Haswell-style partly-split L2 (4 KB + 2 MB together) and as
-//! the full hash-rehash baseline; the predictor enhancement lives in
-//! `mixtlb-baselines`.
+//! as the Haswell-style partly-split L2 (4 KB + 2 MB together), as the full
+//! hash-rehash baseline (the predictor enhancement lives in
+//! `mixtlb-baselines`) and, configured with one size, as the conventional
+//! set- or fully-associative array that split TLBs are built from.
 
 use mixtlb_types::{AccessKind, PageSize, Permissions, Pfn, Translation, Vpn};
 
@@ -35,6 +36,29 @@ impl MultiProbeConfig {
             ways: 4,
             sizes: vec![PageSize::Size4K, PageSize::Size2M],
             name: "hr-l2".to_owned(),
+        }
+    }
+
+    /// A conventional set-associative array for one page size, named
+    /// `sa-<size>`: one probe per lookup, indexed at that size's
+    /// granularity (a 16-set 2 MB array indexes with address bits 24-21).
+    pub fn one_size(size: PageSize, sets: usize, ways: usize) -> MultiProbeConfig {
+        MultiProbeConfig {
+            sets,
+            ways,
+            sizes: vec![size],
+            name: format!("sa-{size}"),
+        }
+    }
+
+    /// A fully associative array of `entries` entries for one page size,
+    /// named `fa-<size>`.
+    pub fn fully_associative(size: PageSize, entries: usize) -> MultiProbeConfig {
+        MultiProbeConfig {
+            sets: 1,
+            ways: entries,
+            sizes: vec![size],
+            name: format!("fa-{size}"),
         }
     }
 
@@ -76,6 +100,11 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct MultiProbeTlb {
     config: MultiProbeConfig,
+    /// `config.sizes` in probe order, copied inline so a lookup or fill
+    /// does not chase the config's heap `Vec` (one slot per page size).
+    order: [PageSize; PageSize::ALL.len()],
+    /// How many slots of `order` are in use.
+    probes: usize,
     storage: SetStorage<Entry>,
     stats: TlbStats,
 }
@@ -90,8 +119,13 @@ impl MultiProbeTlb {
         assert!(config.sets.is_power_of_two(), "set count must be a power of two");
         assert!(!config.sizes.is_empty(), "at least one page size is required");
         let storage = SetStorage::new(config.sets, config.ways);
+        let mut order = [PageSize::Size4K; PageSize::ALL.len()];
+        let probes = config.sizes.len().min(order.len());
+        order[..probes].copy_from_slice(&config.sizes[..probes]);
         MultiProbeTlb {
             config,
+            order,
+            probes,
             storage,
             stats: TlbStats::default(),
         }
@@ -109,7 +143,7 @@ impl MultiProbeTlb {
 
     /// Returns `true` if this array caches the given size.
     pub fn caches(&self, size: PageSize) -> bool {
-        self.config.sizes.contains(&size)
+        self.order[..self.probes].contains(&size)
     }
 
     fn set_of(&self, vpn: Vpn, size: PageSize) -> usize {
@@ -218,12 +252,8 @@ impl TlbDevice for MultiProbeTlb {
     }
 
     fn lookup(&mut self, vpn: Vpn, kind: AccessKind) -> Lookup {
-        // Copy the probe order to the stack (at most one slot per page
-        // size) so the per-lookup path stays allocation-free.
-        let mut order = [PageSize::Size4K; PageSize::ALL.len()];
-        let n = self.config.sizes.len().min(order.len());
-        order[..n].copy_from_slice(&self.config.sizes[..n]);
-        self.lookup_ordered(vpn, kind, &order[..n])
+        let order = self.order;
+        self.lookup_ordered(vpn, kind, &order[..self.probes])
     }
 
     fn fill(&mut self, _vpn: Vpn, requested: &Translation, _line: &[Translation]) {
@@ -379,6 +409,53 @@ mod tests {
         tlb.fill(a.vpn, &a, &[a]);
         tlb.lookup(Vpn::new(7), AccessKind::Load);
         assert_eq!(tlb.stats().serial_probes, 3);
+    }
+
+    #[test]
+    fn one_size_array_indexes_at_its_granularity() {
+        let mut tlb = MultiProbeTlb::new(MultiProbeConfig::one_size(PageSize::Size2M, 2, 1));
+        assert_eq!(tlb.name(), "sa-2MB");
+        let b = trans(0x400, 0, PageSize::Size2M);
+        tlb.fill(b.vpn, &b, &[b]);
+        // Any 4 KB page inside B hits, in one probe.
+        let hit = tlb.lookup(Vpn::new(0x4FF), AccessKind::Load);
+        assert_eq!(hit.translation().unwrap().vpn, Vpn::new(0x400));
+        assert!(!tlb.lookup(Vpn::new(0x600), AccessKind::Load).is_hit());
+        let s = tlb.stats();
+        assert_eq!((s.sets_probed, s.serial_probes, s.hits, s.misses), (2, 0, 1, 1));
+        // Other sizes are neither cached nor counted as fills.
+        let a = trans(7, 70, PageSize::Size4K);
+        tlb.fill(a.vpn, &a, &[a]);
+        assert_eq!((tlb.occupancy(), tlb.stats().fills), (1, 1));
+    }
+
+    #[test]
+    fn one_size_refill_refreshes_instead_of_duplicating() {
+        let mut tlb = MultiProbeTlb::new(MultiProbeConfig::one_size(PageSize::Size4K, 1, 4));
+        let t = trans(5, 50, PageSize::Size4K);
+        tlb.fill(t.vpn, &t, &[t]);
+        let t2 = trans(5, 99, PageSize::Size4K);
+        tlb.fill(t2.vpn, &t2, &[t2]);
+        assert_eq!(tlb.occupancy(), 1);
+        let hit = tlb.lookup(Vpn::new(5), AccessKind::Load);
+        assert_eq!(hit.translation().unwrap().pfn, Pfn::new(99));
+    }
+
+    #[test]
+    fn fully_associative_evicts_lru() {
+        let mut tlb =
+            MultiProbeTlb::new(MultiProbeConfig::fully_associative(PageSize::Size1G, 4));
+        assert_eq!(tlb.name(), "fa-1GB");
+        for i in 0..5u64 {
+            let t = trans(i << 18, i << 18, PageSize::Size1G);
+            tlb.fill(t.vpn, &t, &[t]);
+        }
+        // 4 entries: the first (LRU) was evicted.
+        assert!(!tlb.lookup(Vpn::new(0), AccessKind::Load).is_hit());
+        for i in 1..5u64 {
+            assert!(tlb.lookup(Vpn::new(i << 18), AccessKind::Load).is_hit());
+        }
+        assert_eq!(tlb.stats().evictions, 1);
     }
 
     #[test]

@@ -9,30 +9,20 @@
 //! design). The skew designs are additionally charged for their timestamp
 //! replacement metadata with a ~25% entry reduction at L2 (Sec. 7.2).
 
-use mixtlb_baselines::{
-    colt_plus_plus_split, colt_split, superpage_indexed_mix, PredictiveHashRehash, PredictiveSkew,
-};
-use mixtlb_core::{
-    CoalesceKind, MixTlb, MixTlbConfig, MultiProbeConfig, MultiProbeTlb, OracleUnifiedTlb,
-    SingleSizeTlb, SingleSizeTlbConfig, SplitTlb, SplitTlbConfig,
-};
-use mixtlb_types::PageSize;
+use mixtlb_baselines::{superpage_indexed_mix, PredictiveHashRehash, PredictiveSkew};
+use mixtlb_core::{CoalesceKind, MixTlb, MixTlbConfig, OracleUnifiedTlb, SplitTlb, TlbDevice};
 
 use crate::engine::TlbHierarchy;
 
-/// The commercial baseline: split L1 TLBs + a partly-split Haswell L2
-/// (hash-rehash 4 KB/2 MB array plus a separate 1 GB TLB).
+/// A split L1 over the partly split Haswell L2 (a hash-rehash 4 KB/2 MB
+/// array plus a separate 1 GB TLB) — the shape of every split design.
+fn over_haswell_l2(name: &str, l1: SplitTlb) -> TlbHierarchy {
+    TlbHierarchy::new(name, Box::new(l1), Some(Box::new(SplitTlb::haswell_l2())))
+}
+
+/// The commercial baseline: split L1 TLBs + the partly split Haswell L2.
 pub fn haswell_split() -> TlbHierarchy {
-    let l2_main = MultiProbeTlb::new(MultiProbeConfig::haswell_l2());
-    let l2_1g = SingleSizeTlb::new(SingleSizeTlbConfig::set_associative(PageSize::Size1G, 8, 4));
-    TlbHierarchy::new(
-        "split",
-        Box::new(SplitTlb::new(SplitTlbConfig::haswell_l1())),
-        Some(Box::new(mixtlb_baselines::HeteroSplitTlb::new(
-            "haswell-l2",
-            vec![Box::new(l2_main), Box::new(l2_1g)],
-        ))),
-    )
+    over_haswell_l2("split", SplitTlb::haswell_l1())
 }
 
 /// The paper's contribution: MIX L1 (bitmap, 16 sets × 6 ways = 96
@@ -90,32 +80,14 @@ pub fn skew_pred() -> TlbHierarchy {
     )
 }
 
-/// The original COLT design: split hierarchy whose 4 KB parts coalesce.
+/// The original COLT design: split hierarchy whose 4 KB L1 part coalesces.
 pub fn colt() -> TlbHierarchy {
-    let l2_main = MultiProbeTlb::new(MultiProbeConfig::haswell_l2());
-    let l2_1g = SingleSizeTlb::new(SingleSizeTlbConfig::set_associative(PageSize::Size1G, 8, 4));
-    TlbHierarchy::new(
-        "colt",
-        Box::new(colt_split()),
-        Some(Box::new(mixtlb_baselines::HeteroSplitTlb::new(
-            "haswell-l2",
-            vec![Box::new(l2_main), Box::new(l2_1g)],
-        ))),
-    )
+    over_haswell_l2("colt", SplitTlb::colt_l1())
 }
 
-/// COLT++: every split part coalesces its own page size (Sec. 7.2).
+/// COLT++: every split L1 part coalesces its own page size (Sec. 7.2).
 pub fn colt_plus_plus() -> TlbHierarchy {
-    let l2_main = MultiProbeTlb::new(MultiProbeConfig::haswell_l2());
-    let l2_1g = SingleSizeTlb::new(SingleSizeTlbConfig::set_associative(PageSize::Size1G, 8, 4));
-    TlbHierarchy::new(
-        "colt++",
-        Box::new(colt_plus_plus_split()),
-        Some(Box::new(mixtlb_baselines::HeteroSplitTlb::new(
-            "haswell-l2",
-            vec![Box::new(l2_main), Box::new(l2_1g)],
-        ))),
-    )
+    over_haswell_l2("colt++", SplitTlb::colt_plus_plus_l1())
 }
 
 /// The unrealizable ideal of Figure 1: a unified set-associative TLB that
@@ -156,19 +128,19 @@ pub fn mix_scaled(l2_sets: usize) -> TlbHierarchy {
 
 /// GPU per-SM L1 designs (Sec. 6.3 geometries): split 128+32+4 entries vs
 /// an area-equivalent MIX (32 sets × 5 ways = 160).
-pub fn gpu_split_l1() -> Box<dyn mixtlb_core::TlbDevice> {
-    Box::new(SplitTlb::new(SplitTlbConfig::gpu_l1()))
+pub fn gpu_split_l1() -> Box<dyn TlbDevice> {
+    Box::new(SplitTlb::gpu_l1())
 }
 
 /// GPU per-SM MIX L1.
-pub fn gpu_mix_l1() -> Box<dyn mixtlb_core::TlbDevice> {
+pub fn gpu_mix_l1() -> Box<dyn TlbDevice> {
     Box::new(MixTlb::new(MixTlbConfig::l1(32, 5).named("mix-gpu-l1")))
 }
 
 /// The GPU's shared L2: a MIX geometry of 64 sets × 8 ways = 512 entries
 /// with bitmap coalescing (the paper's shared-L2 assumption), behind
 /// every SM's L1.
-pub fn gpu_shared_l2() -> Box<dyn mixtlb_core::TlbDevice> {
+pub fn gpu_shared_l2() -> Box<dyn TlbDevice> {
     Box::new(MixTlb::new(MixTlbConfig {
         kind: CoalesceKind::Bitmap,
         ..MixTlbConfig::l2(64, 8)
@@ -212,9 +184,10 @@ mod tests {
     #[test]
     fn area_budgets_match_the_baseline() {
         // L1 budget: split = 100 entries; everyone else within ±10%.
-        assert_eq!(SplitTlbConfig::haswell_l1().total_entries(), 100);
+        assert_eq!(SplitTlb::haswell_l1().capacity(), 100);
         assert_eq!(MixTlbConfig::l1(16, 6).total_entries(), 96);
         // L2 budget: split = 544; MIX 512; skew charged for timestamps.
+        assert_eq!(SplitTlb::haswell_l2().capacity(), 544);
         assert_eq!(MixTlbConfig::l2(128, 4).total_entries(), 512);
     }
 }

@@ -37,12 +37,10 @@
 
 mod file_v2;
 mod generator;
-mod percore;
 mod workloads;
 
 pub use file_v2::{
     decode_block, BlockReader, RawBlock, TraceFileV2, BLOCK_EVENTS as V2_BLOCK_EVENTS,
 };
 pub use generator::{TraceEvent, TraceGenerator};
-pub use percore::{split_partitioned, split_shared, CoreStream};
 pub use workloads::{AccessPattern, WorkloadClass, WorkloadSpec};

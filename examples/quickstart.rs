@@ -9,7 +9,7 @@
     reason = "examples keep the happy path readable; a failed setup aborts the demo with its message"
 )]
 
-use mixtlb::core::{Lookup, MixTlb, MixTlbConfig, SplitTlb, SplitTlbConfig, TlbDevice};
+use mixtlb::core::{Lookup, MixTlb, MixTlbConfig, SplitTlb, TlbDevice};
 use mixtlb::types::{AccessKind, PageSize, Permissions, Pfn, Translation, VirtAddr, Vpn};
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     let c = Translation::new(Vpn::new(0x600), Pfn::new(0x200), PageSize::Size2M, rw);
 
     println!("== The problem: a commercial split TLB ==");
-    let mut split = SplitTlb::new(SplitTlbConfig::haswell_l1());
+    let mut split = SplitTlb::haswell_l1();
     for t in [a, b, c] {
         split.fill(t.vpn, &t, &[t]);
     }

@@ -24,6 +24,11 @@ echo "==> cargo clippy --workspace -- -D warnings"
 # #[expect(..., reason = "...")] (a stale exception) into a failure.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc -D warnings"
+# Every intra-doc link must resolve: deleting or renaming a type that a
+# doc comment links to fails here instead of leaving a dead link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> reproduce at quick scale vs the committed reproduce_quick.out"
 # Every figure and in-text experiment, at quick scale (seconds). The
 # output carries no timings and is deterministic, so it must match the

@@ -9,12 +9,11 @@
 )]
 
 use mixtlb::baselines::{
-    colt_plus_plus_split, colt_split, superpage_indexed_mix, PredictiveHashRehash,
-    PredictiveSkew, SkewTlb, SkewTlbConfig,
+    superpage_indexed_mix, PredictiveHashRehash, PredictiveSkew, SkewTlb, SkewTlbConfig,
 };
 use mixtlb::core::{
     CoalesceKind, Lookup, MixTlb, MixTlbConfig, MultiProbeConfig, MultiProbeTlb,
-    OracleUnifiedTlb, SplitTlb, SplitTlbConfig, TlbDevice,
+    OracleUnifiedTlb, SplitTlb, TlbDevice,
 };
 use mixtlb::pagetable::{BumpFrameSource, PageTable, Walker};
 use mixtlb::types::{AccessKind, PageSize, Permissions, Translation, VirtAddr, Vpn};
@@ -32,17 +31,19 @@ fn all_devices() -> Vec<Box<dyn TlbDevice>> {
         })),
         Box::new(MixTlb::new(MixTlbConfig::l1(8, 4).with_small_coalescing(4))),
         Box::new(superpage_indexed_mix(8, 4)),
-        Box::new(SplitTlb::new(SplitTlbConfig::haswell_l1())),
+        Box::new(SplitTlb::haswell_l1()),
+        Box::new(SplitTlb::haswell_l2()),
         Box::new(MultiProbeTlb::new(MultiProbeConfig::all_sizes(8, 4))),
         Box::new(SkewTlb::new(SkewTlbConfig::new(2, 8))),
         Box::new(PredictiveHashRehash::new(8, 4, 64)),
         Box::new(PredictiveSkew::new(2, 8, 64)),
         Box::new(OracleUnifiedTlb::new(8, 4)),
-        // The standalone per-size COLT array only caches one size (it is a
-        // split-TLB *part*), so it cannot satisfy the universal
-        // fill-then-hit contract; it is exercised through colt_split().
-        Box::new(colt_split()),
-        Box::new(colt_plus_plus_split()),
+        // The standalone per-size COLT array (`CoalescedSizeTlb`) only
+        // caches one size (it is a `SplitTlb` *part*), so it cannot satisfy
+        // the universal fill-then-hit contract; it is exercised through
+        // the COLT and COLT++ split L1s.
+        Box::new(SplitTlb::colt_l1()),
+        Box::new(SplitTlb::colt_plus_plus_l1()),
     ]
 }
 
