@@ -17,7 +17,8 @@
 //!   eager vs epoch-batched shootdowns over one replay. The headline
 //!   configuration is `--cores 256 --spaces 1_000_000`.
 //!
-//! Flags (stress mode): `--cores N`, `--spaces M` (default 100_000),
+//! Flags (stress mode): `--cores N` (1..=256: each core is one OS
+//! thread), `--spaces M` (default 100_000),
 //! `--accesses-per-space K`, `--asid-capacity C` (default 4096, the full
 //! 12-bit space), `--refs R` (machine replay length per core),
 //! `--chunk-events E` (work-stealing chunk size). Numbers may use `_`
@@ -227,6 +228,10 @@ fn stress(args: &StressArgs) {
     println!("\nstress OK");
 }
 
+/// Largest `--cores`: the headline run. Each core is one OS thread in
+/// every stage, and the machine model's remote tables grow as cores².
+const MAX_CORES: usize = 256;
+
 struct StressArgs {
     cores: usize,
     spaces: u64,
@@ -240,7 +245,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: smp [--cores N [--spaces M] [--accesses-per-space K] [--asid-capacity C]\n\
          \x20          [--refs R] [--chunk-events E]]\n\
-         without --cores, runs the default 4-core design sweep; numbers may use _ separators"
+         N is 1..={MAX_CORES}; without --cores, runs the default 4-core design sweep;\n\
+         numbers may use _ separators"
     );
     std::process::exit(2);
 }
@@ -281,13 +287,14 @@ fn parse_args() -> Option<StressArgs> {
             }
         }
     }
-    if cores == Some(0)
+    if cores.is_some_and(|c| !(1..=MAX_CORES).contains(&c))
         || out.spaces == 0
         || out.chunk_events == 0
         || !(2..=Asid::CAPACITY).contains(&out.asid_capacity)
     {
         eprintln!(
-            "smp: --cores, --spaces and --chunk-events must be positive, --asid-capacity 2..={}",
+            "smp: --cores must be 1..={MAX_CORES}, --spaces and --chunk-events positive, \
+             --asid-capacity 2..={}",
             Asid::CAPACITY
         );
         usage();

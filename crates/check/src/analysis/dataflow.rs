@@ -28,18 +28,10 @@ fn successors(graph: &CallGraph) -> Vec<Vec<usize>> {
 }
 
 /// Root functions by simple name: the batched translation entry points
-/// plus the streaming pipeline's per-block stage loops (reader, decoder,
-/// in-order consumer, and the synchronous single-thread shape) — each
+/// plus the stream path's per-block read→decode→consume loop — it
 /// runs once per trace block for the whole corpus, so steady-state
 /// allocation there is a leak multiplied by corpus length.
-pub(crate) const HOT_ROOT_NAMES: [&str; 6] = [
-    "translate_batch",
-    "lookup_batch",
-    "feed_blocks",
-    "decode_blocks",
-    "consume_in_order",
-    "stream_sync",
-];
+pub(crate) const HOT_ROOT_NAMES: [&str; 3] = ["translate_batch", "lookup_batch", "stream_sync"];
 /// Root functions by qualified name: the one per-access datapath every
 /// replay resolves through (and the scalar engine entry that times it),
 /// and the smp replay inner loops — the per-core cadence loop and the

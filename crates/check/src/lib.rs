@@ -27,12 +27,11 @@
 //!    it to rustc and clippy, and every exception is a compiler-checked
 //!    `#[expect(..., reason = "...")]`; packed bit widths are `const`
 //!    assertions rustc evaluates.
-//! 3. **[`protocol`] + [`handoff`] — executable protocol scenarios**
-//!    shared by the model-check test suites: the shootdown protocol and
-//!    the streaming pipeline's bounded hand-off, with seeded bugs
-//!    (doorbell-before-remap reordering, partial mirrored-set sweeps, a
-//!    missing publish) proving the explorer actually catches the failure
-//!    modes it claims to.
+//! 3. **[`protocol`] — executable protocol scenarios** shared by the
+//!    model-check test suites and `mixtlb-check --model`: the shootdown
+//!    protocol, with seeded bugs (doorbell-before-remap reordering,
+//!    partial mirrored-set sweeps, a missing acknowledgement) proving the
+//!    explorer actually catches the failure modes it claims to.
 //!
 //! The structural TLB invariants themselves (`check_invariants`) live in
 //! `mixtlb-core` next to `MixTlb`, so unit tests and the model checker
@@ -48,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod handoff;
 pub mod protocol;
 pub mod sched;
 pub mod sync;

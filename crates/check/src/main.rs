@@ -25,7 +25,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mixtlb_check::analysis;
-use mixtlb_check::handoff::{HandoffBug, HandoffScenario};
 use mixtlb_check::protocol::{SeededBug, ShootdownScenario};
 use mixtlb_check::sched::{Config, FailureKind};
 
@@ -183,54 +182,6 @@ fn run_model() -> ExitCode {
                 ok = false;
                 println!(
                     "model: FAILURE — seeded {bug:?} caught as {:?}, expected {expect:?}: {}",
-                    f.kind, f.message
-                );
-            }
-            None => {
-                ok = false;
-                println!(
-                    "model: FAILURE — seeded {bug:?} NOT caught in {} schedule(s)",
-                    report.schedules
-                );
-            }
-        }
-    }
-
-    // The streaming pipeline's bounded hand-off (producer/consumer +
-    // buffer recycling over two BoundedQueues). Semaphore schedule points
-    // are instrumented feature-independently, so this binary explores the
-    // hand-off protocol's blocking structure directly.
-    let handoff_cfg = Config::with_preemption_bound(3);
-    let clean = HandoffScenario::with_bug(HandoffBug::None).explore(&handoff_cfg);
-    match &clean.failure {
-        None => println!(
-            "model: bounded hand-off clean over {} schedule(s){}",
-            clean.schedules,
-            if clean.complete {
-                " (complete at preemption bound 3)"
-            } else {
-                ""
-            }
-        ),
-        Some(f) => {
-            ok = false;
-            println!(
-                "model: FAILURE — bounded hand-off failed ({:?}): {}",
-                f.kind, f.message
-            );
-        }
-    }
-    for bug in [HandoffBug::MissingPublish, HandoffBug::LeakedBuffer] {
-        let report = HandoffScenario::with_bug(bug).explore(&handoff_cfg);
-        match &report.failure {
-            Some(f) if f.kind == FailureKind::Deadlock => println!(
-                "model: seeded {bug:?} caught as {:?} after {} schedule(s)",
-                f.kind, report.schedules
-            ),
-            Some(f) => {
-                ok = false;
-                println!(
-                    "model: FAILURE — seeded {bug:?} caught as {:?}, expected Deadlock: {}",
                     f.kind, f.message
                 );
             }

@@ -186,10 +186,6 @@ pub enum Op {
     EventSet(u64),
     /// Non-blocking poll of an event.
     EventPoll(u64),
-    /// Acquiring one permit of a counting semaphore (blocks at zero).
-    SemAcquire(u64),
-    /// Releasing one permit of a counting semaphore.
-    SemRelease(u64),
 }
 
 impl Op {
@@ -197,7 +193,6 @@ impl Op {
         match self {
             Op::Lock(id) => !st.held.contains_key(&id),
             Op::EventWait(id) => st.events.contains(&id),
-            Op::SemAcquire(id) => st.sems.get(&id).is_some_and(|&p| p > 0),
             _ => true,
         }
     }
@@ -224,9 +219,6 @@ struct CtlState {
     held_stack: Vec<Vec<u64>>,
     /// Set events.
     events: HashSet<u64>,
-    /// Modelled semaphore permit counts (registered lazily at the first
-    /// managed operation on each semaphore; see [`Controller::ensure_sem`]).
-    sems: HashMap<u64, u64>,
     /// Granted decisions of this execution.
     trace: Vec<(usize, Op)>,
     /// held-lock -> acquired-lock edges observed this execution.
@@ -256,7 +248,6 @@ impl Controller {
                 held: HashMap::new(),
                 held_stack: vec![Vec::new(); n],
                 events: HashSet::new(),
-                sems: HashMap::new(),
                 trace: Vec::new(),
                 lock_edges: HashSet::new(),
             }),
@@ -276,11 +267,10 @@ impl Controller {
         loop {
             if st.abort {
                 st.status[tid] = TStatus::Running;
-                if matches!(op, Op::Lock(_) | Op::SemAcquire(_)) {
-                    // Taking the real lock — or decrementing a semaphore
-                    // that may hold zero permits — during teardown could
-                    // deadlock or spin for real (that may be exactly the
-                    // bug under test); unwind this thread instead.
+                if matches!(op, Op::Lock(_)) {
+                    // Taking the real lock during teardown could deadlock
+                    // for real (that may be exactly the bug under test);
+                    // unwind this thread instead.
                     drop(st);
                     #[expect(
                         clippy::panic,
@@ -298,36 +288,9 @@ impl Controller {
         st.grant = None;
         st.status[tid] = TStatus::Running;
         st.trace.push((tid, op));
-        match op {
-            Op::EventSet(id) => {
-                st.events.insert(id);
-            }
-            // Permit counts move when the operation is *granted*, mirroring
-            // the real counter the instrumented semaphore updates right
-            // after this call returns. `SemAcquire` is granted only while
-            // the modelled count is positive, so the decrement cannot wrap.
-            Op::SemAcquire(id) => {
-                if let Some(p) = st.sems.get_mut(&id) {
-                    *p -= 1;
-                }
-            }
-            Op::SemRelease(id) => {
-                *st.sems.entry(id).or_insert(0) += 1;
-            }
-            _ => {}
+        if let Op::EventSet(id) = op {
+            st.events.insert(id);
         }
-    }
-
-    /// Registers a semaphore's permit count the first time any managed
-    /// thread touches it. Semaphores are constructed on the controller
-    /// thread (where the facade is dormant), so at the first managed
-    /// operation the real counter still holds its pre-exploration value —
-    /// every later modification requires a grant, which requires parking,
-    /// which is preceded by that thread's own `ensure_sem`. Later calls
-    /// are no-ops.
-    pub(crate) fn ensure_sem(&self, id: u64, permits: u64) {
-        let mut st = self.state.lock().unwrap_or_else(relock);
-        st.sems.entry(id).or_insert(permits);
     }
 
     /// Records a completed mutex acquisition (lock-order bookkeeping).

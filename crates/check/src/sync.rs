@@ -30,7 +30,7 @@ pub use std::sync::{Mutex, MutexGuard};
 #[cfg(feature = "model")]
 pub use instrumented::{AtomicU64, Mutex, MutexGuard};
 
-pub use instrumented::{Event, Semaphore};
+pub use instrumented::Event;
 
 /// Instrumented drop-in replacements for the `std::sync` primitives the
 /// workspace's concurrent code uses, plus an [`Event`] signal for protocol
@@ -319,89 +319,6 @@ pub mod instrumented {
     impl Default for Event {
         fn default() -> Event {
             Event::new()
-        }
-    }
-
-    /// A counting semaphore for bounded hand-off queues.
-    ///
-    /// `std::sync` has no semaphore, so this Mutex+Condvar counter *is*
-    /// the production implementation (the facade is dormant without an
-    /// explorer). Under an explorer, `acquire` parks at
-    /// [`Op::SemAcquire`], which stays **disabled** while the model's
-    /// permit count is zero — a pipeline built on it never spins during
-    /// exploration, and a missing `release` surfaces as a genuine
-    /// [`crate::sched::FailureKind::Deadlock`] instead of a step-limit
-    /// livelock.
-    pub struct Semaphore {
-        id: u64,
-        permits: StdMutex<u64>,
-        cv: Condvar,
-    }
-
-    impl Semaphore {
-        /// Creates a semaphore holding `permits` permits.
-        pub fn new(permits: u64) -> Semaphore {
-            Semaphore {
-                id: next_object_id(),
-                permits: StdMutex::new(permits),
-                cv: Condvar::new(),
-            }
-        }
-
-        /// Acquires one permit, blocking while none are available.
-        pub fn acquire(&self) {
-            match current() {
-                Some(ctx) => {
-                    // Register the pre-exploration count on the first
-                    // managed touch; the controller then grants
-                    // `SemAcquire` only while its modelled count is
-                    // positive, so the real decrement below never blocks.
-                    ctx.ctl
-                        .ensure_sem(self.id, *self.permits.lock().unwrap_or_else(relock));
-                    ctx.ctl.reach_point(ctx.tid, Op::SemAcquire(self.id));
-                    let mut p = self.permits.lock().unwrap_or_else(relock);
-                    debug_assert!(*p > 0, "controller granted acquire at zero permits");
-                    *p -= 1;
-                }
-                None => {
-                    let mut p = self.permits.lock().unwrap_or_else(relock);
-                    while *p == 0 {
-                        p = self.cv.wait(p).unwrap_or_else(relock);
-                    }
-                    *p -= 1;
-                }
-            }
-        }
-
-        /// Releases one permit, waking one blocked acquirer.
-        pub fn release(&self) {
-            match current() {
-                Some(ctx) => {
-                    ctx.ctl
-                        .ensure_sem(self.id, *self.permits.lock().unwrap_or_else(relock));
-                    ctx.ctl.reach_point(ctx.tid, Op::SemRelease(self.id));
-                    *self.permits.lock().unwrap_or_else(relock) += 1;
-                }
-                None => {
-                    *self.permits.lock().unwrap_or_else(relock) += 1;
-                    self.cv.notify_one();
-                }
-            }
-        }
-
-        /// Current permit count (racy under concurrency; exact while
-        /// quiesced — used by buffer-pool accounting assertions).
-        pub fn available(&self) -> u64 {
-            *self.permits.lock().unwrap_or_else(relock)
-        }
-    }
-
-    impl fmt::Debug for Semaphore {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct("Semaphore")
-                .field("id", &self.id)
-                .field("permits", &self.available())
-                .finish()
         }
     }
 

@@ -20,6 +20,20 @@ use mixtlb_types::Pfn;
 use crate::frame::FrameKind;
 use crate::physmem::PhysicalMemory;
 
+/// Random placement attempts per chunk before falling back to the buddy
+/// allocator's choice.
+const PLACEMENT_ATTEMPTS: u32 = 16;
+/// Movable chunks are placed one slot at a time: uniform scatter, the
+/// classic memhog.
+const MOVABLE_CLUSTER: u64 = 1;
+/// Adjacent chunk slots per placement for the *unmovable* share. Real
+/// kernels group unmovable allocations into shared pageblocks by
+/// migratetype, so kernel-side pressure pins whole clustered regions
+/// rather than sprinkling un-compactable holes everywhere — which is why
+/// the paper can measure 80+ contiguous superpages even under substantial
+/// fragmentation (Fig. 11).
+const UNMOVABLE_CLUSTER: u64 = 32;
+
 /// Configuration for a [`Memhog`] run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemhogConfig {
@@ -29,22 +43,6 @@ pub struct MemhogConfig {
     pub chunk_order: u8,
     /// Share of chunks pinned as unmovable (default 20%).
     pub unmovable_share: f64,
-    /// Random placement attempts per chunk before falling back to the buddy
-    /// allocator's choice.
-    pub placement_attempts: u32,
-    /// Chunks are placed in clusters of this many adjacent chunk slots
-    /// (default 1 = uniform scatter, the classic memhog). Larger clusters
-    /// model coarse-grained pressure — e.g. hypervisor-level page sharing
-    /// and VM working sets — which consumes memory without shredding the
-    /// adjacency of what remains free.
-    pub cluster: u32,
-    /// Cluster size for the *unmovable* share of chunks (default 32).
-    /// Real kernels group unmovable allocations into shared pageblocks by
-    /// migratetype, so kernel-side pressure pins whole clustered regions
-    /// rather than sprinkling un-compactable holes everywhere — which is
-    /// why the paper can measure 80+ contiguous superpages even under
-    /// substantial fragmentation (Fig. 11).
-    pub unmovable_cluster: u32,
     /// RNG seed; `Memhog` is deterministic given the seed.
     pub seed: u64,
 }
@@ -64,9 +62,6 @@ impl MemhogConfig {
             fraction,
             chunk_order: 6,
             unmovable_share: 0.20,
-            placement_attempts: 16,
-            cluster: 1,
-            unmovable_cluster: 32,
             seed: 0x6d65_6d68_6f67, // "memhog"
         }
     }
@@ -74,13 +69,6 @@ impl MemhogConfig {
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> MemhogConfig {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the cluster size (adjacent chunk slots per placement).
-    pub fn clustered(mut self, cluster: u32) -> MemhogConfig {
-        assert!(cluster >= 1, "cluster must be at least 1");
-        self.cluster = cluster;
         self
     }
 }
@@ -122,16 +110,15 @@ impl Memhog {
         let mut chunks = Vec::with_capacity(n_chunks as usize);
         let unmovable_target = (config.unmovable_share * n_chunks as f64) as u64;
         let phases = [
-            (unmovable_target, FrameKind::Unmovable, config.unmovable_cluster.max(1)),
-            (n_chunks - unmovable_target, FrameKind::Movable, config.cluster.max(1)),
+            (unmovable_target, FrameKind::Unmovable, UNMOVABLE_CLUSTER),
+            (n_chunks - unmovable_target, FrameKind::Movable, MOVABLE_CLUSTER),
         ];
         for (target, kind, cluster) in phases {
-            let cluster = u64::from(cluster);
             let mut i = 0u64;
             'phase: while i < target {
                 // Pick a cluster start, then fill adjacent slots.
                 let mut start = None;
-                for _ in 0..config.placement_attempts {
+                for _ in 0..PLACEMENT_ATTEMPTS {
                     let slot = rng.gen_range(0..slots);
                     let base = Pfn::new(slot * chunk_frames);
                     if mem.is_range_free(base, config.chunk_order) {
@@ -256,48 +243,6 @@ mod tests {
         assert!(stats.unmovable_frames > 0);
         // Movable dominates: the default unmovable share is 20%.
         assert!(stats.movable_frames > stats.unmovable_frames * 3);
-    }
-
-    #[test]
-    fn clustered_chunks_sit_adjacent() {
-        let mut mem = memory(1 << 16);
-        let hog = Memhog::fragment(
-            &mut mem,
-            MemhogConfig {
-                unmovable_share: 0.0,
-                ..MemhogConfig::with_fraction(0.25)
-            }
-            .clustered(8),
-        );
-        // Count adjacent chunk pairs: clustering should make most chunks
-        // contiguous with a neighbour.
-        let mut bases: Vec<u64> = Vec::new();
-        let stats = mem.stats();
-        assert!(stats.movable_frames > 0);
-        // Derive adjacency from the allocator state: walk chunk list.
-        let chunk_frames = 64u64;
-        let mut adjacent = 0usize;
-        let mut total = 0usize;
-        // Re-scan physical memory for movable chunk starts.
-        let mut f = 0u64;
-        while f + chunk_frames <= mem.total_frames() {
-            if mem.kind_of(mixtlb_types::Pfn::new(f)).is_movable() {
-                bases.push(f);
-            }
-            f += chunk_frames;
-        }
-        for pair in bases.windows(2) {
-            total += 1;
-            if pair[1] == pair[0] + chunk_frames {
-                adjacent += 1;
-            }
-        }
-        assert!(total > 0);
-        assert!(
-            adjacent * 2 > total,
-            "clustering should make most chunk slots adjacent: {adjacent}/{total}"
-        );
-        drop(hog);
     }
 
     #[test]

@@ -26,19 +26,10 @@ use mixtlb_perf::{
     PATH_WS_BATCHED,
 };
 use mixtlb_sim::designs::all_cpu_designs;
-use mixtlb_smp::StreamConfig;
 
 /// Events per stealable chunk of the ws-batched measurement; matches the
 /// bench binary's corpus replay.
 const WS_CHUNK_EVENTS: usize = 1024;
-/// Streaming shape of the `stream-batched` point: the synchronous
-/// single-thread pipeline. On the pinned 1-CPU runner decode threads
-/// only add hand-off and scheduling cost; the streaming win there is the
-/// cache-resident per-block working set, which the synchronous shape
-/// keeps while staying as deterministic as the batched loop.
-fn stream_cfg() -> StreamConfig {
-    StreamConfig::synchronous()
-}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -201,7 +192,7 @@ fn measure(args: &[String]) -> ExitCode {
                     }
                     PATH_STREAM_BATCHED => {
                         let mut pt = scenario.clone_page_table();
-                        replay_stream_batched(factory(), &mut pt, &path, &stream_cfg())
+                        replay_stream_batched(factory(), &mut pt, &path)
                             .unwrap_or_else(|e| {
                                 stream_err = Some(e);
                                 f64::NAN

@@ -102,19 +102,17 @@ pub fn replay_ws(
 /// One timed streaming decode→translate run: blocks stream through
 /// [`mixtlb_smp::stream_chunks`] straight into per-block
 /// [`TranslationEngine::translate_batch`] calls, one cache-resident
-/// chunk at a time — decode and translation overlap (or, in the
-/// synchronous shape, interleave without any O(corpus) buffer). Returns
-/// end-to-end ns per translation.
+/// chunk at a time — decode and translation interleave on one thread
+/// without any O(corpus) buffer. Returns end-to-end ns per translation.
 pub fn replay_stream_batched(
     hierarchy: TlbHierarchy,
     pt: &mut PageTable,
     trace: &Path,
-    cfg: &StreamConfig,
 ) -> io::Result<f64> {
     let mut engine = TranslationEngine::new(hierarchy, WalkBackend::Native(pt));
     let mut out: Vec<Option<PhysAddr>> = Vec::with_capacity(V2_BLOCK_EVENTS);
     let start = Instant::now();
-    let report = stream_chunks(trace, cfg, |_, events| {
+    let report = stream_chunks(trace, &StreamConfig::synchronous(), |_, events| {
         out.clear();
         engine.translate_batch(events, &mut out);
     })?;

@@ -6,9 +6,12 @@
 //!   workloads frozen as compressed v2 traces under `crates/perf/corpus`,
 //!   regenerable bit-identically from [`corpus_config`].
 //! * [`harness`](self) — warmup + repeated timed replays of a trace
-//!   through a design's [`mixtlb_sim::TranslationEngine`], on both the
-//!   scalar per-event path and the batched [`translate_batch`] path,
-//!   reported as median/min ns per translation.
+//!   through a design's [`mixtlb_sim::TranslationEngine`], reported as
+//!   median/min ns per translation: the scalar per-event path, the
+//!   batched [`translate_batch`] path over in-memory events, the
+//!   work-stealing path on N cores, and the stream path, which decodes
+//!   the on-disk corpus one block at a time on the caller's thread and
+//!   translates each block before reading the next.
 //! * [`report`](self) — `BENCH_<pr>.json` serialization plus the
 //!   normalized regression [`gate`] CI runs against the previously
 //!   committed report.

@@ -1,9 +1,8 @@
-//! Differential regression for the streaming decode→translate pipeline:
+//! Differential regression for the streaming decode→translate loop:
 //! replaying a corpus block-by-block through [`stream_chunks`] into
 //! per-block `translate_batch` calls must be observably indistinguishable
 //! from decoding the whole corpus and translating it with one call —
-//! for EVERY design and every pinned corpus workload, in the
-//! synchronous shape and the threaded shape at one and two decoders.
+//! for EVERY design and every pinned corpus workload.
 //!
 //! The comparison mirrors `tests/batched_differential.rs`:
 //!
@@ -17,9 +16,6 @@
 //! * L1 device stats are compared on their architectural-state facets;
 //!   probe-effort facets legitimately differ with window size.
 //! * L2 stats must match on every field.
-//!
-//! Also here: the memory bound (the buffer pool's resident footprint is
-//! O(depth × block size), independent of corpus length).
 
 #![expect(
     clippy::expect_used,
@@ -32,13 +28,13 @@ use mixtlb_core::TlbStats;
 use mixtlb_perf::{corpus_catalog, prepare_scenario};
 use mixtlb_sim::designs::all_cpu_designs;
 use mixtlb_sim::{TranslationEngine, WalkBackend};
-use mixtlb_smp::{stream_chunks, StreamConfig, V2_BLOCK_MAX_PAYLOAD};
-use mixtlb_trace::{TraceEvent, TraceFileV2, TraceGenerator, V2_BLOCK_EVENTS};
+use mixtlb_smp::{stream_chunks, StreamConfig};
+use mixtlb_trace::{TraceEvent, TraceFileV2, TraceGenerator};
 use mixtlb_types::PhysAddr;
 
 /// Events per (design, workload) replay: enough to span many v2 blocks
-/// (so the stream actually chunks) while the 8-design × 6-workload × 2-
-/// shape sweep stays inside tier-1 test budget.
+/// (so the stream actually chunks) while the 8-design × 6-workload sweep
+/// stays inside tier-1 test budget.
 const EVENTS: usize = 20_000;
 
 fn l1_architectural_facets(s: &TlbStats) -> [u64; 8] {
@@ -75,7 +71,6 @@ fn observe_streamed(
     path: &std::path::Path,
     scenario: &mixtlb_perf::CorpusWorkload,
     factory: fn() -> mixtlb_sim::TlbHierarchy,
-    cfg: &StreamConfig,
 ) -> Observed {
     let native = prepare_scenario(scenario.name).expect("workload in catalog");
     let mut pt = native.clone_page_table();
@@ -83,7 +78,7 @@ fn observe_streamed(
     let mut all: Vec<Option<PhysAddr>> = Vec::new();
     let mut block_out: Vec<Option<PhysAddr>> = Vec::new();
     let mut next_seq = 0u64;
-    stream_chunks(path, cfg, |seq, events| {
+    stream_chunks(path, &StreamConfig::synchronous(), |seq, events| {
         assert_eq!(seq, next_seq, "consumer sees blocks out of order");
         next_seq += 1;
         block_out.clear();
@@ -122,119 +117,48 @@ fn streamed_replay_is_differentially_identical_to_buffered() {
             let buffered_l1 = buffered.hierarchy().l1.stats();
             let buffered_l2 = buffered.hierarchy().l2.as_ref().map(|l2| l2.stats());
 
-            // The in-order consumer must make the decoder count
-            // observably irrelevant (bit-identical outputs and counters
-            // at one and two decoders).
-            for (shape, cfg) in [
-                ("sync", StreamConfig::synchronous()),
-                ("threaded-1", StreamConfig::threaded(1, 8)),
-                ("threaded-2", StreamConfig::threaded(2, 4)),
-            ] {
-                let streamed = observe_streamed(&path, &w, factory, &cfg);
+            let streamed = observe_streamed(&path, &w, factory);
 
+            assert_eq!(
+                streamed.out.len(),
+                buffered_out.len(),
+                "{design}/{}/sync: output length",
+                w.name
+            );
+            for (i, (s, b)) in streamed.out.iter().zip(buffered_out.iter()).enumerate() {
                 assert_eq!(
-                    streamed.out.len(),
-                    buffered_out.len(),
-                    "{design}/{}/{shape}: output length",
+                    s, b,
+                    "{design}/{}/sync: physical address diverges at access {i}",
                     w.name
                 );
-                for (i, (s, b)) in streamed.out.iter().zip(buffered_out.iter()).enumerate() {
-                    assert_eq!(
-                        s, b,
-                        "{design}/{}/{shape}: physical address diverges at access {i}",
-                        w.name
-                    );
-                }
-
-                if predictive {
-                    let mut s = streamed.stats;
-                    let mut b = buffered_stats;
-                    s.stall_cycles = 0;
-                    b.stall_cycles = 0;
-                    assert_eq!(
-                        s, b,
-                        "{design}/{}/{shape}: engine stats (stall-exempt)",
-                        w.name
-                    );
-                } else {
-                    assert_eq!(
-                        streamed.stats, buffered_stats,
-                        "{design}/{}/{shape}: engine stats",
-                        w.name
-                    );
-                }
-
-                assert_eq!(
-                    l1_architectural_facets(&streamed.l1),
-                    l1_architectural_facets(&buffered_l1),
-                    "{design}/{}/{shape}: L1 architectural stats",
-                    w.name
-                );
-                assert_eq!(streamed.l2, buffered_l2, "{design}/{}/{shape}: L2 stats", w.name);
             }
+
+            if predictive {
+                let mut s = streamed.stats;
+                let mut b = buffered_stats;
+                s.stall_cycles = 0;
+                b.stall_cycles = 0;
+                assert_eq!(
+                    s, b,
+                    "{design}/{}/sync: engine stats (stall-exempt)",
+                    w.name
+                );
+            } else {
+                assert_eq!(
+                    streamed.stats, buffered_stats,
+                    "{design}/{}/sync: engine stats",
+                    w.name
+                );
+            }
+
+            assert_eq!(
+                l1_architectural_facets(&streamed.l1),
+                l1_architectural_facets(&buffered_l1),
+                "{design}/{}/sync: L1 architectural stats",
+                w.name
+            );
+            assert_eq!(streamed.l2, buffered_l2, "{design}/{}/sync: L2 stats", w.name);
         }
         let _ = std::fs::remove_file(&path);
     }
-}
-
-/// The memory bound: the pipeline's resident event-buffer footprint is
-/// O(depth × block size) and independent of corpus length — every buffer
-/// the pool ever allocates is accounted for in `StreamReport::pool`, so
-/// the bound is asserted on the pool totals for two corpora 4x apart in
-/// length.
-#[test]
-fn pool_footprint_is_bounded_by_depth_not_corpus_length() {
-    let native = prepare_scenario("gups").expect("workload in catalog");
-    let cfg = StreamConfig::threaded(2, 4);
-    let depth = 4;
-
-    let mut pools = Vec::new();
-    for (label, n) in [("short", 8 * V2_BLOCK_EVENTS), ("long", 32 * V2_BLOCK_EVENTS)] {
-        let events: Vec<TraceEvent> =
-            TraceGenerator::new(native.spec(), native.seed(), native.region())
-                .take(n)
-                .collect();
-        let path = temp(label);
-        TraceFileV2::record(&path, events.iter().copied()).expect("record scratch corpus");
-        let mut seen = 0u64;
-        let report = stream_chunks(&path, &cfg, |_, events| seen += events.len() as u64)
-            .expect("streaming an intact corpus");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(seen, n as u64, "{label}: every event consumed");
-        assert_eq!(report.pool.buffers, depth, "{label}: pool holds exactly depth buffers");
-        assert!(
-            report.pool.event_capacity <= depth * V2_BLOCK_EVENTS,
-            "{label}: event capacity {} exceeds depth × block events",
-            report.pool.event_capacity
-        );
-        assert!(
-            report.pool.payload_capacity <= depth * V2_BLOCK_MAX_PAYLOAD,
-            "{label}: payload capacity {} exceeds depth × max payload",
-            report.pool.payload_capacity
-        );
-        pools.push(report.pool.event_capacity);
-    }
-    // Event capacity is exactly depth × block size on both corpora: the
-    // pool pre-sizes each buffer to one full block and counts never
-    // exceed it, so the footprint cannot grow with corpus length. (The
-    // payload vectors' *capacities* may differ by a few bytes between
-    // runs — each tracks the largest payload it happened to carry — but
-    // both stay under the hard bound asserted above.)
-    assert_eq!(
-        pools[0], pools[1],
-        "resident event footprint must not grow with corpus length"
-    );
-    assert_eq!(pools[0], depth * V2_BLOCK_EVENTS);
-
-    // The synchronous shape runs on a single reused buffer.
-    let events: Vec<TraceEvent> =
-        TraceGenerator::new(native.spec(), native.seed(), native.region())
-            .take(4 * V2_BLOCK_EVENTS)
-            .collect();
-    let path = temp("sync");
-    TraceFileV2::record(&path, events.iter().copied()).expect("record scratch corpus");
-    let report = stream_chunks(&path, &StreamConfig::synchronous(), |_, _| {})
-        .expect("streaming an intact corpus");
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(report.pool.buffers, 1, "synchronous shape reuses one buffer");
 }

@@ -56,9 +56,7 @@ mod ws;
 
 pub use crate::core::{CoreStats, SmpCore};
 pub use deque::ChunkDeque;
-pub use pipeline::{
-    stream_chunks, ChunkBuf, PoolStats, StreamConfig, StreamReport, V2_BLOCK_MAX_PAYLOAD,
-};
+pub use pipeline::{stream_chunks, StreamConfig, StreamReport};
 pub use machine::{CoreReport, SmpMachine, SmpReport};
 pub use scenario::{MultiProgrammedScenario, SmpScenarioConfig};
 pub use shootdown::{ShootdownModel, SweepWidths};

@@ -1,8 +1,10 @@
-//! Fault propagation for the streaming decode→translate
-//! pipeline: a corpus damaged mid-stream (truncated or bit-flipped) must
-//! surface a clean [`std::io::ErrorKind::InvalidData`] from the consumer
-//! side of the threaded pipeline — no hang, no partially decoded chunk
-//! ever reaching translation — with exactly the intact prefix consumed.
+//! End-of-stream behaviour of the streaming decode→translate loop.
+//!
+//! An intact corpus is delivered whole, in file order, and the report
+//! counts exactly its events and blocks. A corpus damaged mid-stream
+//! (truncated or bit-flipped) must surface a clean
+//! [`std::io::ErrorKind::InvalidData`] — no partially decoded chunk ever
+//! reaching translation — with exactly the intact prefix consumed.
 
 #![expect(
     clippy::expect_used,
@@ -13,7 +15,7 @@ use std::io;
 use std::path::PathBuf;
 
 use mixtlb_smp::{stream_chunks, MultiProgrammedScenario, SmpScenarioConfig, StreamConfig};
-use mixtlb_trace::{decode_block, BlockReader, RawBlock, TraceEvent, TraceFileV2};
+use mixtlb_trace::{decode_block, BlockReader, RawBlock, TraceEvent, TraceFileV2, V2_BLOCK_EVENTS};
 
 fn temp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -50,15 +52,12 @@ fn intact_prefix_events(path: &std::path::Path) -> u64 {
     }
 }
 
-/// Streams `path` through the threaded pipeline, asserting in-order
-/// delivery, and returns (events consumed, result).
-fn stream_counting(
-    path: &std::path::Path,
-    cfg: &StreamConfig,
-) -> (u64, io::Result<()>) {
+/// Streams `path`, asserting in-order delivery, and returns (events
+/// consumed, result).
+fn stream_counting(path: &std::path::Path) -> (u64, io::Result<()>) {
     let mut consumed = 0u64;
     let mut next_seq = 0u64;
-    let result = stream_chunks(path, cfg, |seq, events| {
+    let result = stream_chunks(path, &StreamConfig::synchronous(), |seq, events| {
         assert_eq!(seq, next_seq, "consumer saw a block out of order");
         assert!(!events.is_empty(), "a partial/empty chunk reached the consumer");
         next_seq += 1;
@@ -82,22 +81,17 @@ fn truncation_mid_corpus_surfaces_invalid_data_after_intact_prefix() {
         events.len()
     );
 
-    for (shape, cfg) in [
-        ("sync", StreamConfig::synchronous()),
-        ("threaded", StreamConfig::threaded(2, 4)),
-    ] {
-        let (consumed, result) = stream_counting(&path, &cfg);
-        let err = result.expect_err("truncated corpus must fail");
-        assert_eq!(
-            err.kind(),
-            io::ErrorKind::InvalidData,
-            "{shape}: clean InvalidData, got {err}"
-        );
-        assert_eq!(
-            consumed, expected,
-            "{shape}: exactly the intact prefix is consumed"
-        );
-    }
+    let (consumed, result) = stream_counting(&path);
+    let err = result.expect_err("truncated corpus must fail");
+    assert_eq!(
+        err.kind(),
+        io::ErrorKind::InvalidData,
+        "sync: clean InvalidData, got {err}"
+    );
+    assert_eq!(
+        consumed, expected,
+        "sync: exactly the intact prefix is consumed"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
@@ -114,21 +108,48 @@ fn bit_flip_mid_corpus_surfaces_invalid_data_after_intact_prefix() {
         "flip must damage at least one block"
     );
 
-    for (shape, cfg) in [
-        ("sync", StreamConfig::synchronous()),
-        ("threaded", StreamConfig::threaded(2, 4)),
-    ] {
-        let (consumed, result) = stream_counting(&path, &cfg);
-        let err = result.expect_err("corrupted corpus must fail");
+    let (consumed, result) = stream_counting(&path);
+    let err = result.expect_err("corrupted corpus must fail");
+    assert_eq!(
+        err.kind(),
+        io::ErrorKind::InvalidData,
+        "sync: clean InvalidData, got {err}"
+    );
+    assert_eq!(
+        consumed, expected,
+        "sync: exactly the intact prefix is consumed"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn intact_corpus_streams_whole_in_file_order() {
+    let n = 2 * V2_BLOCK_EVENTS + 904;
+    assert_ne!(n % V2_BLOCK_EVENTS, 0, "the last block must be partial");
+    let (path, events) = fixture(n, "clean");
+    let mut seen = Vec::with_capacity(n);
+    let report = stream_chunks(&path, &StreamConfig::synchronous(), |seq, chunk| {
         assert_eq!(
-            err.kind(),
-            io::ErrorKind::InvalidData,
-            "{shape}: clean InvalidData, got {err}"
+            seq,
+            (seen.len() / V2_BLOCK_EVENTS) as u64,
+            "blocks arrive in file order"
         );
-        assert_eq!(
-            consumed, expected,
-            "{shape}: exactly the intact prefix is consumed"
-        );
-    }
+        seen.extend_from_slice(chunk);
+    })
+    .expect("intact corpus streams cleanly");
+    assert_eq!(seen, events, "every event, in recorded order");
+    assert_eq!(report.events, n as u64);
+    assert_eq!(report.blocks, n.div_ceil(V2_BLOCK_EVENTS) as u64);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn empty_corpus_streams_zero_blocks() {
+    let (path, _) = fixture(0, "empty");
+    let mut calls = 0u32;
+    let report = stream_chunks(&path, &StreamConfig::synchronous(), |_, _| calls += 1)
+        .expect("a 0-event trace streams cleanly");
+    assert_eq!(calls, 0, "no block reaches the consumer");
+    assert_eq!((report.events, report.blocks), (0, 0));
     let _ = std::fs::remove_file(&path);
 }

@@ -281,9 +281,9 @@ fn decode_event(
 /// number within the file).
 ///
 /// The internal payload buffer is reused across [`BlockReader::read_block`]
-/// calls, so a fixed pool of `RawBlock`s gives a streaming consumer
-/// zero steady-state allocation: decode of a corpus of any length touches
-/// only O(pool size × block size) resident bytes.
+/// calls, so one `RawBlock` gives a streaming consumer zero steady-state
+/// allocation: decode of a corpus of any length touches only one block's
+/// resident bytes.
 #[derive(Debug, Default)]
 pub struct RawBlock {
     count: u64,
@@ -314,11 +314,6 @@ impl RawBlock {
         self.payload.len()
     }
 
-    /// Capacity of the reusable payload buffer, for pool accounting.
-    pub fn payload_capacity(&self) -> usize {
-        self.payload.capacity()
-    }
-
     /// Audits the payload against the on-wire FNV-1a checksum.
     ///
     /// # Errors
@@ -335,9 +330,9 @@ impl RawBlock {
 /// Decodes a framed block into `out` (cleared first, allocation reused),
 /// verifying the checksum before trusting a single byte.
 ///
-/// Deltas reset at block boundaries, so any block decodes independently —
-/// this is what lets a pool of decoder workers process blocks out of
-/// order. Decode errors leave `out` cleared (never a partial chunk).
+/// Deltas reset at block boundaries, so any block decodes independently
+/// of the blocks before it. Decode errors leave `out` cleared (never a
+/// partial chunk).
 ///
 /// # Errors
 ///
@@ -369,8 +364,8 @@ pub fn decode_block(block: &RawBlock, out: &mut Vec<TraceEvent>) -> io::Result<(
 /// checksummed payloads one at a time without buffering the whole file.
 ///
 /// This is the corpus-scale entry point: [`TraceFileV2`] (whole events,
-/// one block resident) and the `mixtlb-smp` streaming pipeline (a pool of
-/// decoder workers over recycled [`RawBlock`]s) are both built on it.
+/// one block resident) and the `mixtlb-smp` streaming loop (one recycled
+/// [`RawBlock`] decoded block by block) are both built on it.
 /// After the first error the stream should be abandoned; the reader does
 /// not resynchronize inside damaged input.
 #[derive(Debug)]
