@@ -1,38 +1,45 @@
-//! Runs every figure and in-text experiment in sequence — the one-shot
-//! "regenerate the paper" entry point.
+//! Runs every figure and in-text experiment in one process — the one-shot
+//! "regenerate the paper" entry point — or only the figures named as
+//! arguments, in the order given.
 //!
 //! ```text
-//! MIXTLB_SCALE=std cargo run --release -p mixtlb-bench --bin reproduce
+//! MIXTLB_SCALE=std cargo run --release -p mixtlb-bench --bin reproduce [fig14 fig16 ...]
 //! ```
+//!
+//! An unknown `MIXTLB_SCALE` or figure name exits with code 2 before any
+//! figure runs.
 
-#![expect(
-    clippy::expect_used,
-    clippy::panic,
-    reason = "the driver's `main` is its own error boundary: a figure binary that cannot run or fails aborts the reproduction"
-)]
-
-use std::process::Command;
+use mixtlb_bench::figures::{Figure, FIGURES};
+use mixtlb_bench::Scale;
 
 fn main() {
-    // Reject an unknown MIXTLB_SCALE before the first figure starts.
-    mixtlb_bench::Scale::from_env();
-    let figures = [
-        "fig01", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-        "fig17", "fig18", "index_bits", "scaling", "ablations", "invalidations",
-        "context_switches",
-    ];
-    let exe = std::env::current_exe().expect("current exe path");
-    let dir = exe.parent().expect("exe directory");
-    for figure in figures {
-        let path = dir.join(figure);
-        println!("\n################ {figure} ################\n");
-        let status = Command::new(&path)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {figure}: {e}"));
-        if !status.success() {
-            eprintln!("{figure} exited with {status}");
-            std::process::exit(1);
-        }
+    let scale = Scale::from_env().unwrap_or_else(|e| usage_error(&e));
+    let names: Vec<_> = std::env::args_os().skip(1).collect();
+    let chosen: Vec<Figure> = if names.is_empty() {
+        FIGURES.to_vec()
+    } else {
+        let known = FIGURES.map(|(name, _)| name).join(" ");
+        let find = |arg: &std::ffi::OsString| {
+            let figure = FIGURES.iter().find(|(name, _)| arg.to_str() == Some(name));
+            figure.copied().unwrap_or_else(|| {
+                let arg = arg.to_string_lossy();
+                usage_error(&format!(
+                    "reproduce: no figure {arg:?}; expected one of: {known}"
+                ))
+            })
+        };
+        names.iter().map(find).collect()
+    };
+    for (name, run) in chosen {
+        println!("\n################ {name} ################\n");
+        run(scale);
     }
-    println!("\nAll experiments completed.");
+    if names.is_empty() {
+        println!("\nAll experiments completed.");
+    }
+}
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
 }

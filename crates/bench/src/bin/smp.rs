@@ -308,7 +308,10 @@ fn main() {
         return;
     }
 
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     banner(
         "SMP (Secs. 5.1, 6)",
         "multi-programmed cores, ASID-tagged TLBs, shootdowns, shared LLC",

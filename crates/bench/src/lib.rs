@@ -1,15 +1,17 @@
-//! The benchmark harness: shared plumbing for the figure-regeneration
-//! binaries (`fig01` … `fig18`, `index_bits`, `scaling`, `reproduce`).
+//! The benchmark harness: every figure and in-text experiment of the
+//! paper as a library function ([`figures`]), plus the shared scale,
+//! table and banner plumbing. The `reproduce` binary runs them in one
+//! process; `smp` and `tracectl` are the SMP experiment and the trace
+//! tool.
 //!
-//! Every binary accepts a scale through the `MIXTLB_SCALE` environment
-//! variable:
+//! The scale comes from the `MIXTLB_SCALE` environment variable:
 //!
 //! * `quick` — seconds; tiny memory, short traces (CI smoke runs).
 //! * `std` (default) — minutes; 4-8 GB machines, representative traces.
 //! * `full` — the paper's machine scale (80 GB allocation studies); slow.
 //!
-//! Any other value is a usage error: the binary names the three scales on
-//! stderr and exits with code 2 instead of silently running `std`.
+//! Any other value is a usage error: the binaries name the three scales on
+//! stderr and exit with code 2 instead of silently running `std`.
 //!
 //! Absolute numbers differ from the paper (synthetic workloads, functional
 //! simulation); the *shapes* — who wins, by roughly what factor, where the
@@ -21,6 +23,8 @@ use mixtlb_sim::{PolicyChoice, ScenarioConfig, VirtConfig};
 use mixtlb_trace::{WorkloadClass, WorkloadSpec};
 
 pub use mixtlb_gpu::GpuConfig;
+
+pub mod figures;
 
 /// Experiment scale, from `MIXTLB_SCALE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,16 +51,12 @@ impl Scale {
         }
     }
 
-    /// Reads the scale from the environment (default `std`). An unknown
-    /// value prints the accepted ones and exits the process with code 2.
-    pub fn from_env() -> Scale {
+    /// Reads the scale from the environment (default `std`); an unknown
+    /// value is [`Scale::parse`]'s error.
+    pub fn from_env() -> Result<Scale, String> {
         let value = std::env::var_os("MIXTLB_SCALE");
         let value = value.as_deref().map(std::ffi::OsStr::to_string_lossy);
-        let parsed = Scale::parse(value.as_deref());
-        parsed.unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2)
-        })
+        Scale::parse(value.as_deref())
     }
 
     /// Machine memory for trace-driven performance experiments.
@@ -100,6 +100,14 @@ impl Scale {
                 .collect(),
             _ => all,
         }
+    }
+
+    /// The big-memory subset of [`Scale::cpu_workloads`]: the workloads
+    /// the virtualized experiments run.
+    pub fn big_memory_workloads(self) -> Vec<WorkloadSpec> {
+        let mut all = self.cpu_workloads();
+        all.retain(|w| w.class == WorkloadClass::BigMemory);
+        all
     }
 
     /// GPU workloads to sweep.

@@ -2,7 +2,8 @@
 //!
 //! Each row runs a binary with arguments (or a `MIXTLB_SCALE`) it must
 //! reject and asserts exit code 2 (the binaries' usage-error code), a
-//! message on stderr and no panic text.
+//! message on stderr, no panic text and nothing on stdout: the binary
+//! stopped before any work.
 
 use std::path::Path;
 use std::process::Command;
@@ -35,6 +36,10 @@ fn usage_error_in(mut cmd: Command, exe: &str, args: &[&str]) -> Result<(), Stri
     }
     if stderr.contains("panicked") {
         return Err(format!("{call}: {stderr}"));
+    }
+    if !out.stdout.is_empty() {
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        return Err(format!("{call}: output on stdout: {stdout}"));
     }
     Ok(())
 }
@@ -85,11 +90,22 @@ fn smp_rejects_core_counts_outside_1_to_256() {
 fn unknown_scale_is_a_usage_error() {
     // A typo must not fall back to the default scale: `reproduce` would
     // otherwise spend minutes on a std run nobody asked for.
-    for exe in [env!("CARGO_BIN_EXE_reproduce"), env!("CARGO_BIN_EXE_fig14")] {
+    let exe = env!("CARGO_BIN_EXE_reproduce");
+    for args in [&[][..], &["fig14"]] {
         for scale in ["quik", "", "STD"] {
             let mut cmd = Command::new(exe);
             cmd.env("MIXTLB_SCALE", scale);
-            assert_eq!(usage_error_in(cmd, exe, &[]), Ok(()), "MIXTLB_SCALE={scale:?}");
+            assert_eq!(usage_error_in(cmd, exe, args), Ok(()), "{scale:?}");
         }
+    }
+}
+
+#[test]
+fn unknown_figure_is_a_usage_error_before_any_figure_runs() {
+    let exe = env!("CARGO_BIN_EXE_reproduce");
+    for args in [&["nosuchfig"][..], &["fig14", "nosuchfig"]] {
+        let mut cmd = Command::new(exe);
+        cmd.env("MIXTLB_SCALE", "quick");
+        assert_eq!(usage_error_in(cmd, exe, args), Ok(()));
     }
 }

@@ -29,7 +29,6 @@
 
 use std::io;
 use std::path::Path;
-use std::time::{Duration, Instant};
 
 use mixtlb_trace::{decode_block, BlockReader, RawBlock, TraceEvent, V2_BLOCK_EVENTS};
 
@@ -53,8 +52,6 @@ pub struct StreamReport {
     pub events: u64,
     /// Blocks delivered to the consumer.
     pub blocks: u64,
-    /// Wall-clock time for the whole stream (decode + consume together).
-    pub elapsed: Duration,
 }
 
 /// Streams the v2 trace at `path`, invoking `consume(seq, events)` on
@@ -75,18 +72,13 @@ pub fn stream_chunks<F>(
 where
     F: FnMut(u64, &[TraceEvent]),
 {
-    let start = Instant::now();
     let mut blocks = BlockReader::open(path)?;
     let mut raw = RawBlock::new();
     // Pre-size for the largest block the format frames: decode never
     // reallocates, which the hot-path analyzer enforces on the loop.
     let mut events = Vec::with_capacity(V2_BLOCK_EVENTS);
     let (events, blocks) = stream_sync(&mut blocks, &mut raw, &mut events, &mut consume)?;
-    Ok(StreamReport {
-        events,
-        blocks,
-        elapsed: start.elapsed(),
-    })
+    Ok(StreamReport { events, blocks })
 }
 
 /// The per-block loop: read → verify+decode → consume on one thread, one
