@@ -3,7 +3,8 @@
 
 use mixtlb_cache::{CacheConfig, CacheHierarchy, CacheLevel, HierarchyConfig, PageWalkCache};
 use mixtlb_types::PhysAddr;
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 /// A reference fully-associative LRU of `capacity` lines.
@@ -28,15 +29,12 @@ impl ModelLru {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// A single-set cache is exactly a fully-associative LRU.
-    #[test]
-    fn single_set_cache_is_lru(
-        ways in 1u32..8,
-        accesses in proptest::collection::vec(0u64..32, 1..200),
-    ) {
+/// A single-set cache is exactly a fully-associative LRU.
+#[test]
+fn single_set_cache_is_lru() {
+    for case in 0..128 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let ways = rng.gen_range(1..8u32);
         let mut cache = CacheLevel::new(CacheConfig {
             capacity_bytes: u64::from(ways) * 64,
             ways,
@@ -44,58 +42,60 @@ proptest! {
             hit_cycles: 1,
         });
         let mut model = ModelLru { lines: VecDeque::new(), capacity: ways as usize };
-        for &line in &accesses {
+        for _ in 0..rng.gen_range(1..200) {
+            let line = rng.gen_range(0..32);
             let hit = cache.access(PhysAddr::new(line * 64));
-            prop_assert_eq!(hit, model.access(line), "line {}", line);
+            assert_eq!(hit, model.access(line), "case {case}: line {line}");
         }
     }
+}
 
-    /// The PWC is exactly a fully-associative LRU too.
-    #[test]
-    fn pwc_is_lru(
-        capacity in 1usize..8,
-        accesses in proptest::collection::vec(0u64..24, 1..200),
-    ) {
+/// The PWC is exactly a fully-associative LRU too.
+#[test]
+fn pwc_is_lru() {
+    for case in 0..128 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let capacity = rng.gen_range(1..8usize);
+        let accesses = rng.gen_range(1..200);
         let mut pwc = PageWalkCache::new(capacity);
         let mut model = ModelLru { lines: VecDeque::new(), capacity };
-        for &key in &accesses {
-            prop_assert_eq!(pwc.access(PhysAddr::new(key * 8)), model.access(key));
+        for _ in 0..accesses {
+            let key = rng.gen_range(0..24);
+            assert_eq!(pwc.access(PhysAddr::new(key * 8)), model.access(key), "case {case}");
         }
         let (hits, misses) = pwc.stats();
-        prop_assert_eq!(hits + misses, accesses.len() as u64);
+        assert_eq!(hits + misses, accesses, "case {case}");
     }
+}
 
-    /// Hierarchy latency equals the sum of traversed levels (+ DRAM), and
-    /// an immediate re-access always hits L1.
-    #[test]
-    fn hierarchy_latency_accounting(
-        accesses in proptest::collection::vec(0u64..4096, 1..100),
-    ) {
+/// Hierarchy latency equals the sum of traversed levels (+ DRAM), and
+/// an immediate re-access always hits L1.
+#[test]
+fn hierarchy_latency_accounting() {
+    for case in 0..128 {
+        let mut rng = SmallRng::seed_from_u64(case);
         let cfg = HierarchyConfig::tiny();
         let l1 = cfg.levels[0].hit_cycles;
         let l2 = cfg.levels[1].hit_cycles;
         let dram = cfg.dram_cycles;
         let mut h = CacheHierarchy::new(cfg);
         let mut total = 0;
-        for &line in &accesses {
-            let pa = PhysAddr::new(line * 64);
+        for _ in 0..rng.gen_range(1..100) {
+            let pa = PhysAddr::new(rng.gen_range(0..4096u64) * 64);
             let r = h.access(pa);
             let expected = match (r.level_hit, r.dram) {
                 (Some(0), false) => l1,
                 (Some(1), false) => l1 + l2,
                 (None, true) => l1 + l2 + dram,
-                other => {
-                    prop_assert!(false, "impossible outcome {other:?}");
-                    unreachable!()
-                }
+                other => panic!("case {case}: impossible outcome {other:?}"),
             };
-            prop_assert_eq!(r.cycles, expected);
+            assert_eq!(r.cycles, expected, "case {case}");
             total += expected;
             // The line is now resident in L1.
             let again = h.access(pa);
-            prop_assert_eq!(again.level_hit, Some(0));
+            assert_eq!(again.level_hit, Some(0), "case {case}");
             total += l1;
         }
-        prop_assert_eq!(h.stats().total_cycles, total);
+        assert_eq!(h.stats().total_cycles, total, "case {case}");
     }
 }

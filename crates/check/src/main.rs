@@ -30,10 +30,10 @@ use mixtlb_check::sched::{Config, FailureKind};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("--analyze") => run_analyze(&args[1..]),
-        Some("--model") => run_model(),
-        Some("--list-rules") => {
+    match (args.first().map(String::as_str), args.len()) {
+        (Some("--analyze"), _) => run_analyze(&args[1..]),
+        (Some("--model"), 1) => run_model(),
+        (Some("--list-rules"), 1) => {
             for rule in analysis::ANALYSIS_RULES {
                 println!("{rule}");
             }

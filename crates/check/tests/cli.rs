@@ -12,6 +12,8 @@ fn unknown_arguments_print_usage_and_exit_2() {
         &["--analyze", root, "--baseline", "check-baseline.json"],
         &["--analyze", root, "--update-baseline"],
         &["--analyze", root, "--format", "sarif"],
+        &["--model", "--bogus"],
+        &["--list-rules", "extra"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_mixtlb-check"))
             .args(args)

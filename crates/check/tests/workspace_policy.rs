@@ -5,7 +5,7 @@
 //! `compat/*` stub forbids `unsafe_code` itself. A new crate added
 //! without the table fails here. They also keep the analyzer's rule
 //! list and its evidence table in DESIGN.md §8 in step, so a rule cannot
-//! land without an evidence row.
+//! land without an evidence row, and every dev-dependency in use.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -87,6 +87,56 @@ fn every_compat_stub_forbids_unsafe_code() {
             "{}: [lints.rust] must forbid unsafe_code",
             path.display()
         );
+    }
+}
+
+/// Every `.rs` file under `dir`, recursively, skipping `target`.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() && !path.ends_with("target") {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Whether `ident` occurs in `text` as a whole identifier.
+fn mentions(text: &str, ident: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(ident).any(|(at, _)| {
+        !text[..at].ends_with(is_ident) && !text[at + ident.len()..].starts_with(is_ident)
+    })
+}
+
+#[test]
+fn every_dev_dependency_is_used() {
+    // The root package's sources are its own directories, not the
+    // members' (each member is checked against its own tree).
+    let mut packages = vec![(root(), vec!["src", "tests", "examples"])];
+    for manifest in manifests("crates") {
+        let dir = manifest.parent().map(Path::to_path_buf).unwrap_or_default();
+        packages.push((dir, vec!["."]));
+    }
+    assert!(packages.len() > 10, "the walk must see the member crates");
+    for (dir, source_dirs) in packages {
+        let manifest = dir.join("Cargo.toml");
+        let mut files = Vec::new();
+        for source_dir in source_dirs {
+            rust_files(&dir.join(source_dir), &mut files);
+        }
+        let sources: Vec<String> = files.iter().map(|f| read(f)).collect();
+        let keys = table(&read(&manifest), "[dev-dependencies]").unwrap_or_default();
+        for key in keys.iter().filter(|l| !l.is_empty() && !l.starts_with('#')) {
+            let name = key.split(['.', '=']).next().unwrap_or_default();
+            let ident = name.replace('-', "_");
+            assert!(
+                sources.iter().any(|text| mentions(text, &ident)),
+                "{}: dev-dependency `{name}` is used by no .rs file of the package",
+                manifest.display()
+            );
+        }
     }
 }
 

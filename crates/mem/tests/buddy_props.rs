@@ -3,10 +3,11 @@
 
 use std::collections::HashMap;
 
-use mixtlb_mem::{AllocError, BuddyAllocator};
-use proptest::prelude::*;
+use mixtlb_mem::{AllocError, BuddyAllocator, MAX_ORDER};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Alloc(u8),
     /// Free the i-th live allocation (modulo the live count).
@@ -14,40 +15,37 @@ enum Op {
     AllocAt(u64, u8),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u8..=10).prop_map(Op::Alloc),
-        (0usize..64).prop_map(Op::Free),
-        ((0u64..4096), (0u8..=9)).prop_map(|(b, o)| Op::AllocAt(b, o)),
-    ]
+fn gen_op(rng: &mut SmallRng) -> Op {
+    match rng.gen_range(0..3) {
+        0 => Op::Alloc(rng.gen_range(0..=10)),
+        1 => Op::Free(rng.gen_range(0..64)),
+        _ => Op::AllocAt(rng.gen_range(0..4096), rng.gen_range(0..=9)),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn allocations_never_overlap_and_frames_are_conserved(
-        ops in proptest::collection::vec(op_strategy(), 1..200),
-        total in 1024u64..4096,
-    ) {
+#[test]
+fn allocations_never_overlap_and_frames_are_conserved() {
+    for case in 0..128 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let total = rng.gen_range(1024..4096u64);
         let mut buddy = BuddyAllocator::new(total);
         let mut live: Vec<(u64, u8)> = Vec::new();
-        for op in ops {
-            match op {
+        for _ in 0..rng.gen_range(1..200) {
+            match gen_op(&mut rng) {
                 Op::Alloc(order) => {
                     match buddy.alloc(order) {
                         Ok(base) => {
-                            prop_assert_eq!(base % (1u64 << order), 0, "misaligned block");
-                            prop_assert!(base + (1u64 << order) <= total, "out of bounds");
+                            assert_eq!(base % (1u64 << order), 0, "case {case}: misaligned block");
+                            assert!(base + (1u64 << order) <= total, "case {case}: out of bounds");
                             live.push((base, order));
                         }
                         Err(AllocError::OutOfMemory) => {
-                            prop_assert!(
+                            assert!(
                                 buddy.largest_free_order().is_none_or(|o| o < order),
-                                "OutOfMemory although a block of order {} exists", order
+                                "case {case}: OutOfMemory although a block of order {} exists", order
                             );
                         }
-                        Err(e) => return Err(TestCaseError::fail(format!("unexpected {e:?}"))),
+                        Err(e) => panic!("case {case}: unexpected {e:?}"),
                     }
                 }
                 Op::Free(i) => {
@@ -65,37 +63,43 @@ proptest! {
             }
             // Conservation: free + live allocated frames == total.
             let allocated: u64 = live.iter().map(|&(_, o)| 1u64 << o).sum();
-            prop_assert_eq!(buddy.free_frames() + allocated, total);
+            assert_eq!(buddy.free_frames() + allocated, total, "case {case}");
             // No two live blocks overlap.
             let mut seen: HashMap<u64, ()> = HashMap::new();
             for &(base, order) in &live {
                 for f in base..base + (1u64 << order) {
-                    prop_assert!(seen.insert(f, ()).is_none(), "frame {} double-allocated", f);
+                    assert!(seen.insert(f, ()).is_none(), "case {case}: frame {} double-allocated", f);
                 }
             }
         }
-        // Freeing everything restores a fully free allocator.
+        // Freeing everything restores a fully free, fully merged allocator.
         for (base, order) in live {
             buddy.free(base, order);
         }
-        prop_assert_eq!(buddy.free_frames(), total);
+        assert_eq!(buddy.free_frames(), total, "case {case}");
+        let fresh = BuddyAllocator::new(total);
+        for order in 0..=MAX_ORDER {
+            let blocks = buddy.free_blocks_of_order(order);
+            assert_eq!(blocks, fresh.free_blocks_of_order(order), "case {case}: order {order}");
+        }
     }
+}
 
-    #[test]
-    fn is_range_free_agrees_with_alloc_at(
-        total in 512u64..2048,
-        holes in proptest::collection::vec((0u64..2048, 0u8..6), 0..20),
-        probe_base in 0u64..2048,
-        probe_order in 0u8..9,
-    ) {
+#[test]
+fn is_range_free_agrees_with_alloc_at() {
+    for case in 0..128 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let total = rng.gen_range(512..2048u64);
         let mut buddy = BuddyAllocator::new(total);
-        for (b, o) in holes {
-            let b = b & !((1u64 << o) - 1);
+        for _ in 0..rng.gen_range(0..20) {
+            let o = rng.gen_range(0..6u8);
+            let b = rng.gen_range(0..2048u64) & !((1u64 << o) - 1);
             let _ = buddy.alloc_at(b, o);
         }
+        let (probe_base, probe_order) = (rng.gen_range(0..2048u64), rng.gen_range(0..9u8));
         let probe_base = probe_base & !((1u64 << probe_order) - 1);
         let claimed_free = buddy.is_range_free(probe_base, probe_order);
         let alloc_result = buddy.alloc_at(probe_base, probe_order);
-        prop_assert_eq!(claimed_free, alloc_result.is_ok());
+        assert_eq!(claimed_free, alloc_result.is_ok(), "case {case}");
     }
 }

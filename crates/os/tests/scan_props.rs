@@ -4,7 +4,8 @@
 use mixtlb_os::scan::{ContiguityStats, PageSizeDistribution, RunFinder};
 use mixtlb_pagetable::{BumpFrameSource, PageTable};
 use mixtlb_types::{PageSize, Permissions, Pfn, Translation, Vpn};
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Builds a 2 MB mapping stream from run-length encoded input: each entry
 /// is `(run_length, gap_pages, phys_jump)`.
@@ -35,6 +36,10 @@ fn mappings_from_rle(rle: &[(u8, u8, bool)]) -> Vec<Translation> {
     out
 }
 
+fn gen_rle(rng: &mut SmallRng) -> Vec<(u8, u8, bool)> {
+    (0..rng.gen_range(1..24)).map(|_| (rng.gen(), rng.gen(), rng.gen())).collect()
+}
+
 /// Naive O(n²)-ish reference: recompute runs directly from the list.
 fn naive_runs(mappings: &[Translation]) -> Vec<u64> {
     let mut runs = Vec::new();
@@ -55,14 +60,10 @@ fn naive_runs(mappings: &[Translation]) -> Vec<u64> {
     runs
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn run_finder_matches_naive_recomputation(
-        rle in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..24),
-    ) {
-        let mappings = mappings_from_rle(&rle);
+#[test]
+fn run_finder_matches_naive_recomputation() {
+    for case in 0..128 {
+        let mappings = mappings_from_rle(&gen_rle(&mut SmallRng::seed_from_u64(case)));
         // Through the page table scanner...
         let mut frames = BumpFrameSource::new(0x40_0000);
         let mut pt = PageTable::new(&mut frames);
@@ -77,44 +78,44 @@ proptest! {
         }
         let direct = finder.finish();
         let naive = naive_runs(&mappings);
-        prop_assert_eq!(&via_table.runs, &naive);
-        prop_assert_eq!(&direct.runs, &naive);
+        assert_eq!(&via_table.runs, &naive, "case {case}");
+        assert_eq!(&direct.runs, &naive, "case {case}");
         // Invariants of the statistics.
-        prop_assert_eq!(via_table.translations(), mappings.len() as u64);
+        assert_eq!(via_table.translations(), mappings.len() as u64, "case {case}");
         let avg = via_table.average_contiguity();
         let max = via_table.max_run() as f64;
-        prop_assert!(avg >= 1.0 - 1e-12 && avg <= max + 1e-12);
+        assert!(avg >= 1.0 - 1e-12 && avg <= max + 1e-12, "case {case}");
     }
+}
 
-    #[test]
-    fn cdf_is_a_valid_distribution(
-        rle in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..24),
-    ) {
-        let mappings = mappings_from_rle(&rle);
+#[test]
+fn cdf_is_a_valid_distribution() {
+    for case in 0..128 {
+        let mappings = mappings_from_rle(&gen_rle(&mut SmallRng::seed_from_u64(case)));
         let mut finder = RunFinder::new(PageSize::Size2M);
         for t in &mappings {
             finder.feed(t);
         }
         let stats = finder.finish();
         let cdf = stats.cdf();
-        prop_assert!(!cdf.is_empty());
+        assert!(!cdf.is_empty(), "case {case}");
         // Monotone in both coordinates, ending at exactly 1.
         for pair in cdf.windows(2) {
-            prop_assert!(pair[0].0 < pair[1].0);
-            prop_assert!(pair[0].1 <= pair[1].1 + 1e-12);
+            assert!(pair[0].0 < pair[1].0, "case {case}");
+            assert!(pair[0].1 <= pair[1].1 + 1e-12, "case {case}");
         }
         let last = cdf.last().expect("non-empty");
-        prop_assert!((last.1 - 1.0).abs() < 1e-9);
-        prop_assert_eq!(last.0, stats.max_run());
+        assert!((last.1 - 1.0).abs() < 1e-9, "case {case}");
+        assert_eq!(last.0, stats.max_run(), "case {case}");
     }
+}
 
-    #[test]
-    fn distribution_bytes_are_consistent(
-        n4k in 0u64..64,
-        n2m in 0u64..16,
-        n1g in 0u64..3,
-    ) {
-        prop_assume!(n4k + n2m + n1g > 0);
+#[test]
+fn distribution_bytes_are_consistent() {
+    for case in 0..128 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let (n4k, n2m, n1g) = (rng.gen_range(0..64u64), rng.gen_range(0..16u64), rng.gen_range(0..3u64));
+        assert!(n4k + n2m + n1g > 0, "case {case}: an empty table has no distribution");
         let mut frames = BumpFrameSource::new(0x40_0000);
         let mut pt = PageTable::new(&mut frames);
         // Disjoint regions per size class.
@@ -140,16 +141,16 @@ proptest! {
             ).expect("disjoint");
         }
         let d = PageSizeDistribution::of(&pt);
-        prop_assert_eq!((d.pages_4k, d.pages_2m, d.pages_1g), (n4k, n2m, n1g));
+        assert_eq!((d.pages_4k, d.pages_2m, d.pages_1g), (n4k, n2m, n1g), "case {case}");
         let expected_bytes = n4k * 4096 + n2m * (2 << 20) + n1g * (1 << 30);
-        prop_assert_eq!(d.total_bytes(), expected_bytes);
+        assert_eq!(d.total_bytes(), expected_bytes, "case {case}");
         let sp = d.superpage_fraction();
-        prop_assert!((0.0..=1.0).contains(&sp));
+        assert!((0.0..=1.0).contains(&sp), "case {case}");
         if n2m + n1g == 0 {
-            prop_assert_eq!(sp, 0.0);
+            assert_eq!(sp, 0.0, "case {case}");
         }
         if n4k == 0 {
-            prop_assert!((sp - 1.0).abs() < 1e-12);
+            assert!((sp - 1.0).abs() < 1e-12, "case {case}");
         }
     }
 }

@@ -5,9 +5,10 @@ use std::collections::HashMap;
 
 use mixtlb_pagetable::{BumpFrameSource, MapError, PageTable, Walker};
 use mixtlb_types::{AccessKind, PageSize, Permissions, Pfn, Translation, VirtAddr, Vpn};
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Map { slot: u64, size: PageSize, pfn: u64 },
     Unmap { slot: u64, size: PageSize },
@@ -15,23 +16,22 @@ enum Op {
     Walk { slot: u64, offset: u64, store: bool },
 }
 
-fn size_strategy() -> impl Strategy<Value = PageSize> {
-    prop_oneof![
-        4 => Just(PageSize::Size4K),
-        3 => Just(PageSize::Size2M),
-        1 => Just(PageSize::Size1G),
-    ]
+fn gen_size(rng: &mut SmallRng) -> PageSize {
+    match rng.gen_range(0..8) {
+        0..=3 => PageSize::Size4K,
+        4..=6 => PageSize::Size2M,
+        _ => PageSize::Size1G,
+    }
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u64..32, size_strategy(), 1u64..1 << 20)
-            .prop_map(|(slot, size, pfn)| Op::Map { slot, size, pfn }),
-        (0u64..32, size_strategy()).prop_map(|(slot, size)| Op::Unmap { slot, size }),
-        (0u64..32, 0u64..262_144).prop_map(|(slot, offset)| Op::Lookup { slot, offset }),
-        (0u64..32, 0u64..262_144, any::<bool>())
-            .prop_map(|(slot, offset, store)| Op::Walk { slot, offset, store }),
-    ]
+fn gen_op(rng: &mut SmallRng) -> Op {
+    let slot = rng.gen_range(0..32);
+    match rng.gen_range(0..4) {
+        0 => Op::Map { slot, size: gen_size(rng), pfn: rng.gen_range(1..1 << 20) },
+        1 => Op::Unmap { slot, size: gen_size(rng) },
+        2 => Op::Lookup { slot, offset: rng.gen_range(0..262_144) },
+        _ => Op::Walk { slot, offset: rng.gen_range(0..262_144), store: rng.gen() },
+    }
 }
 
 /// Slots are 1 GB-aligned regions, so same-slot mappings of different
@@ -40,19 +40,16 @@ fn slot_base(slot: u64) -> Vpn {
     Vpn::new(slot << 18)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn page_table_agrees_with_a_naive_model(
-        ops in proptest::collection::vec(op_strategy(), 1..120),
-    ) {
+#[test]
+fn page_table_agrees_with_a_naive_model() {
+    for case in 0..64 {
+        let mut rng = SmallRng::seed_from_u64(case);
         let mut frames = BumpFrameSource::new(0x1000_0000);
         let mut pt = PageTable::new(&mut frames);
         // Model: per (slot) an optional (size, translation).
         let mut model: HashMap<u64, Translation> = HashMap::new();
-        for op in ops {
-            match op {
+        for _ in 0..rng.gen_range(1..120) {
+            match gen_op(&mut rng) {
                 Op::Map { slot, size, pfn } => {
                     let base = slot_base(slot);
                     let pfn = Pfn::new((pfn << (size.shift() - 12)) & ((1 << 36) - 1));
@@ -60,7 +57,7 @@ proptest! {
                     let result = pt.map(t, &mut frames);
                     match model.get(&slot) {
                         None => {
-                            prop_assert!(result.is_ok(), "map into empty slot failed: {result:?}");
+                            assert!(result.is_ok(), "case {case}: map into empty slot failed: {result:?}");
                             model.insert(slot, t);
                         }
                         Some(existing) => {
@@ -73,7 +70,7 @@ proptest! {
                             } else {
                                 MapError::Obstructed
                             };
-                            prop_assert_eq!(result, Err(expected));
+                            assert_eq!(result, Err(expected), "case {case}");
                         }
                     }
                 }
@@ -82,10 +79,10 @@ proptest! {
                     match model.get(&slot) {
                         Some(existing) if existing.size == size => {
                             let removed = result.expect("model says mapped");
-                            prop_assert_eq!(removed.pfn, existing.pfn);
+                            assert_eq!(removed.pfn, existing.pfn, "case {case}");
                             model.remove(&slot);
                         }
-                        _ => prop_assert_eq!(result, Err(MapError::NotMapped)),
+                        _ => assert_eq!(result, Err(MapError::NotMapped), "case {case}"),
                     }
                 }
                 Op::Lookup { slot, offset } => {
@@ -95,7 +92,7 @@ proptest! {
                         .get(&slot)
                         .filter(|t| t.covers(vpn))
                         .map(|t| (t.pfn, t.size));
-                    prop_assert_eq!(got.map(|t| (t.pfn, t.size)), expected);
+                    assert_eq!(got.map(|t| (t.pfn, t.size)), expected, "case {case}");
                 }
                 Op::Walk { slot, offset, store } => {
                     let vpn = slot_base(slot).add_4k(offset);
@@ -105,10 +102,10 @@ proptest! {
                     match model.get(&slot).filter(|t| t.covers(vpn)) {
                         Some(t) => {
                             let found = walk.translation.expect("model says mapped");
-                            prop_assert_eq!(found.pfn, t.pfn);
-                            prop_assert!(found.accessed, "walks set the accessed bit");
+                            assert_eq!(found.pfn, t.pfn, "case {case}");
+                            assert!(found.accessed, "case {case}: walks set the accessed bit");
                             if store {
-                                prop_assert!(found.dirty, "store walks set the dirty bit");
+                                assert!(found.dirty, "case {case}: store walks set the dirty bit");
                             }
                             // Walk depth matches the leaf level.
                             let expected_reads = match t.size {
@@ -116,9 +113,9 @@ proptest! {
                                 PageSize::Size2M => 3,
                                 PageSize::Size1G => 2,
                             };
-                            prop_assert_eq!(walk.pte_reads.len(), expected_reads);
+                            assert_eq!(walk.pte_reads.len(), expected_reads, "case {case}");
                         }
-                        None => prop_assert!(walk.is_fault()),
+                        None => assert!(walk.is_fault(), "case {case}"),
                     }
                 }
             }
@@ -127,18 +124,19 @@ proptest! {
             let m4 = model.values().filter(|t| t.size == PageSize::Size4K).count() as u64;
             let m2 = model.values().filter(|t| t.size == PageSize::Size2M).count() as u64;
             let m1 = model.values().filter(|t| t.size == PageSize::Size1G).count() as u64;
-            prop_assert_eq!((c4, c2, c1), (m4, m2, m1));
+            assert_eq!((c4, c2, c1), (m4, m2, m1), "case {case}");
         }
     }
+}
 
-    /// The walker's line translations are always true leaves of the table and
-    /// include the requested translation.
-    #[test]
-    fn line_translations_are_true_leaves(
-        count in 1u64..16,
-        stride in 1u64..3,
-        probe in 0u64..16,
-    ) {
+/// The walker's line translations are always true leaves of the table and
+/// include the requested translation.
+#[test]
+fn line_translations_are_true_leaves() {
+    for case in 0..64 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let (count, stride) = (rng.gen_range(1..16u64), rng.gen_range(1..3u64));
+        let probe = rng.gen_range(0..16u64);
         let mut frames = BumpFrameSource::new(0x1000_0000);
         let mut pt = PageTable::new(&mut frames);
         for i in 0..count {
@@ -153,13 +151,13 @@ proptest! {
         let target = (probe % count) * stride * 512;
         let walk = Walker::walk(&mut pt, VirtAddr::new(target * 4096), AccessKind::Load);
         let requested = walk.translation.expect("mapped");
-        prop_assert!(walk.line_translations.contains(&requested));
+        assert!(walk.line_translations.contains(&requested), "case {case}");
         for t in &walk.line_translations {
-            prop_assert_eq!(pt.lookup(t.vpn).map(|x| x.pfn), Some(t.pfn));
+            assert_eq!(pt.lookup(t.vpn).map(|x| x.pfn), Some(t.pfn), "case {case}");
         }
         // Ascending VA order.
         for pair in walk.line_translations.windows(2) {
-            prop_assert!(pair[0].vpn < pair[1].vpn);
+            assert!(pair[0].vpn < pair[1].vpn, "case {case}");
         }
     }
 }

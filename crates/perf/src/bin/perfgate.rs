@@ -14,9 +14,14 @@
 //! perfgate gate --prev FILE --curr FILE [--tolerance FRAC]
 //! perfgate self-test
 //! ```
+//!
+//! An unknown or repeated flag, a flag without its value, or a value that
+//! does not parse (`--tolerance` must lie in `[0, 1)`, `--reps` must be
+//! positive) exits 2 with the usage text before any work.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use mixtlb_perf::{
     config_fingerprint, corpus_catalog, corpus_path, default_corpus_dir, file_fingerprint, gate,
@@ -37,7 +42,8 @@ fn usage() -> ExitCode {
          \x20               | measure --out FILE [--corpus DIR] [--pr N] [--reps N] [--warmup N]\n\
          \x20                         [--quick]\n\
          \x20               | gate --prev FILE --curr FILE [--tolerance FRAC] [--aggregate]\n\
-         \x20               | self-test>"
+         \x20               | self-test>\n\
+         FRAC lies in [0, 1); N is a non-negative integer, --reps N positive"
     );
     ExitCode::from(2)
 }
@@ -54,18 +60,62 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// Whether `args` holds only the given flags, each at most once:
+/// `valued` ones followed by a value, `switches` alone.
+fn only_flags(args: &[String], valued: &[&str], switches: &[&str]) -> bool {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        let known = if valued.contains(&arg) {
+            it.next().is_some()
+        } else {
+            switches.contains(&arg)
+        };
+        if !known || seen.contains(&arg) {
+            eprintln!("perfgate: unexpected argument `{arg}`");
+            return false;
+        }
+        seen.push(arg);
+    }
+    true
+}
+
+/// The value of `flag` parsed as `T`, or `default` when the flag is
+/// absent; `None` (after a message) when the value does not parse or
+/// fails `valid`.
+fn parse_flag<T: FromStr>(
+    args: &[String],
+    flag: &str,
+    default: T,
+    valid: impl Fn(&T) -> bool,
+) -> Option<T> {
+    let Some(text) = flag_value(args, flag) else {
+        return Some(default);
+    };
+    match text.parse() {
+        Ok(value) if valid(&value) => Some(value),
+        _ => {
+            eprintln!("perfgate: invalid {flag} value `{text}`");
+            None
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("gen-corpus") => gen_corpus(&args[1..]),
         Some("measure") => measure(&args[1..]),
         Some("gate") => gate_cmd(&args[1..]),
-        Some("self-test") => self_test(),
+        Some("self-test") if args.len() == 1 => self_test(),
         _ => usage(),
     }
 }
 
 fn gen_corpus(args: &[String]) -> ExitCode {
+    if !only_flags(args, &["--dir"], &[]) {
+        return usage();
+    }
     let dir = flag_value(args, "--dir")
         .map(PathBuf::from)
         .unwrap_or_else(default_corpus_dir);
@@ -99,25 +149,25 @@ struct MeasurePlan {
     reps: usize,
 }
 
-fn measure_plan(args: &[String]) -> MeasurePlan {
+/// The plan `args` ask for; `None` when `--warmup` or `--reps` is malformed.
+fn measure_plan(args: &[String]) -> Option<MeasurePlan> {
     let quick = has_flag(args, "--quick");
     let workloads: Vec<CorpusWorkload> = corpus_catalog()
         .into_iter()
         .filter(|w| !quick || w.name == "streamcluster" || w.name == "gups")
         .collect();
-    let parse = |flag: &str, default: usize| {
-        flag_value(args, flag)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    MeasurePlan {
+    Some(MeasurePlan {
         workloads,
-        warmup: parse("--warmup", if quick { 1 } else { 2 }),
-        reps: parse("--reps", if quick { 3 } else { 5 }),
-    }
+        warmup: parse_flag(args, "--warmup", if quick { 1 } else { 2 }, |_| true)?,
+        reps: parse_flag(args, "--reps", if quick { 3 } else { 5 }, |&n| n > 0)?,
+    })
 }
 
 fn measure(args: &[String]) -> ExitCode {
+    let valued = ["--out", "--corpus", "--pr", "--reps", "--warmup"];
+    if !only_flags(args, &valued, &["--quick"]) {
+        return usage();
+    }
     let dir = flag_value(args, "--corpus")
         .map(PathBuf::from)
         .unwrap_or_else(default_corpus_dir);
@@ -127,10 +177,10 @@ fn measure(args: &[String]) -> ExitCode {
         eprintln!("perfgate: measure needs --out FILE");
         return usage();
     };
-    let pr: u32 = flag_value(args, "--pr")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let plan = measure_plan(args);
+    let (Some(pr), Some(plan)) = (parse_flag(args, "--pr", 0u32, |_| true), measure_plan(args))
+    else {
+        return usage();
+    };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ws_path = path_at_cores(PATH_WS_BATCHED, cores);
     println!("host cores: {cores} (multi-core point {ws_path})");
@@ -253,14 +303,16 @@ fn load_report(path: &str) -> Option<BenchReport> {
 }
 
 fn gate_cmd(args: &[String]) -> ExitCode {
-    let (Some(prev_path), Some(curr_path)) =
-        (flag_value(args, "--prev"), flag_value(args, "--curr"))
+    if !only_flags(args, &["--prev", "--curr", "--tolerance"], &["--aggregate"]) {
+        return usage();
+    }
+    // NaN and the infinities fail the range test too.
+    let tolerance = parse_flag(args, "--tolerance", 0.10, |t: &f64| (0.0..1.0).contains(t));
+    let (Some(prev_path), Some(curr_path), Some(tolerance)) =
+        (flag_value(args, "--prev"), flag_value(args, "--curr"), tolerance)
     else {
         return usage();
     };
-    let tolerance: f64 = flag_value(args, "--tolerance")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.10);
     let (Some(prev), Some(curr)) = (load_report(&prev_path), load_report(&curr_path)) else {
         return ExitCode::FAILURE;
     };

@@ -10,7 +10,8 @@ use mixtlb_sim::TlbHierarchy;
 use mixtlb_smp::{MultiProgrammedScenario, ShootdownModel, SmpScenarioConfig};
 use mixtlb_trace::TraceEvent;
 use mixtlb_types::{AccessKind, VirtAddr, Vpn};
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Pages in each core's 8 MB footprint.
 const FOOTPRINT_PAGES: u64 = (8 << 20) / 4096;
@@ -41,23 +42,18 @@ fn event(vpn: Vpn, pc: u64) -> TraceEvent {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Warm every core's TLBs on a page, migrate it with a broadcast
-    /// shootdown, and check every core immediately serves the new frame
-    /// (the migrated frame differs in exactly bit 33 of the PFN, i.e.
-    /// bit 45 of the physical address).
-    #[test]
-    fn every_core_serves_the_new_frame_after_shootdown(
-        cores in 2usize..=4,
-        design_idx in 0usize..3,
-        page in 0u64..FOOTPRINT_PAGES,
-        initiator_sel in 0usize..16,
-        seed in 0u64..1_000,
-    ) {
-        let (name, factory) = design(design_idx);
-        let scenario = MultiProgrammedScenario::gups_times(cores, &cfg(seed));
+/// Warm every core's TLBs on a page, migrate it with a broadcast
+/// shootdown, and check every core immediately serves the new frame
+/// (the migrated frame differs in exactly bit 33 of the PFN, i.e.
+/// bit 45 of the physical address).
+#[test]
+fn every_core_serves_the_new_frame_after_shootdown() {
+    for case in 0..12 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let cores = rng.gen_range(2..=4);
+        let (name, factory) = design(rng.gen_range(0..3));
+        let (page, initiator_sel) = (rng.gen_range(0..FOOTPRINT_PAGES), rng.gen_range(0..16usize));
+        let scenario = MultiProgrammedScenario::gups_times(cores, &cfg(rng.gen_range(0..1_000)));
         let mut machine = scenario.build_machine(
             factory,
             SharedCacheConfig::tiny(),
@@ -70,44 +66,44 @@ proptest! {
         let mut before = Vec::new();
         for core in 0..cores {
             let pa = machine.access(core, &ev);
-            prop_assert!(pa.is_some(), "{name}: pre-faulted page must translate");
+            assert!(pa.is_some(), "case {case}: {name}: pre-faulted page must translate");
             // Touch again: now it is an L1 hit for sure.
-            prop_assert_eq!(machine.access(core, &ev), pa);
+            assert_eq!(machine.access(core, &ev), pa, "case {case}");
             before.push(pa.unwrap());
         }
 
         // Migrate + shootdown from an arbitrary initiator.
         let initiator = initiator_sel % cores;
         let size = machine.broadcast_remap(initiator, vpn);
-        prop_assert!(size.is_some(), "{name}: page was mapped");
+        assert!(size.is_some(), "case {case}: {name}: page was mapped");
 
         // Every core — initiator and remotes alike — serves the new frame.
         for (core, old_pa) in before.iter().enumerate() {
             let pa = machine.access(core, &ev);
-            prop_assert!(pa.is_some());
+            assert!(pa.is_some(), "case {case}");
             let pa = pa.unwrap();
-            prop_assert_ne!(
+            assert_ne!(
                 pa, *old_pa,
-                "{}: core {} returned the stale frame after the shootdown",
+                "case {case}: {}: core {} returned the stale frame after the shootdown",
                 name, core
             );
-            prop_assert_eq!(
+            assert_eq!(
                 pa.raw(),
                 old_pa.raw() ^ (1 << 45),
-                "{}: core {} translated to an unexpected frame",
+                "case {case}: {}: core {} translated to an unexpected frame",
                 name, core
             );
         }
 
         // The initiator paid the machine-wide cost; remotes absorbed IPIs.
         let report = machine.run_serial(0);
-        prop_assert_eq!(report.cores[initiator].stats.shootdowns_initiated, 1);
-        prop_assert!(report.cores[initiator].stats.shootdown_cycles_initiated > 0);
+        assert_eq!(report.cores[initiator].stats.shootdowns_initiated, 1, "case {case}");
+        assert!(report.cores[initiator].stats.shootdown_cycles_initiated > 0, "case {case}");
         for core in 0..cores {
             if core != initiator {
-                prop_assert!(
+                assert!(
                     report.cores[core].shootdown_cycles_absorbed > 0,
-                    "{}: remote {} absorbed no shootdown cycles",
+                    "case {case}: {}: remote {} absorbed no shootdown cycles",
                     name, core
                 );
             }

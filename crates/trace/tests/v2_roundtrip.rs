@@ -7,26 +7,20 @@ use std::io::Read;
 
 use mixtlb_trace::{TraceEvent, TraceFileV2};
 use mixtlb_types::{AccessKind, PageSize, VirtAddr, Vpn};
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
-fn event_strategy() -> impl Strategy<Value = TraceEvent> {
-    (
-        // 4 KB page numbers across the canonical low half, including
-        // far-apart pages that need wide zigzag deltas.
-        0u64..(1u64 << 35),
-        0u64..PageSize::Size4K.bytes(),
-        prop_oneof![
-            Just(AccessKind::Load),
-            Just(AccessKind::Store),
-            Just(AccessKind::Fetch)
-        ],
-        any::<u64>(),
-    )
-        .prop_map(|(page, off, kind, pc)| TraceEvent {
-            va: VirtAddr::from_page(Vpn::new(page), off),
-            kind,
-            pc,
-        })
+fn gen_event(rng: &mut SmallRng) -> TraceEvent {
+    // 4 KB page numbers across the canonical low half, including
+    // far-apart pages that need wide zigzag deltas.
+    let page = rng.gen_range(0..1u64 << 35);
+    let off = rng.gen_range(0..PageSize::Size4K.bytes());
+    let kind = [AccessKind::Load, AccessKind::Store, AccessKind::Fetch][rng.gen_range(0..3usize)];
+    TraceEvent { va: VirtAddr::from_page(Vpn::new(page), off), kind, pc: rng.gen() }
+}
+
+fn gen_events(rng: &mut SmallRng, len: std::ops::Range<usize>) -> Vec<TraceEvent> {
+    (0..rng.gen_range(len)).map(|_| gen_event(rng)).collect()
 }
 
 fn temp(name: &str) -> std::path::PathBuf {
@@ -35,22 +29,19 @@ fn temp(name: &str) -> std::path::PathBuf {
     p
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn roundtrip_and_byte_stability(
-        events in proptest::collection::vec(event_strategy(), 0..600),
-        case in 0u32..u32::MAX,
-    ) {
+#[test]
+fn roundtrip_and_byte_stability() {
+    for case in 0..48 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let events = gen_events(&mut rng, 0..600);
         let path = temp(&format!("rt-{case}"));
         let written = TraceFileV2::record(&path, events.iter().copied()).unwrap();
-        prop_assert_eq!(written, events.len() as u64);
+        assert_eq!(written, events.len() as u64, "case {case}");
 
         let reader = TraceFileV2::open(&path).unwrap();
-        prop_assert_eq!(reader.event_count(), events.len() as u64);
+        assert_eq!(reader.event_count(), events.len() as u64, "case {case}");
         let decoded: Vec<TraceEvent> = reader.map(|r| r.unwrap()).collect();
-        prop_assert_eq!(&decoded, &events);
+        assert_eq!(&decoded, &events, "case {case}");
 
         // Re-encoding the decoded stream must reproduce the bytes exactly
         // (the corpus-pinning property the golden test relies on).
@@ -58,18 +49,19 @@ proptest! {
         let path2 = temp(&format!("rt2-{case}"));
         TraceFileV2::record(&path2, decoded).unwrap();
         let second = std::fs::read(&path2).unwrap();
-        prop_assert_eq!(first, second);
+        assert_eq!(first, second, "case {case}");
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&path2);
     }
+}
 
-    #[test]
-    fn truncation_is_an_error_not_a_panic(
-        events in proptest::collection::vec(event_strategy(), 1..300),
-        cut_fraction in 0.0f64..1.0,
-        case in 0u32..u32::MAX,
-    ) {
+#[test]
+fn truncation_is_an_error_not_a_panic() {
+    for case in 0..48 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let events = gen_events(&mut rng, 1..300);
+        let cut_fraction: f64 = rng.gen_range(0.0..1.0);
         let path = temp(&format!("trunc-{case}"));
         TraceFileV2::record(&path, events.iter().copied()).unwrap();
         let bytes = std::fs::read(&path).unwrap();
@@ -90,7 +82,7 @@ proptest! {
                     match item {
                         Ok(_) => decoded += 1,
                         Err(e) => {
-                            prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "case {case}");
                             errored = true;
                             break;
                         }
@@ -99,31 +91,32 @@ proptest! {
                 // A chopped file must either lose events (reported as an
                 // error) or — if the cut landed exactly on the end of the
                 // stream — decode fully; it may never invent events.
-                prop_assert!(decoded <= events.len() as u64);
+                assert!(decoded <= events.len() as u64, "case {case}");
                 if !errored {
-                    prop_assert_eq!(decoded, events.len() as u64);
+                    assert_eq!(decoded, events.len() as u64, "case {case}");
                 }
             }
         }
         let _ = std::fs::remove_file(&path);
     }
+}
 
-    /// The same truncation sweep through the streaming block interface
-    /// ([`BlockReader`] + [`decode_block`]) the pipeline consumes: every
-    /// event delivered before the damage surfaces must be an exact
-    /// prefix of the original stream (block granular — a damaged block
-    /// contributes nothing), the failure must be a clean
-    /// `InvalidData`, and an uncut file must stream back in full with
-    /// `events_remaining()` reaching zero.
-    #[test]
-    fn block_reader_truncation_yields_an_exact_prefix(
-        events in proptest::collection::vec(event_strategy(), 1..5000),
-        cut_fraction in 0.0f64..1.0,
-        keep_all in any::<bool>(),
-        case in 0u32..u32::MAX,
-    ) {
-        use mixtlb_trace::{decode_block, BlockReader, RawBlock};
+/// The same truncation sweep through the streaming block interface
+/// ([`BlockReader`] + [`decode_block`]) the pipeline consumes: every
+/// event delivered before the damage surfaces must be an exact
+/// prefix of the original stream (block granular — a damaged block
+/// contributes nothing), the failure must be a clean
+/// `InvalidData`, and an uncut file must stream back in full with
+/// `events_remaining()` reaching zero.
+#[test]
+fn block_reader_truncation_yields_an_exact_prefix() {
+    use mixtlb_trace::{decode_block, BlockReader, RawBlock};
 
+    for case in 0..48 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let events = gen_events(&mut rng, 1..5000);
+        let cut_fraction: f64 = rng.gen_range(0.0..1.0);
+        let keep_all: bool = rng.gen();
         let path = temp(&format!("blk-trunc-{case}"));
         TraceFileV2::record(&path, events.iter().copied()).unwrap();
         let bytes = std::fs::read(&path).unwrap();
@@ -151,52 +144,49 @@ proptest! {
                     match decode_block(&raw, &mut chunk) {
                         Ok(()) => streamed.extend_from_slice(&chunk),
                         Err(e) => {
-                            prop_assert!(chunk.is_empty(), "failed decode must not leave a partial chunk");
+                            assert!(chunk.is_empty(), "case {case}: failed decode must not leave a partial chunk");
                             error = Some(e);
                             break;
                         }
                     }
                 }
-                prop_assert!(streamed.len() <= events.len());
-                prop_assert_eq!(&streamed[..], &events[..streamed.len()],
-                    "streamed events must be an exact prefix");
+                assert!(streamed.len() <= events.len(), "case {case}");
+                assert_eq!(&streamed[..], &events[..streamed.len()],
+                    "case {case}: streamed events must be an exact prefix");
                 match error {
-                    Some(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+                    Some(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "case {case}"),
                     None => {
                         // Clean end: only legal when nothing was lost.
-                        prop_assert_eq!(streamed.len(), events.len());
-                        prop_assert_eq!(blocks.events_remaining(), 0);
+                        assert_eq!(streamed.len(), events.len(), "case {case}");
+                        assert_eq!(blocks.events_remaining(), 0, "case {case}");
                     }
                 }
             }
         }
         let _ = std::fs::remove_file(&path);
     }
+}
 
-    /// Truncation landing *exactly* on a block boundary is the nastiest
-    /// cut: every byte the reader sees is self-consistent (whole blocks,
-    /// valid checksums), so only the header's event count can expose the
-    /// chopped tail. The reader must decode the surviving whole blocks
-    /// and then report the missing events — never a clean EOF, never a
-    /// panic.
-    #[test]
-    fn chunk_boundary_truncation_reports_the_missing_tail(
-        tail in 1usize..400,
-        case in 0u32..u32::MAX,
-    ) {
-        // One full 2048-event block plus a ragged tail block.
-        const BLOCK_EVENTS: usize = 2048;
-        let events: Vec<TraceEvent> = {
-            let mut v = Vec::with_capacity(BLOCK_EVENTS + tail);
-            for i in 0..(BLOCK_EVENTS + tail) as u64 {
-                v.push(TraceEvent {
-                    va: VirtAddr::from_page(Vpn::new(0x4000 + i * 3), (i * 7) % 4096),
-                    kind: AccessKind::Load,
-                    pc: 0x40_0000 + i * 4,
-                });
-            }
-            v
-        };
+/// Truncation landing *exactly* on a block boundary is the nastiest
+/// cut: every byte the reader sees is self-consistent (whole blocks,
+/// valid checksums), so only the header's event count can expose the
+/// chopped tail. The reader must decode the surviving whole blocks
+/// and then report the missing events — never a clean EOF, never a
+/// panic.
+#[test]
+fn chunk_boundary_truncation_reports_the_missing_tail() {
+    // One full 2048-event block plus a ragged tail block.
+    const BLOCK_EVENTS: usize = 2048;
+    for case in 0..48 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let tail = rng.gen_range(1..400usize);
+        let events: Vec<TraceEvent> = (0..(BLOCK_EVENTS + tail) as u64)
+            .map(|i| TraceEvent {
+                va: VirtAddr::from_page(Vpn::new(0x4000 + i * 3), (i * 7) % 4096),
+                kind: AccessKind::Load,
+                pc: 0x40_0000 + i * 4,
+            })
+            .collect();
         let path = temp(&format!("boundary-{case}"));
         TraceFileV2::record(&path, events.iter().copied()).unwrap();
 
@@ -206,7 +196,7 @@ proptest! {
         TraceFileV2::record(&head, events.iter().copied().take(BLOCK_EVENTS)).unwrap();
         let cut = std::fs::metadata(&head).unwrap().len() as usize;
         let bytes = std::fs::read(&path).unwrap();
-        prop_assert!(cut < bytes.len(), "tail block must exist past the cut");
+        assert!(cut < bytes.len(), "case {case}: tail block must exist past the cut");
         std::fs::write(&path, &bytes[..cut]).unwrap();
 
         let reader = TraceFileV2::open(&path).unwrap();
@@ -215,7 +205,7 @@ proptest! {
         for item in reader {
             match item {
                 Ok(ev) => {
-                    prop_assert_eq!(ev, events[decoded], "surviving events must be intact");
+                    assert_eq!(ev, events[decoded], "case {case}: surviving events must be intact");
                     decoded += 1;
                 }
                 Err(e) => {
@@ -224,31 +214,29 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(decoded, BLOCK_EVENTS, "the whole first block still decodes");
+        assert_eq!(decoded, BLOCK_EVENTS, "case {case}: the whole first block still decodes");
         let err = err.expect("the chopped tail must surface as an error, not clean EOF");
-        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        prop_assert!(err.to_string().contains("truncated"), "{}", err);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "case {case}");
+        assert!(err.to_string().contains("truncated"), "case {case}: {err}");
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&head);
     }
+}
 
-    #[test]
-    fn corruption_is_an_error_not_garbage(
-        events in proptest::collection::vec(event_strategy(), 1..300),
-        victim_fraction in 0.0f64..1.0,
-        bit in 0u8..8,
-        case in 0u32..u32::MAX,
-    ) {
+#[test]
+fn corruption_is_an_error_not_garbage() {
+    for case in 0..48 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let events = gen_events(&mut rng, 1..300);
+        let victim_fraction: f64 = rng.gen_range(0.0..1.0);
+        let bit = rng.gen_range(0..8u8);
         let path = temp(&format!("corrupt-{case}"));
         TraceFileV2::record(&path, events.iter().copied()).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
 
         // Flip one bit somewhere after the header.
-        if bytes.len() <= 24 {
-            let _ = std::fs::remove_file(&path);
-            return Ok(());
-        }
+        assert!(bytes.len() > 24, "case {case}: a non-empty trace has blocks past the header");
         let victim = 24 + ((bytes.len() - 25) as f64 * victim_fraction) as usize;
         bytes[victim] ^= 1 << bit;
         std::fs::write(&path, &bytes).unwrap();
@@ -257,12 +245,12 @@ proptest! {
         // for; the flip either surfaces as a clean InvalidData error or
         // (if it struck slack the decoder never trusts, e.g. the reserved
         // header word) changes nothing.
-        match TraceFileV2::open(&path) {
-            Err(_) => {}
-            Ok(reader) => {
-                for item in reader {
-                    if let Err(e) = item {
-                        prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        if let Ok(reader) = TraceFileV2::open(&path) {
+            for (i, item) in reader.enumerate() {
+                match item {
+                    Ok(ev) => assert_eq!(Some(&ev), events.get(i), "case {case}: event {i} altered"),
+                    Err(e) => {
+                        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "case {case}");
                         break;
                     }
                 }

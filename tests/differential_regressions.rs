@@ -1,11 +1,9 @@
-//! Named, always-run promotions of the shrunken counterexamples recorded
-//! in `differential.proptest-regressions`.
+//! Named, always-run counterexamples that the differential property
+//! suite (`differential.rs`) once found.
 //!
-//! Proptest replays that seed file only when the property tests run with
-//! the same harness; promoting each case to a deterministic unit test
-//! makes the regression permanent, self-describing, and independent of
-//! the proptest dependency. Keep this file in sync: every `cc` line in
-//! the seed file gets a named test documenting what it caught.
+//! The property suite draws fresh random spaces from fixed seeds, so a
+//! shrunken failing case is kept here as a deterministic test that
+//! documents what it caught. Add one named test per new counterexample.
 
 #![expect(
     clippy::expect_used,
